@@ -267,9 +267,11 @@ def _build_problem(config: dict) -> dict:
                         if float(q) <= 1.0:
                             _fail("Zaanen estimation needs q > 1; supply "
                                   "'zaanen_norm' for this term")
-                        mat = (kernel if isinstance(kernel, np.ndarray)
-                               else KernelTable.from_function(grid, grid, kernel).values)
-                        table = KernelTable(grid, grid, mat)
+                        # sampled once: the table's values feed the build too
+                        table = (KernelTable(grid, grid, kernel)
+                                 if isinstance(kernel, np.ndarray)
+                                 else KernelTable.from_function(grid, grid, kernel))
+                        kernel = table.values
                         estimate = zaanen_norm_estimate(
                             table, float(q), p / (p - 1.0))
                         norms.append(_ZAANEN_INFLATION * estimate)

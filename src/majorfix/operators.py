@@ -49,6 +49,7 @@ __all__ = [
 _NORM_SAMPLES = 2000
 _NORM_INFLATION = 1.10
 _RADIUS_SAMPLES = 257
+_CHUNK_ELEMENTS = 2**17  # a radius chunk's (c, n, n) block: 1 MiB, cache-sized
 
 
 # ---------------------------------------------------------------------------
@@ -367,34 +368,62 @@ def build_superposition_modulus(pair_set: LipschitzPairSet, p: float, q: float,
 # Urysohn equations x(t) = int K(t, s, x(s), x(t)) ds
 # ---------------------------------------------------------------------------
 
+def _mesh_callback(fn):
+    """Evaluate fn on broadcastable arrays as a float array (possibly a
+    read-only view) of their broadcast shape.  If fn rejects arrays on its
+    first call (TypeError or ValueError), it is called element by element
+    with scalars from then on; otherwise every exception propagates."""
+    vectorised = None
+
+    def evaluate(*args):
+        nonlocal vectorised
+        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+        if vectorised is not False:
+            try:
+                values = np.broadcast_to(np.asarray(fn(*args), dtype=float), shape)
+                vectorised = True
+                return values
+            except (TypeError, ValueError):
+                if vectorised:
+                    raise
+                vectorised = False
+        points = zip(*(np.broadcast_to(a, shape).flat for a in args))
+        return np.array([float(fn(*p)) for p in points]).reshape(shape)
+
+    return evaluate
+
+
+def _tabulated_sup_handle(apply, chunk_modulus, grid: Grid, radius: float,
+                          center, samples: int) -> OperatorHandle:
+    """Sup-norm handle whose modulus k(r + |x0|) is tabulated on samples radii
+    r in [0, radius]; chunk_modulus maps a (c, 1, 1) chunk of radii to k."""
+    x0 = _resolve_center(center, grid)
+    rs = np.linspace(0.0, radius, samples)
+    r = (rs + float(np.max(np.abs(x0))))[:, None, None]
+    chunk = max(1, _CHUNK_ELEMENTS // grid.n**2)
+    ks = np.concatenate([chunk_modulus(r[i:i + chunk])
+                         for i in range(0, samples, chunk)])
+    if np.any(~np.isfinite(ks)) or np.any(ks < 0.0):
+        raise ValueError("sampled modulus values must be finite and nonnegative")
+    norm = lambda v: float(np.max(np.abs(v)))
+    return make_operator(apply, x0, norm, modulus_from_samples(rs, ks), radius)
+
+
 @dataclass(frozen=True, eq=False)
 class UrysohnSpec:
     """Kernel K(t,s,u,v) with its partial moduli l(t,s,r) (in u) and
-    m(t,s,r) (in v), both nonnegative and nondecreasing in r."""
+    m(t,s,r) (in v), both nonnegative and nondecreasing in r.
+
+    Callbacks must be pointwise numpy functions of broadcastable open-mesh
+    arrays: K(t, s, u, v) gets t = nodes[:, None], s = nodes[None, :],
+    u = x[None, :], v = x[:, None]; l and m get t[None], s[None] and a leading
+    radius axis r[:, None, None].  Scalar-only callbacks work, but slowly.
+    """
 
     interval: tuple[float, float]
     kernel: Callable
     u_modulus: Callable
     v_modulus: Callable
-
-
-def _eval_ts(fn, tt: np.ndarray, ss: np.ndarray, *extra) -> np.ndarray:
-    try:
-        values = np.asarray(fn(tt, ss, *extra), dtype=float)
-        return np.broadcast_to(values, tt.shape).copy()
-    except Exception:
-        return np.array(
-            [[float(fn(t, s, *extra)) for s in ss[0]] for t in tt[:, 0]]
-        )
-
-
-def _tabulate_radius_modulus(sampler, radius: float, shift: float,
-                             samples: int) -> LipschitzModulus:
-    rs = np.linspace(0.0, radius, samples)
-    ks = np.array([sampler(r + shift) for r in rs])
-    if np.any(~np.isfinite(ks)) or np.any(ks < 0.0):
-        raise ValueError("sampled modulus values must be finite and nonnegative")
-    return modulus_from_samples(rs, ks)
 
 
 def build_urysohn(spec: UrysohnSpec, grid: Grid, radius: float,
@@ -403,35 +432,24 @@ def build_urysohn(spec: UrysohnSpec, grid: Grid, radius: float,
     """Nystrom discretization in the sup norm.
 
     The modulus k(r) = max_t sum_l w_l (l(t, s_l, r) + m(t, s_l, r)) is
-    sampled on a radius grid and tabulated; a non-monotone sample set is a
-    construction error.
+    sampled on a radius grid, a chunk of radii per call of the pointwise
+    moduli (see UrysohnSpec), and tabulated; a non-monotone sample set is a
+    construction error.  Scalar-only callbacks take a per-element loop.
     """
-    tt, ss = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
-    weights = grid.weights
+    t, s, weights = grid.nodes[:, None], grid.nodes[None, :], grid.weights
+    kernel = _mesh_callback(spec.kernel)
+    l_mod, m_mod = _mesh_callback(spec.u_modulus), _mesh_callback(spec.v_modulus)
 
+    # on C-contiguous blocks, @ gives each row the bits of a 2-d gemv
     def apply(x: np.ndarray) -> np.ndarray:
-        u = np.broadcast_to(x, tt.shape)
-        v = x[:, None]
-        try:
-            vals = np.asarray(spec.kernel(tt, ss, u, v), dtype=float)
-            vals = np.broadcast_to(vals, tt.shape)
-        except Exception:
-            vals = np.array(
-                [[float(spec.kernel(t, s, x[l], x[i]))
-                  for l, s in enumerate(grid.nodes)]
-                 for i, t in enumerate(grid.nodes)]
-            )
-        return vals @ weights
+        return np.ascontiguousarray(kernel(t, s, x[None, :], x[:, None])) @ weights
 
-    def row_modulus(r: float) -> float:
-        total = _eval_ts(spec.u_modulus, tt, ss, r) + _eval_ts(spec.v_modulus, tt, ss, r)
-        return float(np.max(total @ weights))
+    def chunk_modulus(r: np.ndarray) -> np.ndarray:
+        block = l_mod(t[None], s[None], r) + m_mod(t[None], s[None], r)
+        return np.max(np.ascontiguousarray(block) @ weights, axis=1)
 
-    x0 = _resolve_center(center, grid)
-    shift = float(np.max(np.abs(x0)))
-    modulus = _tabulate_radius_modulus(row_modulus, radius, shift, radius_samples)
-    norm = lambda v: float(np.max(np.abs(v)))
-    return make_operator(apply, x0, norm, modulus, radius)
+    return _tabulated_sup_handle(apply, chunk_modulus, grid, radius, center,
+                                 radius_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +459,14 @@ def build_urysohn(spec: UrysohnSpec, grid: Grid, radius: float,
 @dataclass(frozen=True, eq=False)
 class CompositionSpec:
     """Outer map F(t,u,v) with moduli l(t,r,rho), m(t,r,rho); inner kernel
-    K(t,s,u) with envelope n0(t,s,r) and modulus n(t,s,r)."""
+    K(t,s,u) with envelope n0(t,s,r) and modulus n(t,s,r).
+
+    Callbacks must be pointwise numpy functions of broadcastable open-mesh
+    arrays: K gets t = nodes[:, None], s = nodes[None, :], u = x[None, :]; F
+    gets nodes, x and the inner integrals; n0 and n get t[None], s[None] and
+    a leading radius axis r[:, None, None]; l and m get nodes[None, :],
+    r[:, None] and rho[r, t].  Scalar-only callbacks work, but slowly.
+    """
 
     interval: tuple[float, float]
     outer: Callable
@@ -459,55 +484,27 @@ def build_composition(spec: CompositionSpec, grid: Grid, radius: float,
 
     The combined modulus k(r) = max_t [ l(t, r, rho(t,r)) +
     m(t, r, rho(t,r)) * int n(t,s,r) ds ] with rho(t,r) = int n0(t,s,r) ds
-    is sampled over a radius grid and tabulated.
+    is sampled over a radius grid, a chunk of radii per call of the pointwise
+    moduli (see CompositionSpec), and tabulated.  Scalar-only callbacks take
+    a per-element loop.
     """
-    tt, ss = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
-    weights = grid.weights
-    t_nodes = grid.nodes
+    t, s, weights = grid.nodes[:, None], grid.nodes[None, :], grid.weights
+    inner_kernel, outer = _mesh_callback(spec.inner_kernel), _mesh_callback(spec.outer)
+    bound, n_mod = _mesh_callback(spec.inner_bound), _mesh_callback(spec.inner_modulus)
+    l_mod, m_mod = map(_mesh_callback, (spec.outer_u_modulus, spec.outer_v_modulus))
 
     def apply(x: np.ndarray) -> np.ndarray:
-        u = np.broadcast_to(x, tt.shape)
-        try:
-            vals = np.asarray(spec.inner_kernel(tt, ss, u), dtype=float)
-            vals = np.broadcast_to(vals, tt.shape)
-        except Exception:
-            vals = np.array(
-                [[float(spec.inner_kernel(t, s, x[l]))
-                  for l, s in enumerate(grid.nodes)]
-                 for t in grid.nodes]
-            )
-        inner = vals @ weights
-        try:
-            out = np.asarray(spec.outer(t_nodes, x, inner), dtype=float)
-            out = np.broadcast_to(out, x.shape).copy()
-        except Exception:
-            out = np.array(
-                [float(spec.outer(t, x[i], inner[i]))
-                 for i, t in enumerate(t_nodes)]
-            )
-        return out
+        inner = np.ascontiguousarray(inner_kernel(t, s, x[None, :])) @ weights
+        return np.array(outer(grid.nodes, x, inner))
 
-    def _eval_t(fn, r, rho: np.ndarray) -> np.ndarray:
-        try:
-            values = np.asarray(fn(t_nodes, r, rho), dtype=float)
-            return np.broadcast_to(values, t_nodes.shape)
-        except Exception:
-            return np.array(
-                [float(fn(t, r, rho[i])) for i, t in enumerate(t_nodes)]
-            )
+    def chunk_modulus(r: np.ndarray) -> np.ndarray:
+        rho = np.ascontiguousarray(bound(t[None], s[None], r)) @ weights
+        n_int = np.ascontiguousarray(n_mod(t[None], s[None], r)) @ weights
+        tr = (grid.nodes[None, :], r[:, :, 0])
+        return np.max(l_mod(*tr, rho) + m_mod(*tr, rho) * n_int, axis=1)
 
-    def row_modulus(r: float) -> float:
-        rho = _eval_ts(spec.inner_bound, tt, ss, r) @ weights
-        n_int = _eval_ts(spec.inner_modulus, tt, ss, r) @ weights
-        combined = _eval_t(spec.outer_u_modulus, r, rho) \
-            + _eval_t(spec.outer_v_modulus, r, rho) * n_int
-        return float(np.max(combined))
-
-    x0 = _resolve_center(center, grid)
-    shift = float(np.max(np.abs(x0)))
-    modulus = _tabulate_radius_modulus(row_modulus, radius, shift, radius_samples)
-    norm = lambda v: float(np.max(np.abs(v)))
-    return make_operator(apply, x0, norm, modulus, radius)
+    return _tabulated_sup_handle(apply, chunk_modulus, grid, radius, center,
+                                 radius_samples)
 
 
 # ---------------------------------------------------------------------------

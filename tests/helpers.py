@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from majorfix import MajorantProfile, PowerSumModulus, scale_modulus
+from majorfix import (MajorantProfile, PowerSumModulus, UrysohnSpec,
+                      scale_modulus)
 
 
 def quadratic_radii(a: float, c: float, radius: float) -> dict:
@@ -96,3 +97,37 @@ def picard_reference(op, steps: int = 3000) -> np.ndarray:
     for _ in range(steps):
         x = np.asarray(op.apply(x), dtype=float)
     return x
+
+
+def per_radius_modulus(spec, grid, radius: float, shift: float = 0.0,
+                       samples: int = 257) -> tuple[np.ndarray, np.ndarray]:
+    """Tabulated Urysohn or composition modulus, one radius at a time.
+
+    Every (t, s, r) callback is called once per radius on the full (t, s)
+    meshgrid with a scalar r, its result broadcast and copied, and each
+    row reduced by a 2-d matrix-vector product; the outer composition
+    moduli get the node vector, the scalar r and rho.  Returns the sample
+    radii and the running maximum of the samples, as the builders wrap them.
+    """
+    tt, ss = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+    t, w = grid.nodes, grid.weights
+
+    def on_mesh(fn, r):
+        return np.broadcast_to(np.asarray(fn(tt, ss, r), dtype=float), tt.shape).copy()
+
+    def on_nodes(fn, r, rho):
+        return np.broadcast_to(np.asarray(fn(t, r, rho), dtype=float), t.shape)
+
+    rs = np.linspace(0.0, radius, samples)
+    ks = []
+    for r in rs:
+        r = r + shift
+        if isinstance(spec, UrysohnSpec):
+            total = on_mesh(spec.u_modulus, r) + on_mesh(spec.v_modulus, r)
+            ks.append(float(np.max(total @ w)))
+        else:
+            rho = on_mesh(spec.inner_bound, r) @ w
+            n_int = on_mesh(spec.inner_modulus, r) @ w
+            ks.append(float(np.max(on_nodes(spec.outer_u_modulus, r, rho)
+                                   + on_nodes(spec.outer_v_modulus, r, rho) * n_int)))
+    return rs, np.maximum.accumulate(ks)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from majorfix import MajorantProfile, PowerSumModulus, eval_majorants
+from majorfix import KernelTable, MajorantProfile, PowerSumModulus, eval_majorants
 from majorfix.cli import main
 
 BETA = (1.0 - math.sqrt(0.9)) / 0.05
@@ -63,6 +63,20 @@ class TestAnalyzeCommand:
         assert doc["radii"]["uniqueness_radius"] == 1.0
         assert doc["radii"]["uniqueness_radius_closed"]
 
+
+    def test_lp_kernel_sampled_once(self, monkeypatch):
+        # the Zaanen estimate and the build share one sampled kernel table
+        sampled = []
+        sample = KernelTable.from_function
+
+        def counted(cls, *args):
+            sampled.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(KernelTable, "from_function", classmethod(counted))
+        code, doc = run_json(["analyze", "--preset", "hammerstein-lp"])
+        assert code == 0 and doc["existence_certified"]
+        assert len(sampled) == 1
 
 class TestSolveCommand:
     def test_hammerstein_preset_within_ring(self, tmp_path):

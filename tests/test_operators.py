@@ -27,7 +27,8 @@ from majorfix import (
     iterate,
     multilinear_critical_shift,
 )
-from helpers import lipschitz_increment_holds, quadratic_radii
+from majorfix.presets import COMPOSITION_INNER, COMPOSITION_OUTER, URYSOHN_KERNELS
+from helpers import lipschitz_increment_holds, per_radius_modulus, quadratic_radii
 
 
 def bisect_root(fn, lo, hi, iters=200):
@@ -354,6 +355,175 @@ class TestComposition:
         op = build_composition(spec, grid, 1.0)
         for r in (0.0, 0.4, 1.0):
             assert op.profile.slope(r) == pytest.approx(0.5 + 0.25 * r, abs=1e-10)
+
+
+
+def _tabulation_spec(kind: str, interval):
+    if kind == "urysohn":
+        demo = URYSOHN_KERNELS["mixed_quadratic"]
+        return UrysohnSpec(interval, demo["kernel"], demo["u_modulus"],
+                           demo["v_modulus"])
+    outer = COMPOSITION_OUTER["affine_mix"]
+    inner = COMPOSITION_INNER["weighted_square"]
+    if kind == "composition":
+        return CompositionSpec(interval, outer["outer"], outer["u_modulus"],
+                               outer["v_modulus"], inner["kernel"],
+                               inner["bound"], inner["modulus"])
+    # outer moduli that read rho, so the inner envelope reaches the samples
+    return CompositionSpec(
+        interval, outer["outer"],
+        lambda t, r, rho: 0.3 + 0.1 * rho + 0.0 * t,
+        lambda t, r, rho: 0.2 + 0.05 * r * rho,
+        inner["kernel"],
+        lambda t, s, r: s * r * r + 0.0 * t,
+        inner["modulus"],
+    )
+
+
+def _build(spec, *args, **kwargs):
+    builder = build_urysohn if isinstance(spec, UrysohnSpec) else build_composition
+    return builder(spec, *args, **kwargs)
+
+
+class TestRadiusTabulation:
+    # The radius axis is evaluated in chunks of 2**17 // n**2 radii: 12 at
+    # n = 101, 3 at n = 201 and 1 at n = 401; 257 and 25 samples leave a
+    # partial last chunk.
+    @pytest.mark.parametrize("n,samples", [(101, 257), (101, 25), (201, 257), (401, 40)])
+    @pytest.mark.parametrize("x0", [None, 0.15])
+    @pytest.mark.parametrize("kind", ["urysohn", "composition", "composition-rho"])
+    def test_moduli_match_per_radius_reference(self, kind, n, samples, x0):
+        spec = _tabulation_spec(kind, (0.3, 1.4))
+        grid = Grid.simpson(0.3, 1.4, n)
+        op = _build(spec, grid, 1.5, center=x0, radius_samples=samples)
+        rs, ks = per_radius_modulus(spec, grid, 1.5, shift=x0 or 0.0,
+                                    samples=samples)
+        assert np.array_equal(op.profile.modulus.abscissae, rs)
+        assert np.array_equal(op.profile.modulus.ordinates, ks)
+
+    @pytest.mark.parametrize("x0", [None, 0.15])
+    def test_scalar_only_callbacks_match_numpy_twins(self, x0):
+        array_calls = []
+
+        def scalar_only(fn):
+            def wrapped(*args):
+                if any(np.ndim(a) for a in args):
+                    array_calls.append(fn)
+                return fn(*args)
+            return wrapped
+
+        twins = [
+            UrysohnSpec(
+                (0.3, 1.4),
+                lambda t, s, u, v: np.sqrt(s) * u * u + 0.05 * v + 0.0 * t,
+                lambda t, s, r: np.sqrt(s) * r,
+                lambda t, s, r: np.maximum(0.05, 0.1 * t * r) + 0.0 * s),
+            CompositionSpec(
+                (0.3, 1.4),
+                lambda t, u, v: np.maximum(0.1 * t, 0.5 * u + 0.25 * v),
+                lambda t, r, rho: np.maximum(0.2, 0.1 + rho),
+                lambda t, r, rho: 0.25 + 0.0 * t,
+                lambda t, s, u: np.sqrt(s) * u * u + 0.0 * t,
+                lambda t, s, r: np.sqrt(s) * r * r + 0.0 * t,
+                lambda t, s, r: 2.0 * np.sqrt(s) * r + 0.0 * t),
+        ]
+        scalars = [
+            UrysohnSpec(
+                (0.3, 1.4),
+                scalar_only(lambda t, s, u, v: math.sqrt(s) * u * u + 0.05 * v),
+                scalar_only(lambda t, s, r: math.sqrt(s) * r),
+                scalar_only(lambda t, s, r: max(0.05, 0.1 * t * r))),
+            CompositionSpec(
+                (0.3, 1.4),
+                scalar_only(lambda t, u, v: max(0.1 * t, 0.5 * u + 0.25 * v)),
+                scalar_only(lambda t, r, rho: max(0.2, 0.1 + rho)),
+                scalar_only(lambda t, r, rho: 0.25),
+                scalar_only(lambda t, s, u: math.sqrt(s) * u * u),
+                scalar_only(lambda t, s, r: math.sqrt(s) * r * r),
+                scalar_only(lambda t, s, r: 2.0 * math.sqrt(s) * r)),
+        ]
+        grid = Grid.simpson(0.3, 1.4, 21)
+        x = 0.2 + 0.1 * np.cos(grid.nodes)
+        for twin, scalar in zip(twins, scalars):
+            op_twin = _build(twin, grid, 1.5, center=x0, radius_samples=65)
+            op_scalar = _build(scalar, grid, 1.5, center=x0, radius_samples=65)
+            assert np.array_equal(op_scalar.profile.modulus.ordinates,
+                                  op_twin.profile.modulus.ordinates)
+            assert np.array_equal(op_scalar.apply(x), op_twin.apply(x))
+        # each callback saw arrays once, on its first call
+        assert len(array_calls) == len(set(array_calls)) == 9
+
+    def test_scalar_fallback_decided_once_per_callback(self):
+        array_calls = []
+
+        def u_modulus(t, s, r):
+            if np.ndim(r):
+                array_calls.append(np.shape(r))
+            return math.sqrt(s) * r
+
+        spec = UrysohnSpec((0.0, 1.0), lambda t, s, u, v: 0.0 * (t + s + u + v),
+                           u_modulus, lambda t, s, r: 0.05 + 0.0 * (t + s))
+        op = build_urysohn(spec, Grid.simpson(0.0, 1.0, 101), 1.0,
+                           radius_samples=30)
+        assert array_calls == [(12, 1, 1)]
+        assert op.profile.slope(1.0) == pytest.approx(1.0 / 1.5 + 0.05, abs=1e-3)
+
+    def test_array_error_fails_build_without_scalar_retry(self):
+        calls = []
+
+        def u_modulus(t, s, r):
+            calls.append(np.ndim(r))
+            raise RuntimeError("bug in the modulus")
+
+        spec = UrysohnSpec((0.0, 1.0), lambda t, s, u, v: 0.0 * (t + s + u + v),
+                           u_modulus, lambda t, s, r: 0.05 + 0.0 * (t + s))
+        with pytest.raises(RuntimeError, match="bug in the modulus"):
+            build_urysohn(spec, Grid.simpson(0.0, 1.0, 11), 1.0)
+        assert calls == [3]
+
+    def test_outer_modulus_error_fails_build_without_scalar_retry(self):
+        calls = []
+
+        def outer_u_modulus(t, r, rho):
+            calls.append(np.ndim(rho))
+            raise RuntimeError("bug in the outer modulus")
+
+        spec = _tabulation_spec("composition", (0.0, 1.0))
+        spec = CompositionSpec(spec.interval, spec.outer, outer_u_modulus,
+                               spec.outer_v_modulus, spec.inner_kernel,
+                               spec.inner_bound, spec.inner_modulus)
+        with pytest.raises(RuntimeError, match="bug in the outer modulus"):
+            build_composition(spec, Grid.simpson(0.0, 1.0, 11), 1.0)
+        assert calls == [2]
+
+    def test_error_after_first_chunk_propagates(self):
+        calls = []
+
+        def u_modulus(t, s, r):
+            calls.append(np.ndim(r))
+            if len(calls) > 1:
+                raise TypeError("fails on the second chunk")
+            return 0.1 * r + 0.0 * (t + s)
+
+        spec = UrysohnSpec((0.0, 1.0), lambda t, s, u, v: 0.0 * (t + s + u + v),
+                           u_modulus, lambda t, s, r: 0.05 + 0.0 * (t + s))
+        with pytest.raises(TypeError, match="second chunk"):
+            build_urysohn(spec, Grid.simpson(0.0, 1.0, 101), 1.0)
+        assert calls == [3, 3]
+
+    def test_apply_error_propagates_without_scalar_retry(self):
+        calls = []
+
+        def kernel(t, s, u, v):
+            calls.append(np.ndim(u))
+            raise RuntimeError("bug in the kernel")
+
+        spec = UrysohnSpec((0.0, 1.0), kernel, lambda t, s, r: 0.1 + 0.0 * (t + s),
+                           lambda t, s, r: 0.05 + 0.0 * (t + s))
+        # the build applies the kernel once, for the center displacement
+        with pytest.raises(RuntimeError, match="bug in the kernel"):
+            build_urysohn(spec, Grid.simpson(0.0, 1.0, 11), 1.0)
+        assert calls == [2]
 
 
 class TestPowerModulus:

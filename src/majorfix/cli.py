@@ -76,6 +76,12 @@ def _fail(message: str) -> None:
     raise ConfigError(message)
 
 
+def _lookup(table: dict, name, what: str):
+    if name not in table:
+        _fail(f"unknown {what} {name!r}; available: {sorted(table)}")
+    return table[name]
+
+
 def _number(config: dict, key: str, *, positive=False, nonnegative=False):
     if key not in config:
         _fail(f"missing required field {key!r}")
@@ -150,17 +156,15 @@ def _resolve_kernel(term: dict, grid: Grid):
                 f"kernel CSV shape {table.values.shape} does not match the "
                 f"grid ({grid.n}, {grid.n})"
             )
-        return table.values
+        return table.regrid(grid, grid)
     kernel = term.get("kernel")
     if isinstance(kernel, str):
-        if kernel not in KERNELS:
-            _fail(f"unknown kernel {kernel!r}; available: {sorted(KERNELS)}")
-        return KERNELS[kernel]
+        return _lookup(KERNELS, kernel, "kernel")
     if isinstance(kernel, list):
         mat = np.asarray(kernel, dtype=float)
         if mat.shape != (grid.n, grid.n):
             _fail(f"inline kernel shape {mat.shape} does not match the grid")
-        return mat
+        return KernelTable(grid, grid, mat)
     _fail("each term needs a 'kernel' (name or matrix) or 'kernel_csv'")
 
 
@@ -175,13 +179,13 @@ def _build_problem(config: dict) -> dict:
     extras: dict = {}
 
     try:
+        grid = None if kind in ("scalar_profile", "multilinear") else _build_grid(config)
         if kind == "scalar_profile":
-            profile = MajorantProfile(
+            handle = build_self_majorizing(MajorantProfile(
                 _number(config, "center_shift", nonnegative=True),
                 _build_modulus(config.get("modulus")),
                 radius,
-            )
-            handle = build_self_majorizing(profile)
+            ))
 
         elif kind == "multilinear":
             dimension = config.get("dimension", 1)
@@ -208,19 +212,15 @@ def _build_problem(config: dict) -> dict:
                 "critical_shift": critical,
                 "solvable": handle.profile.center_shift <= critical,
             }
-            profile = handle.profile
 
         elif kind in ("hammerstein_c", "hammerstein_lp"):
-            grid = _build_grid(config)
             lam = _number(config, "lambda")
             terms_doc = config.get("terms")
             if not isinstance(terms_doc, list) or not terms_doc:
                 _fail("'terms' must be a nonempty list")
             forcing = config.get("forcing", "zero")
             if isinstance(forcing, str):
-                if forcing not in FORCINGS:
-                    _fail(f"unknown forcing {forcing!r}; available: {sorted(FORCINGS)}")
-                forcing = FORCINGS[forcing]
+                forcing = _lookup(FORCINGS, forcing, "forcing")
             elif isinstance(forcing, list):
                 forcing = np.asarray(forcing, dtype=float)
             else:
@@ -230,11 +230,8 @@ def _build_problem(config: dict) -> dict:
             if kind == "hammerstein_c":
                 terms = []
                 for term in terms_doc:
-                    name = term.get("nonlinearity")
-                    if name not in NONLINEARITIES:
-                        _fail(f"unknown nonlinearity {name!r}; "
-                              f"available: {sorted(NONLINEARITIES)}")
-                    fn, modulus = NONLINEARITIES[name]
+                    fn, modulus = _lookup(NONLINEARITIES, term.get("nonlinearity"),
+                                          "nonlinearity")
                     terms.append(HammersteinTerm(
                         _resolve_kernel(term, grid), fn, modulus))
                 spec = HammersteinSpec(
@@ -247,10 +244,8 @@ def _build_problem(config: dict) -> dict:
                 terms, moduli, norms = [], [], []
                 for term in terms_doc:
                     name = term.get("nonlinearity")
-                    if name not in LP_NONLINEARITIES:
-                        _fail(f"unknown L_p nonlinearity {name!r}; "
-                              f"available: {sorted(LP_NONLINEARITIES)}")
-                    fn, default_pairs, q_rule = LP_NONLINEARITIES[name]
+                    fn, default_pairs, q_rule = _lookup(
+                        LP_NONLINEARITIES, name, "L_p nonlinearity")
                     q = term.get("q", p if q_rule == "same_as_p" else None)
                     if q is None:
                         _fail(f"term with nonlinearity {name!r} needs 'q'")
@@ -267,59 +262,40 @@ def _build_problem(config: dict) -> dict:
                         if float(q) <= 1.0:
                             _fail("Zaanen estimation needs q > 1; supply "
                                   "'zaanen_norm' for this term")
-                        # sampled once: the table's values feed the build too
-                        table = (KernelTable(grid, grid, kernel)
-                                 if isinstance(kernel, np.ndarray)
-                                 else KernelTable.from_function(grid, grid, kernel))
-                        kernel = table.values
+                        # sampled once: the table feeds the build too
+                        if callable(kernel):
+                            kernel = KernelTable.from_function(grid, grid, kernel)
                         estimate = zaanen_norm_estimate(
-                            table, float(q), p / (p - 1.0))
+                            kernel, float(q), p / (p - 1.0))
                         norms.append(_ZAANEN_INFLATION * estimate)
                     terms.append(HammersteinTerm(kernel, fn, None))
                 spec = HammersteinSpec(
                     (grid.lower, grid.upper), tuple(terms), lam, forcing)
                 handle = build_hammerstein_lp(
                     spec, moduli, norms, p, grid, radius, center=center)
-            profile = handle.profile
-            extras["grid"] = {"rule": grid.rule, "n": grid.n}
 
         elif kind == "urysohn":
-            grid = _build_grid(config)
-            name = config.get("kernel")
-            if name not in URYSOHN_KERNELS:
-                _fail(f"unknown Urysohn kernel {name!r}; "
-                      f"available: {sorted(URYSOHN_KERNELS)}")
-            demo = URYSOHN_KERNELS[name]
+            demo = _lookup(URYSOHN_KERNELS, config.get("kernel"), "Urysohn kernel")
             spec = UrysohnSpec((grid.lower, grid.upper), demo["kernel"],
                                demo["u_modulus"], demo["v_modulus"])
             handle = build_urysohn(spec, grid, radius, center=config.get("x0"))
-            profile = handle.profile
-            extras["grid"] = {"rule": grid.rule, "n": grid.n}
 
         else:  # composition
-            grid = _build_grid(config)
-            outer_name = config.get("outer")
-            inner_name = config.get("inner")
-            if outer_name not in COMPOSITION_OUTER:
-                _fail(f"unknown outer map {outer_name!r}; "
-                      f"available: {sorted(COMPOSITION_OUTER)}")
-            if inner_name not in COMPOSITION_INNER:
-                _fail(f"unknown inner kernel {inner_name!r}; "
-                      f"available: {sorted(COMPOSITION_INNER)}")
-            outer = COMPOSITION_OUTER[outer_name]
-            inner = COMPOSITION_INNER[inner_name]
+            outer = _lookup(COMPOSITION_OUTER, config.get("outer"), "outer map")
+            inner = _lookup(COMPOSITION_INNER, config.get("inner"), "inner kernel")
             spec = CompositionSpec(
                 (grid.lower, grid.upper), outer["outer"],
                 outer["u_modulus"], outer["v_modulus"],
                 inner["kernel"], inner["bound"], inner["modulus"])
             handle = build_composition(spec, grid, radius, center=config.get("x0"))
-            profile = handle.profile
-            extras["grid"] = {"rule": grid.rule, "n": grid.n}
 
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         _fail(f"invalid {kind} config: {exc}")
+    profile = handle.profile
+    if grid is not None:
+        extras["grid"] = {"rule": grid.rule, "n": grid.n}
 
     scale = config.get("modulus_scale")
     if scale is not None:
@@ -463,13 +439,9 @@ def run_zones(config: dict, samples: int, out: Path,
     files = [str(out)]
 
     markers_path = out.with_name(out.stem + ".markers" + (out.suffix or ".csv"))
-    markers = []
-    if report.inner_radius is not None:
-        markers.append(("inner_radius", report.inner_radius, "closed"))
-    if report.convergence_radius is not None:
-        markers.append(("convergence_radius", report.convergence_radius, "closed"))
-    if report.contraction_radius is not None:
-        markers.append(("contraction_radius", report.contraction_radius, "closed"))
+    markers = [(name, getattr(report, name), "closed")
+               for name in ("inner_radius", "convergence_radius", "contraction_radius")
+               if getattr(report, name) is not None]
     if report.uniqueness_radius is not None:
         boundary = "closed" if report.uniqueness_radius_closed else "open"
         markers.append(("uniqueness_radius", report.uniqueness_radius, boundary))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,14 +92,18 @@ class Grid:
         return cls(float(nodes[0]), float(nodes[-1]), nodes, weights, "trapezoid")
 
 
-def quadrature_integrate(grid: Grid, samples) -> float:
-    """Weighted sum over the grid; exact up to the rule's polynomial degree."""
+def _on_grid(grid: Grid, samples) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     if samples.shape != grid.nodes.shape:
         raise ValueError(
             f"samples length {samples.size} does not match grid size {grid.n}"
         )
-    return float(grid.weights @ samples)
+    return samples
+
+
+def quadrature_integrate(grid: Grid, samples) -> float:
+    """Weighted sum over the grid; exact up to the rule's polynomial degree."""
+    return float(grid.weights @ _on_grid(grid, samples))
 
 
 def lp_norm(grid: Grid, samples, p) -> float:
@@ -106,11 +111,7 @@ def lp_norm(grid: Grid, samples, p) -> float:
 
     Pass p = "sup" (or math.inf) for the max-norm variant.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != grid.nodes.shape:
-        raise ValueError(
-            f"samples length {samples.size} does not match grid size {grid.n}"
-        )
+    samples = _on_grid(grid, samples)
     if p == "sup" or p == math.inf:
         return float(np.max(np.abs(samples)))
     p = float(p)
@@ -119,16 +120,60 @@ def lp_norm(grid: Grid, samples, p) -> float:
     return float((grid.weights @ np.abs(samples) ** p) ** (1.0 / p))
 
 
+def _mesh_callback(fn):
+    """Evaluate fn on broadcastable arrays as a float array of their shape
+    (fn's own result, or a read-only broadcast view of it).  If fn rejects
+    arrays on its first call (TypeError or ValueError), it is called per
+    element with scalars from then on; other exceptions propagate."""
+    vectorised = None
+
+    def evaluate(*args):
+        nonlocal vectorised
+        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+        if vectorised is not False:
+            try:
+                values = np.asarray(fn(*args), dtype=float)
+                if values.shape != shape:
+                    values = np.broadcast_to(values, shape)
+                vectorised = True
+                return values
+            except (TypeError, ValueError):
+                if vectorised:
+                    raise
+                vectorised = False
+        points = zip(*(np.broadcast_to(a, shape).flat for a in args))
+        return np.array([float(fn(*p)) for p in points]).reshape(shape)
+
+    return evaluate
+
+
+def _absolute(values: np.ndarray) -> np.ndarray:
+    """|values|: values itself when no sign bit is set (|v| = v, bit for bit)."""
+    return np.abs(values) if np.any(np.signbit(values)) else values
+
+
+def _fresh_refcount():
+    values = np.empty(0)
+    return sys.getrefcount(values)
+
+
+# what sys.getrefcount reads for a local array nothing else holds, in the
+# code shape of KernelTable.from_function; None off CPython (no such count)
+_FRESH_REFS = (_fresh_refcount() if sys.implementation.name == "cpython"
+               and hasattr(sys, "getrefcount") else None)
+
+
 @dataclass(frozen=True, eq=False)
 class KernelTable:
-    """Kernel samples z(t_i, s_l) on a product of two grids."""
+    """Kernel samples z(t_i, s_l) on a product of two grids, held as a
+    read-only C-contiguous copy of the values given."""
 
     grid_t: Grid
     grid_s: Grid
     values: np.ndarray
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).copy()
+    def __post_init__(self, copy: bool = True):
+        values = (np.array if copy else np.asarray)(self.values, dtype=float, order="C")
         if values.shape != (self.grid_t.n, self.grid_s.n):
             raise ValueError(
                 f"kernel values shape {values.shape} does not match grids "
@@ -140,16 +185,30 @@ class KernelTable:
         object.__setattr__(self, "values", values)
 
     @classmethod
+    def _adopt(cls, grid_t: Grid, grid_s: Grid, values) -> "KernelTable":
+        """A table around values, uncopied if C-contiguous float: only for
+        arrays that this module made and nothing else holds."""
+        table = object.__new__(cls)
+        table.__dict__.update(grid_t=grid_t, grid_s=grid_s, values=values)
+        table.__post_init__(copy=False)
+        return table
+
+    def regrid(self, grid_t: Grid, grid_s: Grid) -> "KernelTable":
+        """The same samples, shared read-only, on other grids of their sizes."""
+        return self._adopt(grid_t, grid_s, self.values)
+
+    @classmethod
     def from_function(cls, grid_t: Grid, grid_s: Grid, fn) -> "KernelTable":
-        tt, ss = np.meshgrid(grid_t.nodes, grid_s.nodes, indexing="ij")
-        try:
-            values = np.asarray(fn(tt, ss), dtype=float)
-            if values.shape != tt.shape:
-                raise ValueError
-        except Exception:
-            values = np.array(
-                [[float(fn(t, s)) for s in grid_s.nodes] for t in grid_t.nodes]
-            )
+        """Sample fn once, on the open mesh t = grid_t.nodes[:, None],
+        s = grid_s.nodes[None, :]; its result must broadcast to (n_t, n_s).
+        A scalar-only fn (TypeError or ValueError on arrays) is called per
+        node pair, slowly; other errors propagate.  On CPython a fresh result
+        that nothing else references becomes the table's array, uncopied;
+        anything else (and every result on other interpreters) is copied."""
+        values = _mesh_callback(fn)(grid_t.nodes[:, None], grid_s.nodes[None, :])
+        if (values.base is None and _FRESH_REFS is not None
+                and sys.getrefcount(values) == _FRESH_REFS):
+            return cls._adopt(grid_t, grid_s, values)
         return cls(grid_t, grid_s, values)
 
     @classmethod
@@ -180,11 +239,11 @@ class KernelTable:
                 values[index_t[t], index_s[s]] = v
             if np.any(np.isnan(values)):
                 raise ValueError(f"{path}: triples do not fill the (t, s) product")
-            return cls(Grid.from_nodes(ts), Grid.from_nodes(ss), values)
+            return cls._adopt(Grid.from_nodes(ts), Grid.from_nodes(ss), values)
         values = np.array([[float(cell) for cell in row] for row in rows])
         grid_t = Grid.trapezoid(0.0, 1.0, values.shape[0])
         grid_s = Grid.trapezoid(0.0, 1.0, values.shape[1])
-        return cls(grid_t, grid_s, values)
+        return cls._adopt(grid_t, grid_s, values)
 
 
 def _holder_extremal(v: np.ndarray, p: float, w: np.ndarray
@@ -214,7 +273,7 @@ def zaanen_sweep_objectives(kernel: KernelTable, alpha: float, beta: float,
         raise ValueError("alpha and beta must both be > 1")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    Z = np.abs(kernel.values)
+    Z = _absolute(kernel.values)
     wt, ws = kernel.grid_t.weights, kernel.grid_s.weights
     # constant start keeps the iteration inside the nonnegative cone
     y = np.ones(kernel.grid_t.n)
@@ -237,5 +296,4 @@ def zaanen_norm_estimate(kernel: KernelTable, alpha: float, beta: float,
     norm; it is reported as an estimate.  Consumers needing a safe bound may
     inflate it (over-estimating a modulus only shrinks certified zones).
     """
-    sweeps = zaanen_sweep_objectives(kernel, alpha, beta, iters)
-    return sweeps[-1]
+    return zaanen_sweep_objectives(kernel, alpha, beta, iters)[-1]

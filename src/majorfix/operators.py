@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discretize import Grid, KernelTable, lp_norm
+from .discretize import Grid, KernelTable, _absolute, _mesh_callback, lp_norm
 from .iteration import OperatorHandle, make_operator
 from .majorant import MajorantProfile
 from .moduli import (
@@ -161,15 +161,22 @@ def multilinear_critical_shift(norm_c: float, degree: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class HammersteinTerm:
-    """One summand: kernel k_j, nonlinearity h_j, and h_j's scalar modulus."""
+    """One summand: kernel k_j (a callable, an (n, n) sample array or a
+    KernelTable), nonlinearity h_j, and h_j's scalar modulus."""
 
-    kernel: Callable[[float, float], float] | np.ndarray
+    kernel: Callable[[float, float], float] | np.ndarray | KernelTable
     nonlinearity: Callable
     modulus: LipschitzModulus | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class HammersteinSpec:
+    """Callbacks must be pointwise numpy functions: a kernel k(t, s) is
+    sampled once, on the open mesh t = nodes[:, None], s = nodes[None, :]
+    (see KernelTable.from_function); f(t) gets the nodes and h(u) the
+    iterate.  Scalar-only callbacks work, but slowly; other errors propagate.
+    """
+
     interval: tuple[float, float]
     terms: tuple[HammersteinTerm, ...]
     lam: float
@@ -184,40 +191,19 @@ class HammersteinSpec:
 
 
 def _sample_kernel(kernel, grid: Grid) -> np.ndarray:
-    if isinstance(kernel, np.ndarray):
-        if kernel.shape != (grid.n, grid.n):
-            raise ValueError(
-                f"kernel array shape {kernel.shape} does not match grid ({grid.n}, {grid.n})"
-            )
-        return np.asarray(kernel, dtype=float)
-    return KernelTable.from_function(grid, grid, kernel).values
-
-
-def _sample_forcing(forcing, grid: Grid) -> np.ndarray:
-    if isinstance(forcing, np.ndarray):
-        if forcing.shape != (grid.n,):
-            raise ValueError("forcing array length does not match the grid")
-        return np.asarray(forcing, dtype=float)
-    values = np.asarray(forcing(grid.nodes), dtype=float)
-    if values.shape != (grid.n,):
-        values = np.array([float(forcing(t)) for t in grid.nodes])
-    return values
-
-
-def _pointwise(fn, x: np.ndarray) -> np.ndarray:
-    values = np.asarray(fn(x), dtype=float)
-    if values.shape != x.shape:
-        values = np.array([float(fn(v)) for v in x])
-    return values
-
-
-def _nystrom_apply(mats, nonlinearities, fvec, weights, lam):
-    def apply(x: np.ndarray) -> np.ndarray:
-        out = fvec.copy()
-        for mat, h in zip(mats, nonlinearities):
-            out += lam * (mat @ (weights * _pointwise(h, x)))
-        return out
-    return apply
+    if callable(kernel):
+        return KernelTable.from_function(grid, grid, kernel).values
+    # a table must be sampled on the build grid (or an equal one)
+    if not all(g is grid or (np.array_equal(g.nodes, grid.nodes)
+                             and np.array_equal(g.weights, grid.weights))
+               for g in (getattr(kernel, "grid_t", grid),
+                         getattr(kernel, "grid_s", grid))):
+        raise ValueError("kernel table is not sampled on the build grid")
+    values = getattr(kernel, "values", kernel)
+    if np.shape(values) != (grid.n, grid.n):
+        raise ValueError(f"kernel array shape {np.shape(values)} does not "
+                         f"match grid ({grid.n}, {grid.n})")
+    return np.asarray(values, dtype=float)
 
 
 def _resolve_center(center, grid: Grid) -> np.ndarray:
@@ -229,6 +215,34 @@ def _resolve_center(center, grid: Grid) -> np.ndarray:
     if arr.shape != (grid.n,):
         raise ValueError("center length does not match the grid")
     return arr
+
+
+def _nystrom_handle(spec: HammersteinSpec, grid: Grid, mats, moduli, knorms,
+                    norm, radius: float, center) -> OperatorHandle:
+    """x -> f + lambda * sum_j K_j (w * h_j(x)) with modulus
+    |lambda| * sum_j knorms_j * moduli_j(r), recentered on x0."""
+    modulus = combine_moduli(moduli, [abs(spec.lam) * kn for kn in knorms],
+                             radius=radius)
+    x0 = _resolve_center(center, grid)
+    shift = norm(x0)
+    if shift > 0.0:
+        modulus = recenter_modulus(modulus, shift, radius)
+    if callable(spec.forcing):
+        fvec = _mesh_callback(spec.forcing)(grid.nodes)
+    elif np.shape(spec.forcing) == (grid.n,):
+        fvec = np.asarray(spec.forcing, dtype=float)
+    else:
+        raise ValueError("forcing array length does not match the grid")
+    hs = [_mesh_callback(term.nonlinearity) for term in spec.terms]
+    weights, lam = grid.weights, spec.lam
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = fvec.copy()
+        for mat, h in zip(mats, hs):
+            out += lam * (mat @ (weights * h(x)))
+        return out
+
+    return make_operator(apply, x0, norm, modulus, radius)
 
 
 def build_hammerstein_sup(spec: HammersteinSpec, grid: Grid, radius: float,
@@ -244,19 +258,10 @@ def build_hammerstein_sup(spec: HammersteinSpec, grid: Grid, radius: float,
     mats = [_sample_kernel(term.kernel, grid) for term in spec.terms]
     if any(term.modulus is None for term in spec.terms):
         raise ValueError("every term needs a scalar modulus for the sup-norm build")
-    fvec = _sample_forcing(spec.forcing, grid)
-    knorms = [float(np.max(np.abs(mat) @ grid.weights)) for mat in mats]
-    lam_abs = abs(spec.lam)
-    modulus = combine_moduli([term.modulus for term in spec.terms],
-                             [lam_abs * kn for kn in knorms], radius=radius)
-    x0 = _resolve_center(center, grid)
+    knorms = [float(np.max(_absolute(mat) @ grid.weights)) for mat in mats]
     norm = lambda v: float(np.max(np.abs(v)))
-    shift = float(np.max(np.abs(x0)))
-    if shift > 0.0:
-        modulus = recenter_modulus(modulus, shift, radius)
-    apply = _nystrom_apply(mats, [t.nonlinearity for t in spec.terms],
-                           fvec, grid.weights, spec.lam)
-    return make_operator(apply, x0, norm, modulus, radius)
+    return _nystrom_handle(spec, grid, mats, [term.modulus for term in spec.terms],
+                           knorms, norm, radius, center)
 
 
 def build_hammerstein_lp(spec: HammersteinSpec, moduli, zaanen_norms,
@@ -278,18 +283,9 @@ def build_hammerstein_lp(spec: HammersteinSpec, moduli, zaanen_norms,
     if any(z < 0.0 for z in zaanen_norms):
         raise ValueError("Zaanen norms must be >= 0")
     mats = [_sample_kernel(term.kernel, grid) for term in spec.terms]
-    fvec = _sample_forcing(spec.forcing, grid)
-    lam_abs = abs(spec.lam)
-    modulus = combine_moduli(moduli, [lam_abs * z for z in zaanen_norms],
-                             radius=radius)
-    x0 = _resolve_center(center, grid)
     norm = lambda v: lp_norm(grid, v, p)
-    shift = norm(x0)
-    if shift > 0.0:
-        modulus = recenter_modulus(modulus, shift, radius)
-    apply = _nystrom_apply(mats, [t.nonlinearity for t in spec.terms],
-                           fvec, grid.weights, spec.lam)
-    return make_operator(apply, x0, norm, modulus, radius)
+    return _nystrom_handle(spec, grid, mats, moduli, zaanen_norms, norm,
+                           radius, center)
 
 
 # ---------------------------------------------------------------------------
@@ -367,31 +363,6 @@ def build_superposition_modulus(pair_set: LipschitzPairSet, p: float, q: float,
 # ---------------------------------------------------------------------------
 # Urysohn equations x(t) = int K(t, s, x(s), x(t)) ds
 # ---------------------------------------------------------------------------
-
-def _mesh_callback(fn):
-    """Evaluate fn on broadcastable arrays as a float array (possibly a
-    read-only view) of their broadcast shape.  If fn rejects arrays on its
-    first call (TypeError or ValueError), it is called element by element
-    with scalars from then on; otherwise every exception propagates."""
-    vectorised = None
-
-    def evaluate(*args):
-        nonlocal vectorised
-        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-        if vectorised is not False:
-            try:
-                values = np.broadcast_to(np.asarray(fn(*args), dtype=float), shape)
-                vectorised = True
-                return values
-            except (TypeError, ValueError):
-                if vectorised:
-                    raise
-                vectorised = False
-        points = zip(*(np.broadcast_to(a, shape).flat for a in args))
-        return np.array([float(fn(*p)) for p in points]).reshape(shape)
-
-    return evaluate
-
 
 def _tabulated_sup_handle(apply, chunk_modulus, grid: Grid, radius: float,
                           center, samples: int) -> OperatorHandle:
@@ -556,6 +527,17 @@ def _power_eval(terms, r):
     return sum(c * r**e for c, e in terms)
 
 
+def _merged_power_sum(terms, factor: float, offset: float) -> PowerSumModulus:
+    """factor * sum of terms, plus offset, with like exponents merged."""
+    merged: dict[float, float] = {}
+    for coef, exponent in terms:
+        merged[exponent] = merged.get(exponent, 0.0) + factor * coef
+    if offset > 0.0:
+        merged[0.0] = merged.get(0.0, 0.0) + offset
+    return PowerSumModulus(tuple(sorted((c, e) for e, c in merged.items()))
+                           or ((0.0, 0.0),))
+
+
 def build_power_modulus(spec: PowerGrowthModulusSpec) -> LipschitzModulus:
     """Assemble the power-growth modulus.
 
@@ -566,13 +548,7 @@ def build_power_modulus(spec: PowerGrowthModulusSpec) -> LipschitzModulus:
     """
     base = tuple(spec.terms)
     if spec.pair_set is None:
-        merged: dict[float, float] = {}
-        for coef, exponent in base:
-            merged[exponent] = merged.get(exponent, 0.0) + coef
-        if spec.offset > 0.0:
-            merged[0.0] = merged.get(0.0, 0.0) + spec.offset
-        terms = tuple(sorted((c, e) for e, c in merged.items()))
-        return PowerSumModulus(terms or ((0.0, 0.0),))
+        return _merged_power_sum(base, 1.0, spec.offset)
 
     pairs = spec.pair_set.pairs
     factor_is_constant = (
@@ -586,13 +562,7 @@ def build_power_modulus(spec: PowerGrowthModulusSpec) -> LipschitzModulus:
         else:
             # inner sum vanishes or every slope is zero
             factor = min(first for first, _ in pairs)
-        merged = {}
-        for coef, exponent in base:
-            merged[exponent] = merged.get(exponent, 0.0) + factor * coef
-        if spec.offset > 0.0:
-            merged[0.0] = merged.get(0.0, 0.0) + spec.offset
-        terms = tuple(sorted((c, e) for e, c in merged.items()))
-        return PowerSumModulus(terms or ((0.0, 0.0),))
+        return _merged_power_sum(base, factor, spec.offset)
 
     if spec.radius is None:
         raise ValueError("radius required to tabulate the envelope factor")

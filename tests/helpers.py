@@ -131,3 +131,21 @@ def per_radius_modulus(spec, grid, radius: float, shift: float = 0.0,
             ks.append(float(np.max(on_nodes(spec.outer_u_modulus, r, rho)
                                    + on_nodes(spec.outer_v_modulus, r, rho) * n_int)))
     return rs, np.maximum.accumulate(ks)
+
+
+def meshgrid_kernel(fn, grid_t, grid_s) -> np.ndarray:
+    """Kernel samples, the way a full-meshgrid sampler takes them.
+
+    fn is called on the whole (t, s) meshgrid; if that raises TypeError or
+    ValueError, or gives a result of another shape, fn is called once per
+    node pair with scalars instead.  Returns a fresh (n, m) array.
+    """
+    tt, ss = np.meshgrid(grid_t.nodes, grid_s.nodes, indexing="ij")
+    try:
+        values = np.asarray(fn(tt, ss), dtype=float)
+        if values.shape == tt.shape:
+            return values.copy()
+    except (TypeError, ValueError):
+        pass
+    return np.array([[float(fn(t, s)) for s in grid_s.nodes]
+                     for t in grid_t.nodes])

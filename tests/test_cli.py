@@ -78,6 +78,64 @@ class TestAnalyzeCommand:
         assert code == 0 and doc["existence_certified"]
         assert len(sampled) == 1
 
+    @pytest.mark.parametrize("source", ["kernel_csv", "inline"])
+    def test_lp_tabulated_kernel_shared_by_estimate_and_build(
+            self, tmp_path, monkeypatch, source):
+        # a CSV or inline kernel reaches the Zaanen estimate and the build as
+        # one table, and certifies exactly as the named kernel it tabulates
+        from majorfix import Grid, cli
+        config = {"kind": "hammerstein_lp", "interval": [0.0, 1.0],
+                  "lambda": 0.3, "p": 2.0, "grid": {"rule": "simpson", "n": 21},
+                  "radius": 2.0, "forcing": "identity",
+                  "terms": [{"kernel": "product", "nonlinearity": "linear"}]}
+        named = tmp_path / "named.json"
+        named.write_text(json.dumps(config))
+        grid = Grid.simpson(0.0, 1.0, 21)
+        values = KernelTable.from_function(grid, grid, lambda t, s: t * s).values
+        term = config["terms"][0]
+        del term["kernel"]
+        if source == "kernel_csv":
+            path = tmp_path / "kernel.csv"
+            path.write_text("".join(",".join(map(repr, row)) + "\n"
+                                    for row in values.tolist()))
+            term["kernel_csv"] = str(path)
+        else:
+            term["kernel"] = values.tolist()
+        tabulated = tmp_path / "tabulated.json"
+        tabulated.write_text(json.dumps(config))
+
+        seen = []
+        estimate, build = cli.zaanen_norm_estimate, cli.build_hammerstein_lp
+        monkeypatch.setattr(cli, "zaanen_norm_estimate",
+                            lambda table, *a: seen.append(table) or estimate(table, *a))
+        monkeypatch.setattr(cli, "build_hammerstein_lp",
+                            lambda spec, *a, **k: seen.append(spec.terms[0].kernel)
+                            or build(spec, *a, **k))
+        code, doc = run_json(["analyze", "--config", str(tabulated)])
+        assert code == 0 and len(seen) == 2 and seen[0] is seen[1]
+        assert np.array_equal(seen[0].values, values)
+        assert doc == run_json(["analyze", "--config", str(named)])[1]
+
+    def test_inline_kernel_rows_stay_the_callers(self):
+        from majorfix.cli import run_analyze
+        rows = [np.full(5, 0.2) for _ in range(5)]
+        config = {"kind": "hammerstein_c", "interval": [0.0, 1.0],
+                  "lambda": 0.1, "grid": {"rule": "simpson", "n": 5},
+                  "radius": 1.0, "forcing": "identity",
+                  "terms": [{"kernel": rows, "nonlinearity": "square"}]}
+        run_analyze(config)
+        assert all(row.flags.writeable for row in rows)
+
+    def test_inline_kernel_of_wrong_shape_is_config_error(self, tmp_path):
+        config = {"kind": "hammerstein_c", "interval": [0.0, 1.0],
+                  "lambda": 0.1, "grid": {"rule": "simpson", "n": 5},
+                  "radius": 1.0, "forcing": "identity",
+                  "terms": [{"kernel": [[0.0] * 5] * 4, "nonlinearity": "square"}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["analyze", "--config", str(path)])[0] == 2
+
+
 class TestSolveCommand:
     def test_hammerstein_preset_within_ring(self, tmp_path):
         out = tmp_path / "trace.json"

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from majorfix import (
     zaanen_norm_estimate,
     zaanen_sweep_objectives,
 )
+from majorfix import discretize
+from majorfix.presets import KERNELS
+from helpers import meshgrid_kernel
 
 
 class TestGrid:
@@ -149,3 +153,137 @@ class TestKernelTable:
         table = KernelTable.from_csv(path)
         assert table.values.shape == (3, 2)
         assert table.grid_t.n == 3 and table.grid_s.n == 2
+
+
+SAMPLED_KERNELS = {
+    **KERNELS,
+    "scalar_only_exp": lambda t, s: math.exp(t * s),
+    "constant": lambda t, s: 2.0,
+}
+_OWNED = np.arange(35.0).reshape(7, 5)
+
+
+class TestKernelSampling:
+    @pytest.mark.parametrize("name", sorted(SAMPLED_KERNELS))
+    @pytest.mark.parametrize("grids", [
+        (Grid.simpson(0.0, 1.0, 101),) * 2,
+        (Grid.simpson(-0.5, 1.5, 1001),) * 2,
+        (Grid.trapezoid(0.0, 1.0, 7), Grid.trapezoid(0.2, 2.0, 5)),
+    ], ids=["simpson101", "simpson1001", "trapezoid7x5"])
+    def test_open_mesh_matches_meshgrid_reference(self, name, grids):
+        fn = SAMPLED_KERNELS[name]
+        table = KernelTable.from_function(*grids, fn)
+        reference = meshgrid_kernel(fn, *grids)
+        assert table.values.shape == (grids[0].n, grids[1].n)
+        assert np.array_equal(table.values, reference)
+        assert not table.values.flags.writeable
+
+    def test_array_error_propagates_without_scalar_retry(self):
+        calls = []
+
+        def kernel(t, s):
+            calls.append(np.ndim(t))
+            if np.ndim(t):
+                raise RuntimeError("bug in the kernel")
+            return t * s
+
+        grid = Grid.simpson(0.0, 1.0, 11)
+        with pytest.raises(RuntimeError, match="bug in the kernel"):
+            KernelTable.from_function(grid, grid, kernel)
+        assert calls == [2]
+
+    def test_fresh_result_is_adopted(self):
+        made = []
+
+        def kernel(t, s):
+            out = t * s
+            made.append(weakref.ref(out))
+            return out
+
+        grid = Grid.simpson(0.0, 1.0, 11)
+        table = KernelTable.from_function(grid, grid, kernel)
+        assert made[0]() is table.values
+        assert not table.values.flags.writeable
+
+    def test_held_result_is_copied(self):
+        held = []
+
+        def kernel(t, s):
+            held.append(t * s)
+            return held[-1]
+
+        grid = Grid.simpson(0.0, 1.0, 11)
+        table = KernelTable.from_function(grid, grid, kernel)
+        assert held[0].flags.writeable
+        held[0][:] = -1.0
+        assert np.array_equal(table.values, grid.nodes[:, None] * grid.nodes)
+
+    def test_module_array_is_copied(self):
+        grid_t, grid_s = Grid.trapezoid(0.0, 1.0, 7), Grid.trapezoid(0.0, 1.0, 5)
+        table = KernelTable.from_function(grid_t, grid_s, lambda t, s: _OWNED)
+        assert _OWNED.flags.writeable
+        before = _OWNED.copy()
+        _OWNED[0, 0] = 99.0
+        try:
+            assert np.array_equal(table.values, before)
+        finally:
+            _OWNED[0, 0] = before[0, 0]
+
+    def test_result_is_copied_where_refcount_is_unknown(self, monkeypatch):
+        # off CPython there is no reference count to tell a fresh result
+        monkeypatch.setattr(discretize, "_FRESH_REFS", None)
+        made = []
+
+        def kernel(t, s):
+            out = t * s
+            made.append(weakref.ref(out))
+            return out
+
+        grid = Grid.simpson(0.0, 1.0, 11)
+        table = KernelTable.from_function(grid, grid, kernel)
+        assert made[0]() is not table.values
+        assert np.array_equal(table.values, grid.nodes[:, None] * grid.nodes)
+
+    def test_regrid_shares_samples_and_checks_shape(self, tmp_path):
+        path = tmp_path / "k.csv"
+        path.write_text("1,2,3\n4,5,6\n")
+        table = KernelTable.from_csv(path)
+        grid_t, grid_s = Grid.simpson(-1.0, 1.0, 3), Grid.trapezoid(0.0, 2.0, 2)
+        with pytest.raises(ValueError, match="does not match grids"):
+            table.regrid(grid_t, grid_s)
+        moved = table.regrid(grid_s, grid_t)
+        assert moved.values is table.values
+        assert moved.grid_t is grid_s and moved.grid_s is grid_t
+
+    def test_passed_array_is_copied(self):
+        grid = Grid.trapezoid(0.0, 1.0, 4)
+        values = np.ones((4, 4))
+        table = KernelTable(grid, grid, values)
+        values[0, 0] = 5.0
+        assert values.flags.writeable and table.values[0, 0] == 1.0
+
+    def test_fortran_result_is_stored_c_contiguous(self):
+        grid = Grid.trapezoid(0.0, 1.0, 6)
+        table = KernelTable.from_function(
+            grid, grid, lambda t, s: np.asfortranarray(t * s + 1.0))
+        assert table.values.flags.c_contiguous
+
+    def test_non_finite_samples_rejected(self):
+        grid = Grid.trapezoid(0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="finite"):
+            KernelTable.from_function(
+                grid, grid, lambda t, s: np.where(t > 0.5, np.inf, s))
+
+    @pytest.mark.parametrize("kernel", [
+        lambda t, s: np.cos(3.0 * t * s),
+        lambda t, s: np.where(t * s < 0.3, -0.0, t * s),
+    ], ids=["signed", "negative-zero"])
+    def test_zaanen_on_signed_table_matches_its_absolute_table(self, kernel):
+        # a table with a sign bit set is reduced through |z|; one without
+        # is read directly
+        grid = Grid.simpson(0.0, 1.0, 41)
+        table = KernelTable.from_function(grid, grid, kernel)
+        assert np.any(np.signbit(table.values))
+        absolute = KernelTable(grid, grid, np.abs(table.values))
+        assert (zaanen_sweep_objectives(table, 2.0, 3.0, 20)
+                == zaanen_sweep_objectives(absolute, 2.0, 3.0, 20))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from majorfix import (
     Grid,
     HammersteinSpec,
     HammersteinTerm,
+    KernelTable,
     LipschitzPairSet,
     MajorantProfile,
     MultilinearSpec,
@@ -27,7 +29,9 @@ from majorfix import (
     iterate,
     multilinear_critical_shift,
 )
-from majorfix.presets import COMPOSITION_INNER, COMPOSITION_OUTER, URYSOHN_KERNELS
+from majorfix.discretize import _absolute
+from majorfix.presets import (COMPOSITION_INNER, COMPOSITION_OUTER, FORCINGS,
+                              KERNELS, NONLINEARITIES, URYSOHN_KERNELS)
 from helpers import lipschitz_increment_holds, per_radius_modulus, quadratic_radii
 
 
@@ -180,6 +184,99 @@ class TestHammersteinSup:
         grid = Grid.simpson(0.0, 1.0, 11)
         with pytest.raises(ValueError):
             build_hammerstein_sup(spec, grid, 1.0)
+
+
+def _square_spec(kernel, nonlinearity=lambda u: u**2, forcing=FORCINGS["identity"]):
+    return HammersteinSpec(
+        (0.0, 1.0), (HammersteinTerm(kernel, nonlinearity,
+                                     PowerSumModulus(((2.0, 1.0),))),),
+        0.1, forcing)
+
+
+class TestHammersteinSampling:
+    @pytest.mark.parametrize("n", [1001, 2001])
+    @pytest.mark.parametrize("name", ["product", "exp_product", "signed_cos"])
+    def test_kernel_norm_matches_whole_table(self, name, n):
+        grid = Grid.simpson(-1.0 if name == "signed_cos" else 0.0, 1.0, n)
+        kernel = KERNELS.get(name, lambda t, s: np.cos(3.0 * t * s) - 0.5)
+        mat = kernel(grid.nodes[:, None], grid.nodes[None, :])
+        signed = np.any(np.signbit(mat))
+        assert signed == (name == "signed_cos") and (_absolute(mat) is mat) != signed
+        assert np.array_equal(_absolute(mat) @ grid.weights, np.abs(mat) @ grid.weights)
+
+    def test_table_on_another_grid_is_rejected(self):
+        grid = Grid.simpson(0.0, 1.0, 11)
+        other = Grid.trapezoid(0.0, 1.0, 11)
+        spec = _square_spec(KernelTable.from_function(other, other, KERNELS["product"]))
+        with pytest.raises(ValueError, match="build grid"):
+            build_hammerstein_sup(spec, grid, 1.0)
+
+    def test_table_on_an_equal_grid_is_used_as_is(self):
+        grid = Grid.simpson(0.0, 1.0, 11)
+        table = KernelTable.from_function(Grid.simpson(0.0, 1.0, 11),
+                                          Grid.simpson(0.0, 1.0, 11), KERNELS["product"])
+        op = build_hammerstein_sup(_square_spec(table), grid, 1.0)
+        twin = build_hammerstein_sup(_square_spec(KERNELS["product"]), grid, 1.0)
+        x = np.linspace(0.1, 0.3, grid.n)
+        assert np.array_equal(op.apply(x), twin.apply(x))
+
+    def test_build_peak_memory_is_one_table(self):
+        n = 1001
+        grid = Grid.simpson(0.0, 1.0, n)
+        spec = _square_spec(KERNELS["product"])
+        build_hammerstein_sup(spec, grid, 1.0)
+        tracemalloc.start()
+        try:
+            build_hammerstein_sup(spec, grid, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n * n
+
+    def test_kernel_array_error_fails_build_without_scalar_retry(self):
+        calls = []
+
+        def kernel(t, s):
+            calls.append(np.ndim(t))
+            if np.ndim(t):
+                raise RuntimeError("bug in the kernel")
+            return t * s
+
+        with pytest.raises(RuntimeError, match="bug in the kernel"):
+            build_hammerstein_sup(_square_spec(kernel), Grid.simpson(0.0, 1.0, 11), 1.0)
+        assert calls == [2]
+
+    def test_nonlinearity_decided_once(self):
+        array_calls = []
+
+        def h(u):
+            if np.ndim(u):
+                array_calls.append(np.shape(u))
+                return u[:-1] ** 2  # not the shape of u: scalars from now on
+            return u**2
+
+        grid = Grid.simpson(0.0, 1.0, 11)
+        op = build_hammerstein_sup(_square_spec(KERNELS["product"], h), grid, 1.0)
+        twin = build_hammerstein_sup(_square_spec(KERNELS["product"]), grid, 1.0)
+        assert array_calls == [(11,)]  # the build's one apply, at the center
+        x = np.linspace(0.1, 0.3, grid.n)
+        assert np.array_equal(op.apply(x), twin.apply(x))
+        assert np.array_equal(op.apply(x), twin.apply(x))
+        assert array_calls == [(11,)]
+
+    def test_scalar_only_callbacks_match_numpy_twins(self):
+        # sqrt, fabs and products round alike in math and numpy
+        grid = Grid.simpson(0.0, 1.0, 21)
+        scalar = _square_spec(lambda t, s: math.sqrt(t * s),
+                              lambda u: math.fabs(u) * u, lambda t: math.sqrt(t))
+        twin = _square_spec(lambda t, s: np.sqrt(t * s), lambda u: np.abs(u) * u,
+                            np.sqrt)
+        x = np.linspace(-0.2, 0.3, grid.n)
+        op_scalar = build_hammerstein_sup(scalar, grid, 1.0)
+        op_twin = build_hammerstein_sup(twin, grid, 1.0)
+        assert op_scalar.profile.center_shift == op_twin.profile.center_shift
+        assert op_scalar.profile.modulus.terms == op_twin.profile.modulus.terms
+        assert np.array_equal(op_scalar.apply(x), op_twin.apply(x))
 
 
 class TestSuperpositionModulus:

@@ -13,7 +13,6 @@ from .moduli import (
     PowerSumModulus,
     TabulatedModulus,
     combine_moduli,
-    modulus_from_callable,
     modulus_from_samples,
     recenter_modulus,
     scale_modulus,
@@ -56,13 +55,11 @@ from .operators import (
     HammersteinTerm,
     LipschitzPairSet,
     MultilinearSpec,
-    PowerGrowthModulusSpec,
     UrysohnSpec,
     build_composition,
     build_hammerstein_lp,
     build_hammerstein_sup,
     build_multilinear,
-    build_power_modulus,
     build_self_majorizing,
     build_superposition_modulus,
     build_urysohn,

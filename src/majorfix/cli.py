@@ -216,8 +216,9 @@ def _build_problem(config: dict) -> dict:
         elif kind in ("hammerstein_c", "hammerstein_lp"):
             lam = _number(config, "lambda")
             terms_doc = config.get("terms")
-            if not isinstance(terms_doc, list) or not terms_doc:
-                _fail("'terms' must be a nonempty list")
+            if (not isinstance(terms_doc, list) or not terms_doc
+                    or not all(isinstance(term, dict) for term in terms_doc)):
+                _fail("'terms' must be a nonempty list of objects")
             forcing = config.get("forcing", "zero")
             if isinstance(forcing, str):
                 forcing = _lookup(FORCINGS, forcing, "forcing")
@@ -361,6 +362,10 @@ def run_solve(config: dict, bound_tol: float = 1e-10, max_steps: int = 1000,
     the offending step as the diagnostic row); the caller maps it to exit
     code 4.
     """
+    try:
+        rule = StoppingRule(bound_tol=bound_tol, max_steps=max_steps)
+    except ValueError as exc:
+        _fail(str(exc))
     problem = _build_problem(config)
     handle = problem["handle"]
     report = analyze(problem["profile"], tol)
@@ -370,7 +375,6 @@ def run_solve(config: dict, bound_tol: float = 1e-10, max_steps: int = 1000,
     if start_offset:
         direction = np.ones_like(handle.center)
         xi0 = handle.center + direction * (start_offset / handle.norm(direction))
-    rule = StoppingRule(bound_tol=bound_tol, max_steps=max_steps)
     document = {
         "kind": problem["kind"],
         "radii": _radii_doc(report, problem["profile"].radius),
@@ -555,8 +559,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         tol = args.tol if args.tol is not None else config.get("tol", DEFAULT_TOL)
-        if tol <= 0.0:
-            _fail("--tol must be > 0")
+        tol = _number({"tol": tol}, "tol", positive=True)
         if args.command == "analyze":
             _emit(run_analyze(config, tol), args.out)
         elif args.command == "solve":

@@ -21,6 +21,9 @@ Since k is nondecreasing, gap(r) = upper(r) - r is convex with derivative
 k(r) - 1, so the gap is minimized exactly at the contraction radius (or at
 R when k never reaches 1).  All root finding below exploits that structure;
 every returned radius is bracketed by a sign- or predicate-based bisection.
+The finders form a chain: the contraction radius is searched once and
+locates the gap minimum for the convergence radius, and both bound the
+search for the uniqueness radius.
 """
 
 from __future__ import annotations
@@ -178,6 +181,11 @@ def eval_majorants(profile: MajorantProfile, r: float) -> tuple[float, float]:
     return profile.center_shift + integral, profile.center_shift - integral
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def _predicate_boundary(pred, lo: float, hi: float, tol: float) -> float:
     """Bisect for the switch point of a predicate that is True at lo and
     False at hi; returns the midpoint of the final bracket."""
@@ -195,8 +203,7 @@ def _predicate_boundary(pred, lo: float, hi: float, tol: float) -> float:
 def find_contraction_radius(profile: MajorantProfile,
                             tol: float = DEFAULT_TOL) -> float | None:
     """Smallest r with k(r) >= 1, or None when k stays below 1 up to R."""
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    _check_tol(tol)
     if profile.slope(profile.radius) < 1.0:
         return None
     if profile.slope(0.0) >= 1.0:
@@ -205,15 +212,17 @@ def find_contraction_radius(profile: MajorantProfile,
                                0.0, profile.radius, tol)
 
 
-def _gap_minimum(profile: MajorantProfile, tol: float) -> tuple[float, float]:
+def _gap_minimum(profile: MajorantProfile,
+                 contraction_radius: float | None) -> tuple[float, float]:
     """Location and value of min_r (upper(r) - r).
 
     The gap has nondecreasing derivative k(r) - 1, so its minimum sits at
     the contraction radius, or at R when k never reaches 1.
     """
-    argmin = find_contraction_radius(profile, tol)
-    if argmin is None:
-        argmin = profile.radius
+    argmin = (profile.radius if contraction_radius is None
+              else float(contraction_radius))
+    if not 0.0 <= argmin <= profile.radius:
+        raise ValueError(f"contraction radius {argmin!r} outside [0, R]")
     return argmin, profile.upper(argmin) - argmin
 
 
@@ -228,8 +237,12 @@ def _gap_noise(profile: MajorantProfile, argmin: float) -> float:
 
 
 def find_convergence_radius(profile: MajorantProfile,
+                            contraction_radius: float | None,
                             tol: float = DEFAULT_TOL) -> float:
     """Smallest fixed point of the upper majorant on [0, R].
+
+    contraction_radius is find_contraction_radius(profile, tol): the gap
+    minimizer, or None when the minimizer is R.
 
     The monotone iteration r <- upper(r) from 0 climbs toward the smallest
     root and certifies every iterate as a lower bound; once its step drops
@@ -240,11 +253,10 @@ def find_convergence_radius(profile: MajorantProfile,
     Raises NoExistenceError when upper(r) > r across [0, R], reporting the
     minimized gap and its location.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    _check_tol(tol)
     if profile.center_shift == 0.0:
         return 0.0
-    argmin, min_gap = _gap_minimum(profile, tol)
+    argmin, min_gap = _gap_minimum(profile, contraction_radius)
     if min_gap > tol:
         raise NoExistenceError(min_gap, argmin)
     if min_gap > -_gap_noise(profile, argmin):
@@ -271,8 +283,7 @@ def find_inner_radius(profile: MajorantProfile,
     bisection bracket [0, min(a, R)] is certified whenever the profile is
     in the existence regime (a <= convergence_radius <= R).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    _check_tol(tol)
     a = profile.center_shift
     if a == 0.0:
         return 0.0
@@ -287,17 +298,20 @@ def find_inner_radius(profile: MajorantProfile,
 
 
 def find_uniqueness_radius(profile: MajorantProfile, convergence_radius: float,
+                           contraction_radius: float | None,
                            tol: float = DEFAULT_TOL
                            ) -> tuple[float, bool, bool]:
     """Supremum radius of guaranteed uniqueness beyond the convergence radius.
+
+    convergence_radius and contraction_radius are what
+    find_convergence_radius and find_contraction_radius return for profile.
 
     Returns (radius, closed, degenerate): closed means upper(R) < R, so the
     boundary radius itself is certified; degenerate marks the tangency case
     where the upper majorant never drops below the bisectrix and the
     uniqueness radius collapses onto the convergence radius.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    _check_tol(tol)
     r_conv = float(convergence_radius)
     if not math.isfinite(r_conv) or r_conv < 0.0 or r_conv > profile.radius:
         raise ValueError(f"convergence radius {r_conv!r} outside [0, R]")
@@ -305,7 +319,7 @@ def find_uniqueness_radius(profile: MajorantProfile, convergence_radius: float,
     end_gap = profile.upper(R) - R
     if end_gap < 0.0:
         return R, True, False
-    argmin, min_gap = _gap_minimum(profile, tol)
+    argmin, min_gap = _gap_minimum(profile, contraction_radius)
     if min_gap >= -_gap_noise(profile, argmin):
         return r_conv, False, True
     boundary = _predicate_boundary(lambda r: profile.upper(r) - r < 0.0,
@@ -316,15 +330,16 @@ def find_uniqueness_radius(profile: MajorantProfile, convergence_radius: float,
 def analyze(profile: MajorantProfile, tol: float = DEFAULT_TOL) -> ZoneReport:
     """Compose the radius finders into a full zone report.
 
+    The contraction radius is searched once and handed down the chain.
+
     A failed existence check is not an error here: the report comes back
     with existence_certified False, the contraction radius, and the
     minimized-gap witness.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    _check_tol(tol)
     r_cr = find_contraction_radius(profile, tol)
     try:
-        r_conv = find_convergence_radius(profile, tol)
+        r_conv = find_convergence_radius(profile, r_cr, tol)
     except NoExistenceError as exc:
         return ZoneReport(
             existence_certified=False,
@@ -341,7 +356,7 @@ def analyze(profile: MajorantProfile, tol: float = DEFAULT_TOL) -> ZoneReport:
             gap_argmin=exc.argmin,
         )
     r_inner = find_inner_radius(profile, tol)
-    r_uni, closed, degenerate = find_uniqueness_radius(profile, r_conv, tol)
+    r_uni, closed, degenerate = find_uniqueness_radius(profile, r_conv, r_cr, tol)
 
     existence_zone = Interval(r_inner, r_conv, True, True)
     uniqueness_zone = Interval(0.0, r_uni, True, closed)

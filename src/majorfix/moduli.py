@@ -23,7 +23,6 @@ __all__ = [
     "combine_moduli",
     "recenter_modulus",
     "modulus_from_samples",
-    "modulus_from_callable",
 ]
 
 _DOMAIN_SLACK = 1e-12
@@ -271,15 +270,3 @@ def modulus_from_samples(abscissae, ordinates, *, monotone_tol: float = 1e-9
             f"sampled modulus is not nondecreasing (worst dip {worst_dip:.3g})"
         )
     return TabulatedModulus(xs, running)
-
-
-def modulus_from_callable(fn, radius: float, samples: int = 257, *,
-                          monotone_tol: float = 1e-9) -> TabulatedModulus:
-    """Sample k on [0, radius] and wrap the linear interpolant."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    xs = np.linspace(0.0, float(radius), samples)
-    ys = np.array([float(fn(x)) for x in xs])
-    if np.any(~np.isfinite(ys)) or np.any(ys < 0.0):
-        raise ValueError("sampled modulus values must be finite and nonnegative")
-    return modulus_from_samples(xs, ys, monotone_tol=monotone_tol)

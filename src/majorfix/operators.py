@@ -34,7 +34,6 @@ __all__ = [
     "LipschitzPairSet",
     "UrysohnSpec",
     "CompositionSpec",
-    "PowerGrowthModulusSpec",
     "build_multilinear",
     "multilinear_critical_shift",
     "build_hammerstein_sup",
@@ -42,7 +41,6 @@ __all__ = [
     "build_superposition_modulus",
     "build_urysohn",
     "build_composition",
-    "build_power_modulus",
     "build_self_majorizing",
 ]
 
@@ -476,107 +474,6 @@ def build_composition(spec: CompositionSpec, grid: Grid, radius: float,
 
     return _tabulated_sup_handle(apply, chunk_modulus, grid, radius, center,
                                  radius_samples)
-
-
-# ---------------------------------------------------------------------------
-# power-growth moduli for the L_p variants
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PowerGrowthModulusSpec:
-    """Power-sum modulus data: terms (coefficient, exponent) with exponents
-    strictly increasing within the stated range.
-
-    The optional fields realize the combined L_p composition modulus
-    offset + inf over pairs (weight + slope * G(r)**growth_exponent) * sum,
-    where G is the inner power-growth sum.
-    """
-
-    terms: tuple[tuple[float, float], ...]
-    max_exponent: float | None = None
-    offset: float = 0.0
-    pair_set: LipschitzPairSet | None = None
-    growth_terms: tuple[tuple[float, float], ...] = ()
-    growth_exponent: float = 0.0
-    radius: float | None = None
-    samples: int = _RADIUS_SAMPLES
-
-    def __post_init__(self):
-        for label, terms in (("terms", self.terms), ("growth_terms", self.growth_terms)):
-            exponents = []
-            for coef, exponent in terms:
-                if coef < 0.0:
-                    raise ValueError(f"{label}: coefficients must be >= 0")
-                if exponent < 0.0:
-                    raise ValueError(f"{label}: exponents must be >= 0")
-                if self.max_exponent is not None and exponent > self.max_exponent:
-                    raise ValueError(
-                        f"{label}: exponent {exponent!r} beyond the allowed "
-                        f"maximum {self.max_exponent!r}"
-                    )
-                exponents.append(exponent)
-            if any(b <= a for a, b in zip(exponents, exponents[1:])):
-                raise ValueError(f"{label}: exponents must be strictly increasing")
-        if self.offset < 0.0:
-            raise ValueError("offset must be >= 0")
-        if self.growth_exponent < 0.0:
-            raise ValueError("growth_exponent must be >= 0")
-
-
-def _power_eval(terms, r):
-    return sum(c * r**e for c, e in terms)
-
-
-def _merged_power_sum(terms, factor: float, offset: float) -> PowerSumModulus:
-    """factor * sum of terms, plus offset, with like exponents merged."""
-    merged: dict[float, float] = {}
-    for coef, exponent in terms:
-        merged[exponent] = merged.get(exponent, 0.0) + factor * coef
-    if offset > 0.0:
-        merged[0.0] = merged.get(0.0, 0.0) + offset
-    return PowerSumModulus(tuple(sorted((c, e) for e, c in merged.items()))
-                           or ((0.0, 0.0),))
-
-
-def build_power_modulus(spec: PowerGrowthModulusSpec) -> LipschitzModulus:
-    """Assemble the power-growth modulus.
-
-    Without a pair set the result is an exact power sum (offset folded in
-    as an exponent-0 term).  With a pair set the envelope factor multiplies
-    the term sum; the result stays exact when the factor is constant and is
-    tabulated on [0, radius] otherwise.
-    """
-    base = tuple(spec.terms)
-    if spec.pair_set is None:
-        return _merged_power_sum(base, 1.0, spec.offset)
-
-    pairs = spec.pair_set.pairs
-    factor_is_constant = (
-        spec.growth_exponent == 0.0
-        or not spec.growth_terms
-        or all(second == 0.0 for _, second in pairs)
-    )
-    if factor_is_constant:
-        if spec.growth_exponent == 0.0:
-            factor = min(first + second for first, second in pairs)
-        else:
-            # inner sum vanishes or every slope is zero
-            factor = min(first for first, _ in pairs)
-        return _merged_power_sum(base, factor, spec.offset)
-
-    if spec.radius is None:
-        raise ValueError("radius required to tabulate the envelope factor")
-    xs = np.linspace(0.0, spec.radius, spec.samples)
-    growth = np.array([_power_eval(spec.growth_terms, x) for x in xs])
-    term_sum = np.array([_power_eval(base, x) for x in xs])
-    factor = np.min(
-        np.array([
-            first + second * growth**spec.growth_exponent
-            for first, second in pairs
-        ]),
-        axis=0,
-    )
-    return modulus_from_samples(xs, spec.offset + factor * term_sum)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from majorfix import (
     build_self_majorizing,
     certify_trace,
     eval_majorants,
+    find_contraction_radius,
     find_convergence_radius,
     find_inner_radius,
     find_uniqueness_radius,
@@ -75,15 +76,17 @@ def test_criterion_1_quadratic_closed_forms():
             oracle = quadratic_radii(a, c, 1.0)
             if oracle["convergence"] is None:
                 try:
-                    find_convergence_radius(profile)
+                    find_convergence_radius(profile,
+                                            find_contraction_radius(profile))
                     problems.append(f"(a={a}, c={c}): existence not refuted")
                 except NoExistenceError as exc:
                     _check(problems, abs(exc.gap - oracle["gap"]) <= 1e-10,
                            f"(a={a}, c={c}): gap {exc.gap} vs {oracle['gap']}")
                 continue
-            r_conv = find_convergence_radius(profile)
+            r_cr = find_contraction_radius(profile)
+            r_conv = find_convergence_radius(profile, r_cr)
             r_inner = find_inner_radius(profile)
-            r_uni, closed, degenerate = find_uniqueness_radius(profile, r_conv)
+            r_uni, closed, degenerate = find_uniqueness_radius(profile, r_conv, r_cr)
             _check(problems, abs(r_conv - oracle["convergence"]) <= 1e-10,
                    f"(a={a}, c={c}): convergence {r_conv}")
             _check(problems, abs(r_inner - oracle["inner"]) <= 1e-10,

@@ -302,6 +302,42 @@ class TestExitCodes:
         code, _ = run_cli(["zones", "--preset", "quadratic"])
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_config_error_tol_flag(self, tol):
+        code, out = run_cli(["solve", "--preset", "supercritical", f"--tol={tol}"])
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("tol", ["x", None, True, [1e-12]])
+    def test_config_error_config_tol(self, tmp_path, tol):
+        config = {"kind": "scalar_profile", "center_shift": 0.1875,
+                  "modulus": {"type": "power_sum", "terms": [[2.0, 1.0]]},
+                  "radius": 1.0, "tol": tol}
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps(config))
+        code, out = run_cli(["analyze", "--config", str(path)])
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("flag", ["--max-steps=0", "--max-steps=-3",
+                                      "--bound-tol=-1", "--bound-tol=0",
+                                      "--bound-tol=nan"])
+    def test_config_error_solve_flag(self, flag, capsys):
+        code, out = run_cli(["solve", "--preset", "quadratic", flag])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("kind,nonlinearity", [("hammerstein_c", "square"),
+                                                   ("hammerstein_lp", "linear")])
+    @pytest.mark.parametrize("bad", [[], ["x"]], ids=["only", "second"])
+    def test_config_error_term_not_object(self, tmp_path, kind, nonlinearity, bad):
+        terms = [1] if not bad else [{"kernel": "product",
+                                      "nonlinearity": nonlinearity}] + bad
+        config = {"kind": kind, "lambda": 0.1, "p": 2.0, "radius": 1.0,
+                  "terms": terms}
+        path = tmp_path / "terms.json"
+        path.write_text(json.dumps(config))
+        code, _ = run_cli(["analyze", "--config", str(path)])
+        assert code == 2
+
     def test_inadmissible_start(self):
         code, _ = run_cli(["solve", "--preset", "quadratic",
                            "--start-offset", "0.9"])

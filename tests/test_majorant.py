@@ -19,6 +19,7 @@ from majorfix import (
     find_uniqueness_radius,
     majorant_sequence,
 )
+from majorfix import majorant
 from helpers import quadratic_radii, random_existence_profile
 
 
@@ -67,29 +68,35 @@ class TestEvalMajorants:
 
 class TestConvergenceRadius:
     def test_quadratic_smaller_root(self):
-        assert find_convergence_radius(QUAD) == pytest.approx(0.25, abs=1e-10)
+        r_conv = find_convergence_radius(QUAD, find_contraction_radius(QUAD))
+        assert r_conv == pytest.approx(0.25, abs=1e-10)
 
     def test_zero_displacement(self):
-        assert find_convergence_radius(quad_profile(0.0)) == 0.0
+        assert find_convergence_radius(
+            quad_profile(0.0), find_contraction_radius(quad_profile(0.0))) == 0.0
 
     def test_geometric_series_closed_form(self):
-        assert find_convergence_radius(BANACH) == pytest.approx(2.0, abs=1e-10)
+        r_conv = find_convergence_radius(BANACH, find_contraction_radius(BANACH))
+        assert r_conv == pytest.approx(2.0, abs=1e-10)
 
     def test_no_existence_with_witness(self):
         with pytest.raises(NoExistenceError) as excinfo:
-            find_convergence_radius(quad_profile(0.5))
+            find_convergence_radius(quad_profile(0.5),
+                                    find_contraction_radius(quad_profile(0.5)))
         assert excinfo.value.gap == pytest.approx(0.25, abs=1e-10)
         assert excinfo.value.argmin == pytest.approx(0.5, abs=1e-10)
 
     def test_tangency(self):
-        assert find_convergence_radius(TANGENT) == pytest.approx(0.5, abs=1e-10)
+        r_conv = find_convergence_radius(TANGENT, find_contraction_radius(TANGENT))
+        assert r_conv == pytest.approx(0.5, abs=1e-10)
 
     def test_flat_segment_returns_infimum(self):
         # k ramps to 1 then stays flat; the fixed-point set is [0.2, 1]
         modulus = TabulatedModulus(np.array([0.0, 0.2, 1.0]),
                                    np.array([0.0, 1.0, 1.0]))
         profile = MajorantProfile(0.1, modulus, 1.0)
-        assert find_convergence_radius(profile) == pytest.approx(0.2, abs=1e-9)
+        r_conv = find_convergence_radius(profile, find_contraction_radius(profile))
+        assert r_conv == pytest.approx(0.2, abs=1e-9)
 
 
 class TestInnerRadius:
@@ -106,23 +113,73 @@ class TestInnerRadius:
 
 class TestUniquenessRadius:
     def test_open_at_second_root(self):
-        r, closed, degenerate = find_uniqueness_radius(QUAD, 0.25)
+        r, closed, degenerate = find_uniqueness_radius(
+            QUAD, 0.25, find_contraction_radius(QUAD))
         assert r == pytest.approx(0.75, abs=1e-10)
         assert not closed and not degenerate
 
     def test_closed_at_domain_end(self):
-        r, closed, degenerate = find_uniqueness_radius(BANACH, 2.0)
+        r, closed, degenerate = find_uniqueness_radius(
+            BANACH, 2.0, find_contraction_radius(BANACH))
         assert r == 10.0 and closed and not degenerate
 
     def test_degenerate_tangency(self):
-        r_conv = find_convergence_radius(TANGENT)
-        r, closed, degenerate = find_uniqueness_radius(TANGENT, r_conv)
+        r_cr = find_contraction_radius(TANGENT)
+        r_conv = find_convergence_radius(TANGENT, r_cr)
+        r, closed, degenerate = find_uniqueness_radius(TANGENT, r_conv, r_cr)
         assert r == pytest.approx(0.5, abs=1e-10)
         assert not closed and degenerate
 
     def test_invalid_convergence_radius(self):
         with pytest.raises(ValueError):
-            find_uniqueness_radius(QUAD, 2.0)
+            find_uniqueness_radius(QUAD, 2.0, find_contraction_radius(QUAD))
+
+
+class TestFinderChain:
+    @pytest.mark.parametrize("profile", [QUAD, BANACH, TANGENT, quad_profile(0.5)],
+                             ids=["quadratic", "contraction", "tangency",
+                                  "supercritical"])
+    def test_analyze_searches_contraction_radius_once(self, monkeypatch, profile):
+        calls = []
+        search = majorant.find_contraction_radius
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(majorant, "find_contraction_radius", counted)
+        analyze(profile)
+        assert len(calls) == 1
+
+    def test_contraction_radius_outside_ball_rejected(self):
+        with pytest.raises(ValueError, match="contraction radius"):
+            find_convergence_radius(QUAD, 1.5)
+        with pytest.raises(ValueError, match="contraction radius"):
+            find_uniqueness_radius(QUAD, 0.25, -0.1)
+        with pytest.raises(ValueError, match="contraction radius"):
+            find_uniqueness_radius(QUAD, 0.25, math.nan)
+
+
+class TestTolerance:
+    # a = 0.1, k = 2r, R = 0.9: contraction radius 0.5, while a NaN tol
+    # skipped every bisection and reported the midpoint 0.45
+    PROFILE = MajorantProfile(0.1, PowerSumModulus(((2.0, 1.0),)), 0.9)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf, -math.inf])
+    def test_analyze_and_every_finder_reject(self, tol):
+        profile = self.PROFILE
+        r_cr = find_contraction_radius(profile)
+        r_conv = find_convergence_radius(profile, r_cr)
+        calls = [
+            lambda: analyze(profile, tol),
+            lambda: find_contraction_radius(profile, tol),
+            lambda: find_convergence_radius(profile, r_cr, tol),
+            lambda: find_inner_radius(profile, tol),
+            lambda: find_uniqueness_radius(profile, r_conv, r_cr, tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="tol must be finite and > 0"):
+                call()
 
 
 class TestContractionRadius:

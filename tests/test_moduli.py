@@ -10,7 +10,6 @@ from majorfix import (
     PowerSumModulus,
     TabulatedModulus,
     combine_moduli,
-    modulus_from_callable,
     modulus_from_samples,
     recenter_modulus,
     scale_modulus,
@@ -135,7 +134,3 @@ class TestAlgebra:
         k = PowerSumModulus(((1.0, 0.5),))
         shifted = recenter_modulus(k, 0.25, 1.0, samples=2001)
         assert shifted(0.5) == pytest.approx(math.sqrt(0.75), abs=1e-6)
-
-    def test_from_callable_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            modulus_from_callable(lambda r: r - 0.5, 1.0)

@@ -14,7 +14,6 @@ from majorfix import (
     LipschitzPairSet,
     MajorantProfile,
     MultilinearSpec,
-    PowerGrowthModulusSpec,
     PowerSumModulus,
     StoppingRule,
     UrysohnSpec,
@@ -23,7 +22,6 @@ from majorfix import (
     build_hammerstein_lp,
     build_hammerstein_sup,
     build_multilinear,
-    build_power_modulus,
     build_superposition_modulus,
     build_urysohn,
     iterate,
@@ -622,41 +620,3 @@ class TestRadiusTabulation:
             build_urysohn(spec, Grid.simpson(0.0, 1.0, 11), 1.0)
         assert calls == [2]
 
-
-class TestPowerModulus:
-    def test_plain_terms(self):
-        modulus = build_power_modulus(PowerGrowthModulusSpec(terms=((1.0, 1.0),)))
-        assert modulus(0.7) == pytest.approx(0.7, abs=1e-15)
-        assert modulus.primitive(1.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_single_constant_term(self):
-        modulus = build_power_modulus(PowerGrowthModulusSpec(terms=((0.3, 0.0),)))
-        assert isinstance(modulus, PowerSumModulus)
-        assert modulus(2.0) == 0.3
-
-    def test_composition_factor_collapses_at_zero_exponents(self):
-        spec = PowerGrowthModulusSpec(
-            terms=((0.3, 0.0),), offset=0.1,
-            pair_set=LipschitzPairSet(((0.2, 0.0),)),
-            growth_exponent=0.5)
-        modulus = build_power_modulus(spec)
-        assert modulus(1.7) == pytest.approx(0.16, abs=1e-15)
-
-    def test_envelope_factor_tabulated(self):
-        spec = PowerGrowthModulusSpec(
-            terms=((0.3, 1.0),), offset=0.05,
-            pair_set=LipschitzPairSet(((0.2, 0.1), (0.6, 0.0))),
-            growth_terms=((1.0, 1.0),), growth_exponent=0.5,
-            radius=2.0, samples=2001)
-        modulus = build_power_modulus(spec)
-        for r in (0.5, 1.0, 2.0):
-            factor = min(0.2 + 0.1 * r**0.5, 0.6)
-            assert modulus(r) == pytest.approx(0.05 + factor * 0.3 * r, rel=1e-4)
-
-    def test_exponent_order_enforced(self):
-        with pytest.raises(ValueError):
-            PowerGrowthModulusSpec(terms=((1.0, 2.0), (1.0, 1.0)))
-
-    def test_exponent_range_enforced(self):
-        with pytest.raises(ValueError):
-            PowerGrowthModulusSpec(terms=((1.0, 3.0),), max_exponent=2.0)

@@ -62,8 +62,6 @@ from .presets import (
 
 __all__ = ["main", "entrypoint", "run_analyze", "run_solve", "run_zones", "run_compare"]
 
-KINDS = ("multilinear", "hammerstein_c", "hammerstein_lp", "urysohn",
-         "composition", "scalar_profile")
 _FAMILY_FACTORS = (0.5, 0.9, 1.0, 1.25)
 _ZAANEN_INFLATION = 1.05
 
@@ -77,7 +75,7 @@ def _fail(message: str) -> None:
 
 
 def _lookup(table: dict, name, what: str):
-    if name not in table:
+    if not isinstance(name, str) or name not in table:
         _fail(f"unknown {what} {name!r}; available: {sorted(table)}")
     return table[name]
 
@@ -102,23 +100,16 @@ def _build_modulus(doc) -> ConstantModulus | PowerSumModulus | TabulatedModulus:
     if not isinstance(doc, dict) or "type" not in doc:
         _fail("modulus must be an object with a 'type' field")
     kind = doc["type"]
-    try:
-        if kind == "constant":
-            return ConstantModulus(_number(doc, "value", nonnegative=True))
-        if kind == "power_sum":
-            terms = doc.get("terms")
-            if not isinstance(terms, list) or not terms:
-                _fail("power_sum modulus needs a nonempty 'terms' list")
-            return PowerSumModulus(tuple((float(c), float(p)) for c, p in terms))
-        if kind == "tabulated":
-            return TabulatedModulus(
-                np.asarray(doc.get("abscissae"), dtype=float),
-                np.asarray(doc.get("ordinates"), dtype=float),
-            )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        _fail(f"invalid modulus: {exc}")
+    if kind == "constant":
+        return ConstantModulus(_number(doc, "value", nonnegative=True))
+    if kind == "power_sum":
+        terms = doc.get("terms")
+        if not isinstance(terms, list) or not terms:
+            _fail("power_sum modulus needs a nonempty 'terms' list")
+        return PowerSumModulus(tuple((float(c), float(p)) for c, p in terms))
+    if kind == "tabulated":
+        return TabulatedModulus(np.asarray(doc.get("abscissae"), dtype=float),
+                                np.asarray(doc.get("ordinates"), dtype=float))
     _fail(f"unknown modulus type {kind!r}")
 
 
@@ -134,15 +125,9 @@ def _build_grid(config: dict) -> Grid:
     if (not isinstance(interval, list) or len(interval) != 2
             or not all(isinstance(v, (int, float)) for v in interval)):
         _fail("'interval' must be a pair of numbers")
-    lo, hi = float(interval[0]), float(interval[1])
-    try:
-        if rule == "simpson":
-            return Grid.simpson(lo, hi, n)
-        if rule == "trapezoid":
-            return Grid.trapezoid(lo, hi, n)
-    except ValueError as exc:
-        _fail(f"invalid grid: {exc}")
-    _fail(f"unknown quadrature rule {rule!r}")
+    if rule not in ("simpson", "trapezoid"):
+        _fail(f"unknown quadrature rule {rule!r}")
+    return getattr(Grid, rule)(float(interval[0]), float(interval[1]), n)
 
 
 def _resolve_kernel(term: dict, grid: Grid):
@@ -168,145 +153,152 @@ def _resolve_kernel(term: dict, grid: Grid):
     _fail("each term needs a 'kernel' (name or matrix) or 'kernel_csv'")
 
 
+def _scalar_profile(config: dict, radius: float):
+    profile = MajorantProfile(_number(config, "center_shift", nonnegative=True),
+                              _build_modulus(config.get("modulus")), radius)
+    return build_self_majorizing(profile), {}
+
+
+def _multilinear(config: dict, radius: float):
+    dimension = config.get("dimension", 1)
+    degree = config.get("degree")
+    if not isinstance(dimension, int) or not isinstance(degree, int):
+        _fail("multilinear needs integer 'dimension' and 'degree'")
+    tensor = (_number(config, "coefficient") if dimension == 1
+              else np.asarray(config.get("tensor"), dtype=float))
+    spec = MultilinearSpec(
+        dimension=dimension, degree=degree, tensor=tensor,
+        constant=np.asarray(config.get("constant"), dtype=float),
+        operator_norm=config.get("operator_norm"), seed=config.get("seed", 0))
+    handle = build_multilinear(spec, radius)
+    shift = handle.profile.center_shift
+    critical = multilinear_critical_shift(
+        handle.profile.modulus.terms[0][0] / degree, degree)
+    return handle, {"multilinear": {"center_shift": shift, "critical_shift": critical,
+                                    "solvable": shift <= critical}}
+
+
+def _hammerstein_spec(config: dict, grid: Grid, make_term) -> HammersteinSpec:
+    """Lambda, terms and forcing; make_term turns one term into a HammersteinTerm."""
+    lam = _number(config, "lambda")
+    terms = config.get("terms")
+    if (not isinstance(terms, list) or not terms
+            or not all(isinstance(term, dict) for term in terms)):
+        _fail("'terms' must be a nonempty list of objects")
+    forcing = config.get("forcing", "zero")
+    if isinstance(forcing, str):
+        forcing = _lookup(FORCINGS, forcing, "forcing")
+    elif isinstance(forcing, list):
+        forcing = np.asarray(forcing, dtype=float)
+    else:
+        _fail("'forcing' must be a name or a sample list")
+    return HammersteinSpec((grid.lower, grid.upper),
+                           tuple(make_term(term) for term in terms), lam, forcing)
+
+
+def _hammerstein_c(config: dict, radius: float):
+    grid = _build_grid(config)
+
+    def make_term(term: dict) -> HammersteinTerm:
+        fn, modulus = _lookup(NONLINEARITIES, term.get("nonlinearity"), "nonlinearity")
+        return HammersteinTerm(_resolve_kernel(term, grid), fn, modulus)
+
+    spec = _hammerstein_spec(config, grid, make_term)
+    handle = build_hammerstein_sup(spec, grid, radius, center=config.get("x0"))
+    return handle, {"grid": {"rule": grid.rule, "n": grid.n}}
+
+
+def _hammerstein_lp(config: dict, radius: float):
+    grid = _build_grid(config)
+    p = _number(config, "p")
+    if p <= 1.0:
+        _fail("'p' must be > 1 for the L_p variant")
+    moduli, norms = [], []
+
+    def make_term(term: dict) -> HammersteinTerm:
+        name = term.get("nonlinearity")
+        fn, default_pairs, q_rule = _lookup(LP_NONLINEARITIES, name, "L_p nonlinearity")
+        q = term.get("q", p if q_rule == "same_as_p" else None)
+        if q is None:
+            _fail(f"term with nonlinearity {name!r} needs 'q'")
+        q = float(q)
+        pairs = LipschitzPairSet(tuple(
+            (float(a), float(b)) for a, b in term.get("pairs", default_pairs)))
+        moduli.append(build_superposition_modulus(
+            pairs, p, q, grid.upper - grid.lower, radius=radius))
+        kernel = _resolve_kernel(term, grid)
+        if "zaanen_norm" in term:
+            norms.append(float(term["zaanen_norm"]))
+        elif q <= 1.0:
+            _fail("Zaanen estimation needs q > 1; supply 'zaanen_norm' for this term")
+        else:
+            # sampled once: the table feeds the build too
+            if callable(kernel):
+                kernel = KernelTable.from_function(grid, grid, kernel)
+            norms.append(_ZAANEN_INFLATION
+                         * zaanen_norm_estimate(kernel, q, p / (p - 1.0)))
+        return HammersteinTerm(kernel, fn, None)
+
+    spec = _hammerstein_spec(config, grid, make_term)
+    handle = build_hammerstein_lp(spec, moduli, norms, p, grid, radius,
+                                  center=config.get("x0"))
+    return handle, {"grid": {"rule": grid.rule, "n": grid.n}}
+
+
+def _urysohn(config: dict, radius: float):
+    grid = _build_grid(config)
+    demo = _lookup(URYSOHN_KERNELS, config.get("kernel"), "Urysohn kernel")
+    spec = UrysohnSpec((grid.lower, grid.upper), demo["kernel"],
+                       demo["u_modulus"], demo["v_modulus"])
+    handle = build_urysohn(spec, grid, radius, center=config.get("x0"))
+    return handle, {"grid": {"rule": grid.rule, "n": grid.n}}
+
+
+def _composition(config: dict, radius: float):
+    grid = _build_grid(config)
+    outer = _lookup(COMPOSITION_OUTER, config.get("outer"), "outer map")
+    inner = _lookup(COMPOSITION_INNER, config.get("inner"), "inner kernel")
+    spec = CompositionSpec(
+        (grid.lower, grid.upper), outer["outer"],
+        outer["u_modulus"], outer["v_modulus"],
+        inner["kernel"], inner["bound"], inner["modulus"])
+    handle = build_composition(spec, grid, radius, center=config.get("x0"))
+    return handle, {"grid": {"rule": grid.rule, "n": grid.n}}
+
+
+# kind -> builder(config, radius) -> (handle, keys added to the analyze document)
+_BUILDERS = {"multilinear": _multilinear, "hammerstein_c": _hammerstein_c,
+             "hammerstein_lp": _hammerstein_lp, "urysohn": _urysohn,
+             "composition": _composition, "scalar_profile": _scalar_profile}
+KINDS = tuple(_BUILDERS)
+
+
 def _build_problem(config: dict) -> dict:
-    """Validate the config and build the profile/handle it describes."""
+    """Validate the config and build the handle it describes.  A TypeError,
+    ValueError or OverflowError (the library's argument checks, float() of a
+    JSON number) is a config error; any other fault propagates."""
     if not isinstance(config, dict):
         _fail("config must be a JSON object")
     kind = config.get("kind")
     if kind not in KINDS:
         _fail(f"unknown problem kind {kind!r}; expected one of {KINDS}")
-    radius = _number(config, "radius", positive=True)
-    extras: dict = {}
-
     try:
-        grid = None if kind in ("scalar_profile", "multilinear") else _build_grid(config)
-        if kind == "scalar_profile":
-            handle = build_self_majorizing(MajorantProfile(
-                _number(config, "center_shift", nonnegative=True),
-                _build_modulus(config.get("modulus")),
-                radius,
-            ))
-
-        elif kind == "multilinear":
-            dimension = config.get("dimension", 1)
-            degree = config.get("degree")
-            if not isinstance(dimension, int) or not isinstance(degree, int):
-                _fail("multilinear needs integer 'dimension' and 'degree'")
-            if dimension == 1:
-                tensor = _number(config, "coefficient")
-            else:
-                tensor = np.asarray(config.get("tensor"), dtype=float)
-            spec = MultilinearSpec(
-                dimension=dimension,
-                degree=degree,
-                tensor=tensor,
-                constant=np.asarray(config.get("constant"), dtype=float),
-                operator_norm=config.get("operator_norm"),
-                seed=config.get("seed", 0),
-            )
-            handle = build_multilinear(spec, radius)
-            norm_c = handle.profile.modulus.terms[0][0] / degree
-            critical = multilinear_critical_shift(norm_c, degree)
-            extras["multilinear"] = {
-                "center_shift": handle.profile.center_shift,
-                "critical_shift": critical,
-                "solvable": handle.profile.center_shift <= critical,
-            }
-
-        elif kind in ("hammerstein_c", "hammerstein_lp"):
-            lam = _number(config, "lambda")
-            terms_doc = config.get("terms")
-            if (not isinstance(terms_doc, list) or not terms_doc
-                    or not all(isinstance(term, dict) for term in terms_doc)):
-                _fail("'terms' must be a nonempty list of objects")
-            forcing = config.get("forcing", "zero")
-            if isinstance(forcing, str):
-                forcing = _lookup(FORCINGS, forcing, "forcing")
-            elif isinstance(forcing, list):
-                forcing = np.asarray(forcing, dtype=float)
-            else:
-                _fail("'forcing' must be a name or a sample list")
-            center = config.get("x0")
-
-            if kind == "hammerstein_c":
-                terms = []
-                for term in terms_doc:
-                    fn, modulus = _lookup(NONLINEARITIES, term.get("nonlinearity"),
-                                          "nonlinearity")
-                    terms.append(HammersteinTerm(
-                        _resolve_kernel(term, grid), fn, modulus))
-                spec = HammersteinSpec(
-                    (grid.lower, grid.upper), tuple(terms), lam, forcing)
-                handle = build_hammerstein_sup(spec, grid, radius, center=center)
-            else:
-                p = _number(config, "p")
-                if p <= 1.0:
-                    _fail("'p' must be > 1 for the L_p variant")
-                terms, moduli, norms = [], [], []
-                for term in terms_doc:
-                    name = term.get("nonlinearity")
-                    fn, default_pairs, q_rule = _lookup(
-                        LP_NONLINEARITIES, name, "L_p nonlinearity")
-                    q = term.get("q", p if q_rule == "same_as_p" else None)
-                    if q is None:
-                        _fail(f"term with nonlinearity {name!r} needs 'q'")
-                    pairs = LipschitzPairSet(tuple(
-                        (float(a), float(b))
-                        for a, b in term.get("pairs", default_pairs)))
-                    moduli.append(build_superposition_modulus(
-                        pairs, p, float(q), grid.upper - grid.lower,
-                        radius=radius))
-                    kernel = _resolve_kernel(term, grid)
-                    if "zaanen_norm" in term:
-                        norms.append(float(term["zaanen_norm"]))
-                    else:
-                        if float(q) <= 1.0:
-                            _fail("Zaanen estimation needs q > 1; supply "
-                                  "'zaanen_norm' for this term")
-                        # sampled once: the table feeds the build too
-                        if callable(kernel):
-                            kernel = KernelTable.from_function(grid, grid, kernel)
-                        estimate = zaanen_norm_estimate(
-                            kernel, float(q), p / (p - 1.0))
-                        norms.append(_ZAANEN_INFLATION * estimate)
-                    terms.append(HammersteinTerm(kernel, fn, None))
-                spec = HammersteinSpec(
-                    (grid.lower, grid.upper), tuple(terms), lam, forcing)
-                handle = build_hammerstein_lp(
-                    spec, moduli, norms, p, grid, radius, center=center)
-
-        elif kind == "urysohn":
-            demo = _lookup(URYSOHN_KERNELS, config.get("kernel"), "Urysohn kernel")
-            spec = UrysohnSpec((grid.lower, grid.upper), demo["kernel"],
-                               demo["u_modulus"], demo["v_modulus"])
-            handle = build_urysohn(spec, grid, radius, center=config.get("x0"))
-
-        else:  # composition
-            outer = _lookup(COMPOSITION_OUTER, config.get("outer"), "outer map")
-            inner = _lookup(COMPOSITION_INNER, config.get("inner"), "inner kernel")
-            spec = CompositionSpec(
-                (grid.lower, grid.upper), outer["outer"],
-                outer["u_modulus"], outer["v_modulus"],
-                inner["kernel"], inner["bound"], inner["modulus"])
-            handle = build_composition(spec, grid, radius, center=config.get("x0"))
-
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+        radius = _number(config, "radius", positive=True)
+        handle, extras = _BUILDERS[kind](config, radius)
+        if config.get("modulus_scale") is not None:
+            scale = _number(config, "modulus_scale", positive=True)
+            old = handle.profile
+            profile = MajorantProfile(old.center_shift,
+                                      scale_modulus(old.modulus, scale), old.radius)
+            handle = OperatorHandle(handle.apply, handle.center, handle.norm, profile)
+    except (TypeError, ValueError, OverflowError) as exc:
         _fail(f"invalid {kind} config: {exc}")
-    profile = handle.profile
-    if grid is not None:
-        extras["grid"] = {"rule": grid.rule, "n": grid.n}
+    return {"kind": kind, "handle": handle, "extras": extras}
 
-    scale = config.get("modulus_scale")
-    if scale is not None:
-        scale = _number(config, "modulus_scale", positive=True)
-        profile = MajorantProfile(profile.center_shift,
-                                  scale_modulus(profile.modulus, scale),
-                                  profile.radius)
-        handle = OperatorHandle(handle.apply, handle.center, handle.norm, profile)
 
-    return {"kind": kind, "handle": handle, "profile": profile, "extras": extras}
+def _analyzed(config: dict, tol: float) -> tuple[dict, ZoneReport]:
+    problem = _build_problem(config)
+    return problem, analyze(problem["handle"].profile, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +331,11 @@ def run_analyze(config: dict, tol: float = DEFAULT_TOL) -> dict:
     A no-existence outcome is a valid certificate, not an error: the
     document carries the flag and the minimized-gap witness.
     """
-    problem = _build_problem(config)
-    report = analyze(problem["profile"], tol)
+    problem, report = _analyzed(config, tol)
     document = {
         "kind": problem["kind"],
         "existence_certified": report.existence_certified,
-        "radii": _radii_doc(report, problem["profile"].radius),
+        "radii": _radii_doc(report, problem["handle"].profile.radius),
         "zones": _zones_doc(report),
         "gap_witness": None,
     }
@@ -366,9 +357,9 @@ def run_solve(config: dict, bound_tol: float = 1e-10, max_steps: int = 1000,
         rule = StoppingRule(bound_tol=bound_tol, max_steps=max_steps)
     except ValueError as exc:
         _fail(str(exc))
-    problem = _build_problem(config)
+    _number({"start_offset": start_offset}, "start_offset", nonnegative=True)
+    problem, report = _analyzed(config, tol)
     handle = problem["handle"]
-    report = analyze(problem["profile"], tol)
     if not report.existence_certified:
         raise NoExistenceError(report.gap, report.gap_argmin)
     xi0 = handle.center
@@ -377,7 +368,7 @@ def run_solve(config: dict, bound_tol: float = 1e-10, max_steps: int = 1000,
         xi0 = handle.center + direction * (start_offset / handle.norm(direction))
     document = {
         "kind": problem["kind"],
-        "radii": _radii_doc(report, problem["profile"].radius),
+        "radii": _radii_doc(report, handle.profile.radius),
         "start_offset": float(handle.norm(xi0 - handle.center)),
         "status": None,
         "steps": [],
@@ -430,9 +421,8 @@ def run_zones(config: dict, samples: int, out: Path,
     majorants across sub- and supercritical center shifts."""
     if samples < 2:
         _fail("--samples must be >= 2")
-    problem = _build_problem(config)
-    profile = problem["profile"]
-    report = analyze(profile, tol)
+    problem, report = _analyzed(config, tol)
+    profile = problem["handle"].profile
     out = Path(out)
 
     rows = []
@@ -471,8 +461,7 @@ def run_zones(config: dict, samples: int, out: Path,
 
 def run_compare(config: dict, tol: float = DEFAULT_TOL) -> dict:
     """Contrast the classical contraction zone with the majorization zones."""
-    problem = _build_problem(config)
-    report = analyze(problem["profile"], tol)
+    problem, report = _analyzed(config, tol)
     contraction, uniqueness = report.contraction_zone, report.uniqueness_zone
     wider = (uniqueness.contains_interval(contraction)
              and not contraction.contains_interval(uniqueness))

@@ -39,6 +39,9 @@ class Grid:
         weights = np.asarray(self.weights, dtype=float).copy()
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size < 2:
             raise ValueError("grid needs matching 1-d node/weight arrays, length >= 2")
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)
+                and np.isfinite(nodes).all() and np.isfinite(weights).all()):
+            raise ValueError("grid bounds, nodes and weights must be finite")
         if np.any(np.diff(nodes) <= 0.0):
             raise ValueError("grid nodes must be strictly increasing")
         length = self.upper - self.lower

@@ -76,6 +76,12 @@ class MajorantProfile:
             raise ValueError(
                 f"radius {R!r} exceeds the modulus tabulation range {end!r}"
             )
+        try:
+            top = a + float(self.modulus.primitive(R))
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError(f"a + K(R) must be finite, got {top!r} at R = {R!r}")
         object.__setattr__(self, "center_shift", a)
         object.__setattr__(self, "radius", R)
 

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from majorfix import KernelTable, MajorantProfile, PowerSumModulus, eval_majorants
+from majorfix import KernelTable, MajorantProfile, PowerSumModulus, cli, eval_majorants
 from majorfix.cli import main
+from majorfix.errors import ConfigError
+from majorfix.presets import get_preset, preset_names
 
 BETA = (1.0 - math.sqrt(0.9)) / 0.05
 
@@ -338,6 +340,88 @@ class TestExitCodes:
         code, _ = run_cli(["analyze", "--config", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("preset,term,changes", [
+        ("multilinear-2d", False, {"seed": "x", "operator_norm": None}),
+        ("multilinear-2d", False, {"operator_norm": "x"}),
+        ("multilinear-2d", False, {"tensor": None}),
+        ("multilinear-quadratic", False, {"constant": "ab"}),
+        ("multilinear-quadratic", False, {"dimension": 0}),
+        ("hammerstein-separable", False, {"x0": "abc"}),
+        ("hammerstein-separable", False, {"x0": [0.0, 1.0]}),
+        ("hammerstein-separable", True, {"kernel_csv": 3}),
+        ("hammerstein-separable", True, {"nonlinearity": ["a"]}),
+        ("hammerstein-lp", True, {"zaanen_norm": -1}),
+        ("hammerstein-lp", True, {"zaanen_norm": "x"}),
+        ("hammerstein-lp", True, {"q": "x"}),
+        ("hammerstein-lp", True, {"pairs": [[1]]}),
+        ("urysohn", False, {"grid": {"rule": "simpson", "n": -1}}),
+        ("urysohn", False, {"grid": {"rule": "simpson", "n": 10}}),
+        ("urysohn", False, {"interval": [1.0, 0.0]}),
+        ("urysohn", False, {"kernel": ["a"]}),
+        ("quadratic", False, {"modulus": {"type": "tabulated", "abscissae": [0, 1],
+                                          "ordinates": [1, "x"]}}),
+    ])
+    def test_config_error_malformed_field(self, tmp_path, capsys, preset, term,
+                                          changes):
+        # None deletes the field; term=True edits the first term
+        config = get_preset(preset)
+        target = config["terms"][0] if term else config
+        for key, value in changes.items():
+            if value is None:
+                target.pop(key, None)
+            else:
+                target[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code, out = run_cli(["analyze", "--config", str(path)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("preset,term,key", [
+        ("hammerstein-separable", True, "nonlinearity"),
+        ("urysohn", False, "kernel"),
+    ])
+    def test_config_error_name_not_a_string(self, preset, term, key):
+        config = get_preset(preset)
+        (config["terms"][0] if term else config)[key] = ["a"]
+        with pytest.raises(ConfigError, match=r"unknown .*\['a'\]; available: \["):
+            cli.run_analyze(config)
+
+    @pytest.mark.parametrize("text", ['"interval": [0.0, NaN]',
+                                      '"interval": [0.0, Infinity]'])
+    @pytest.mark.parametrize("preset", ["hammerstein-separable", "urysohn"])
+    def test_config_error_non_finite_interval(self, tmp_path, capsys, preset, text):
+        path = tmp_path / "interval.json"
+        path.write_text(json.dumps(get_preset(preset)).replace(
+            '"interval": [0.0, 1.0]', text))
+        code, out = run_cli(["analyze", "--config", str(path)])
+        assert code == 2 and out == ""
+        assert "grid bounds, nodes and weights must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changes", [
+        {"radius": 1e200},                              # K(R) overflows
+        {"radius": 10**400},                            # beyond float range
+        {"center_shift": 10**400},
+        {"modulus": {"type": "power_sum", "terms": [[10**400, 1.0]]}},
+    ])
+    def test_config_error_out_of_float_range(self, tmp_path, capsys, changes):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**get_preset("quadratic"), **changes}))
+        code, out = run_cli(["analyze", "--config", str(path)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_fault_in_modulus_build_propagates(self, monkeypatch):
+        def broken(terms):
+            raise RuntimeError("modulus bug")
+
+        monkeypatch.setattr(cli, "PowerSumModulus", broken)
+        with pytest.raises(RuntimeError, match="modulus bug"):
+            main(["analyze", "--preset", "quadratic"])
+
+    def test_every_kind_has_a_preset(self):
+        assert set(cli.KINDS) <= {get_preset(name)["kind"] for name in preset_names()}
+
     def test_inadmissible_start(self):
         code, _ = run_cli(["solve", "--preset", "quadratic",
                            "--start-offset", "0.9"])
@@ -364,6 +448,13 @@ class TestExitCodes:
 
 
 class TestStartOffset:
+    @pytest.mark.parametrize("offset", ["-0.1", "nan", "inf"])
+    def test_negative_or_non_finite_offset_is_config_error(self, capsys, offset):
+        code, out = run_cli(["solve", "--preset", "quadratic",
+                             f"--start-offset={offset}"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_offset_realized_in_ambient_norm(self):
         code, doc = run_json(["solve", "--preset", "hammerstein-separable",
                               "--start-offset", "0.5", "--bound-tol", "1e-8"])

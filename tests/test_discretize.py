@@ -37,6 +37,15 @@ class TestGrid:
         grid = Grid.from_nodes([0.0, 0.1, 0.5, 1.0])
         assert abs(math.fsum(grid.weights.tolist()) - 1.0) < 1e-14
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("make", [lambda: Grid.simpson(0.0, math.nan, 5),
+                                      lambda: Grid.trapezoid(0.0, math.inf, 5),
+                                      lambda: Grid.from_nodes([0.0, 1.0, math.nan])],
+                             ids=["simpson-nan", "trapezoid-inf", "from-nodes-nan"])
+    def test_rejects_non_finite_bounds(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
 
 class TestQuadrature:
     def test_trapezoid_linear_exact(self):

@@ -43,6 +43,14 @@ class TestEvalMajorants:
     def test_quadratic_arithmetic(self):
         assert eval_majorants(QUAD, 0.5) == pytest.approx((0.4375, -0.0625), abs=1e-15)
 
+    @pytest.mark.parametrize("modulus,radius", [
+        (PowerSumModulus(((2.0, 1.0),)), 1e200),      # K(R) overflows
+        (ConstantModulus(1e300), 1e10),               # K(R) is inf
+    ])
+    def test_profile_needs_finite_upper_at_radius(self, modulus, radius):
+        with pytest.raises(ValueError, match="finite"):
+            MajorantProfile(0.1875, modulus, radius)
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             eval_majorants(QUAD, 1.5)

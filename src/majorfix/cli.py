@@ -25,7 +25,8 @@ from .errors import (
     NoExistenceError,
 )
 from .iteration import OperatorHandle, StoppingRule, certify_trace, iterate
-from .majorant import DEFAULT_TOL, MajorantProfile, ZoneReport, analyze, eval_majorants
+from .majorant import (DEFAULT_TOL, MajorantProfile, ZoneReport, _check_tol, analyze,
+                       eval_majorants)
 from .moduli import (
     ConstantModulus,
     PowerSumModulus,
@@ -86,7 +87,10 @@ def _number(config: dict, key: str, *, positive=False, nonnegative=False):
     value = config[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"field {key!r} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         _fail(f"field {key!r} must be finite, got {value!r}")
     if positive and value <= 0.0:
@@ -273,10 +277,10 @@ _BUILDERS = {"multilinear": _multilinear, "hammerstein_c": _hammerstein_c,
 KINDS = tuple(_BUILDERS)
 
 
-def _build_problem(config: dict) -> dict:
-    """Validate the config and build the handle it describes.  A TypeError,
-    ValueError or OverflowError (the library's argument checks, float() of a
-    JSON number) is a config error; any other fault propagates."""
+def _build_problem(config: dict, tol: float = DEFAULT_TOL) -> dict:
+    """Validate the config and tol and build the handle it describes.  A
+    TypeError, ValueError or OverflowError (the library's argument checks,
+    float() of a JSON number) is a config error; any other fault propagates."""
     if not isinstance(config, dict):
         _fail("config must be a JSON object")
     kind = config.get("kind")
@@ -291,13 +295,14 @@ def _build_problem(config: dict) -> dict:
             profile = MajorantProfile(old.center_shift,
                                       scale_modulus(old.modulus, scale), old.radius)
             handle = OperatorHandle(handle.apply, handle.center, handle.norm, profile)
+        _check_tol(tol, handle.profile.radius)
     except (TypeError, ValueError, OverflowError) as exc:
         _fail(f"invalid {kind} config: {exc}")
     return {"kind": kind, "handle": handle, "extras": extras}
 
 
 def _analyzed(config: dict, tol: float) -> tuple[dict, ZoneReport]:
-    problem = _build_problem(config)
+    problem = _build_problem(config, tol)
     return problem, analyze(problem["handle"].profile, tol)
 
 
@@ -526,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--preset", help=f"named preset ({', '.join(preset_names())})")
         cmd.add_argument("--out", help="output path (default: stdout)")
         cmd.add_argument("--tol", type=float, default=None,
-                         help="radius tolerance (default 1e-12)")
+                         help="radius tolerance, at most R/1024 (default 1e-12)")
         if name == "solve":
             cmd.add_argument("--bound-tol", type=float, default=1e-10,
                              help="stop once the a-priori bound drops below this")

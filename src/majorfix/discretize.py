@@ -24,6 +24,12 @@ __all__ = [
 ]
 
 
+def _uniform_nodes(lower: float, upper: float, n: int) -> tuple[np.ndarray, float]:
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError("grid bounds, nodes and weights must be finite")
+    return np.linspace(lower, upper, n), (upper - lower) / (n - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Quadrature rule on [lower, upper]: nodes, weights, and a rule tag."""
@@ -65,8 +71,7 @@ class Grid:
     def trapezoid(cls, lower: float, upper: float, n: int) -> "Grid":
         if n < 2:
             raise ValueError("trapezoid rule needs n >= 2")
-        nodes = np.linspace(lower, upper, n)
-        h = (upper - lower) / (n - 1)
+        nodes, h = _uniform_nodes(lower, upper, n)
         weights = np.full(n, h)
         weights[0] = weights[-1] = 0.5 * h
         return cls(lower, upper, nodes, weights, "trapezoid")
@@ -75,8 +80,7 @@ class Grid:
     def simpson(cls, lower: float, upper: float, n: int) -> "Grid":
         if n < 3 or n % 2 == 0:
             raise ValueError("simpson rule needs odd n >= 3")
-        nodes = np.linspace(lower, upper, n)
-        h = (upper - lower) / (n - 1)
+        nodes, h = _uniform_nodes(lower, upper, n)
         weights = np.full(n, 2.0 * h / 3.0)
         weights[1::2] = 4.0 * h / 3.0
         weights[0] = weights[-1] = h / 3.0

@@ -19,8 +19,9 @@ on the ball of radius R, the pair upper(r) = a + K(r), lower(r) = a - K(r)
 
 Since k is nondecreasing, gap(r) = upper(r) - r is convex with derivative
 k(r) - 1, so the gap is minimized exactly at the contraction radius (or at
-R when k never reaches 1).  All root finding below exploits that structure;
-every returned radius is bracketed by a sign- or predicate-based bisection.
+R when k never reaches 1), and is strictly decreasing up to that point.
+Each radius is one bisection, reported from the safe end of its bracket:
+from above for the convergence radius, from below for the others.
 The finders form a chain: the contraction radius is searched once and
 locates the gap minimum for the convergence radius, and both bound the
 search for the uniqueness radius.
@@ -49,7 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
-_MAX_FIXED_POINT_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -187,14 +187,17 @@ def eval_majorants(profile: MajorantProfile, r: float) -> tuple[float, float]:
     return profile.center_shift + integral, profile.center_shift - integral
 
 
-def _check_tol(tol: float) -> None:
+def _check_tol(tol: float, radius: float) -> None:
+    """0 < tol <= radius / 1024: every bracket is halved at least ten times."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if tol > radius / 1024.0:
+        raise ValueError(f"tol {tol!r} exceeds R / 1024 = {radius / 1024.0!r}")
 
 
-def _predicate_boundary(pred, lo: float, hi: float, tol: float) -> float:
+def _predicate_boundary(pred, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Bisect for the switch point of a predicate that is True at lo and
-    False at hi; returns the midpoint of the final bracket."""
+    False at hi; returns the final bracket (lo, hi)."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -203,19 +206,19 @@ def _predicate_boundary(pred, lo: float, hi: float, tol: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 def find_contraction_radius(profile: MajorantProfile,
                             tol: float = DEFAULT_TOL) -> float | None:
-    """Smallest r with k(r) >= 1, or None when k stays below 1 up to R."""
-    _check_tol(tol)
+    """Smallest r with k(r) >= 1, from below; None when k < 1 up to R."""
+    _check_tol(tol, profile.radius)
     if profile.slope(profile.radius) < 1.0:
         return None
     if profile.slope(0.0) >= 1.0:
         return 0.0
     return _predicate_boundary(lambda r: profile.slope(r) < 1.0,
-                               0.0, profile.radius, tol)
+                               0.0, profile.radius, tol)[0]
 
 
 def _gap_minimum(profile: MajorantProfile,
@@ -245,40 +248,29 @@ def _gap_noise(profile: MajorantProfile, argmin: float) -> float:
 def find_convergence_radius(profile: MajorantProfile,
                             contraction_radius: float | None,
                             tol: float = DEFAULT_TOL) -> float:
-    """Smallest fixed point of the upper majorant on [0, R].
+    """Smallest fixed point of the upper majorant on [0, R], from above.
 
     contraction_radius is find_contraction_radius(profile, tol): the gap
     minimizer, or None when the minimizer is R.
 
-    The monotone iteration r <- upper(r) from 0 climbs toward the smallest
-    root and certifies every iterate as a lower bound; once its step drops
-    under tol the root is polished by predicate bisection between the last
-    iterate and the gap minimizer, so flat segments (k == 1 on an interval)
-    resolve to the infimum of the fixed-point set.
+    The gap is strictly decreasing on [0, argmin], so one bisection there
+    brackets the root; flat segments (k == 1) resolve to the infimum of the
+    fixed-point set.  A gap minimum zero within float noise is a double
+    root: min(argmin + tol, R), the upper end of the contraction bracket.
 
     Raises NoExistenceError when upper(r) > r across [0, R], reporting the
     minimized gap and its location.
     """
-    _check_tol(tol)
+    _check_tol(tol, profile.radius)
     if profile.center_shift == 0.0:
         return 0.0
     argmin, min_gap = _gap_minimum(profile, contraction_radius)
     if min_gap > tol:
         raise NoExistenceError(min_gap, argmin)
     if min_gap > -_gap_noise(profile, argmin):
-        # tangent within float resolution: the minimizer is the (double) root
-        return argmin
-
-    r = 0.0
-    for _ in range(_MAX_FIXED_POINT_STEPS):
-        nxt = profile.upper(r)
-        if nxt - r <= tol or nxt >= argmin:
-            break
-        r = nxt
-    if profile.upper(r) - r <= 0.0:
-        return r
+        return min(argmin + tol, profile.radius)
     return _predicate_boundary(lambda x: profile.upper(x) - x > 0.0,
-                               r, argmin, tol / 10.0)
+                               0.0, argmin, tol / 10.0)[1]
 
 
 def find_inner_radius(profile: MajorantProfile,
@@ -289,7 +281,7 @@ def find_inner_radius(profile: MajorantProfile,
     bisection bracket [0, min(a, R)] is certified whenever the profile is
     in the existence regime (a <= convergence_radius <= R).
     """
-    _check_tol(tol)
+    _check_tol(tol, profile.radius)
     a = profile.center_shift
     if a == 0.0:
         return 0.0
@@ -300,7 +292,7 @@ def find_inner_radius(profile: MajorantProfile,
             "existence regime"
         )
     return _predicate_boundary(lambda r: profile.lower(r) - r > 0.0,
-                               0.0, hi, tol / 10.0)
+                               0.0, hi, tol / 10.0)[0]
 
 
 def find_uniqueness_radius(profile: MajorantProfile, convergence_radius: float,
@@ -317,19 +309,18 @@ def find_uniqueness_radius(profile: MajorantProfile, convergence_radius: float,
     where the upper majorant never drops below the bisectrix and the
     uniqueness radius collapses onto the convergence radius.
     """
-    _check_tol(tol)
+    _check_tol(tol, profile.radius)
     r_conv = float(convergence_radius)
     if not math.isfinite(r_conv) or r_conv < 0.0 or r_conv > profile.radius:
         raise ValueError(f"convergence radius {r_conv!r} outside [0, R]")
     R = profile.radius
-    end_gap = profile.upper(R) - R
-    if end_gap < 0.0:
+    if profile.upper(R) - R < 0.0:
         return R, True, False
     argmin, min_gap = _gap_minimum(profile, contraction_radius)
     if min_gap >= -_gap_noise(profile, argmin):
         return r_conv, False, True
     boundary = _predicate_boundary(lambda r: profile.upper(r) - r < 0.0,
-                                   argmin, R, tol / 10.0)
+                                   argmin, R, tol / 10.0)[0]
     return boundary, False, False
 
 
@@ -342,7 +333,7 @@ def analyze(profile: MajorantProfile, tol: float = DEFAULT_TOL) -> ZoneReport:
     with existence_certified False, the contraction radius, and the
     minimized-gap witness.
     """
-    _check_tol(tol)
+    _check_tol(tol, profile.radius)
     r_cr = find_contraction_radius(profile, tol)
     try:
         r_conv = find_convergence_radius(profile, r_cr, tol)

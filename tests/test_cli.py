@@ -309,7 +309,7 @@ class TestExitCodes:
         code, out = run_cli(["solve", "--preset", "supercritical", f"--tol={tol}"])
         assert code == 2 and out == ""
 
-    @pytest.mark.parametrize("tol", ["x", None, True, [1e-12]])
+    @pytest.mark.parametrize("tol", ["x", None, True, [1e-12], 10**400])
     def test_config_error_config_tol(self, tmp_path, tol):
         config = {"kind": "scalar_profile", "center_shift": 0.1875,
                   "modulus": {"type": "power_sum", "terms": [[2.0, 1.0]]},
@@ -318,6 +318,14 @@ class TestExitCodes:
         path.write_text(json.dumps(config))
         code, out = run_cli(["analyze", "--config", str(path)])
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("tol,expected", [("1e300", 2), ("0.01", 2), ("1e-4", 0)])
+    def test_tol_at_most_radius_over_1024(self, capsys, tol, expected):
+        # quadratic has R = 1, so the cap is 1/1024
+        code, _ = run_cli(["analyze", "--preset", "quadratic", f"--tol={tol}"])
+        assert code == expected
+        if expected == 2:
+            assert "exceeds R / 1024" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--max-steps=0", "--max-steps=-3",
                                       "--bound-tol=-1", "--bound-tol=0",

@@ -37,11 +37,13 @@ class TestGrid:
         grid = Grid.from_nodes([0.0, 0.1, 0.5, 1.0])
         assert abs(math.fsum(grid.weights.tolist()) - 1.0) < 1e-14
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    # checked before np.linspace, which warns on a non-finite bound
     @pytest.mark.parametrize("make", [lambda: Grid.simpson(0.0, math.nan, 5),
+                                      lambda: Grid.simpson(-math.inf, 1.0, 5),
                                       lambda: Grid.trapezoid(0.0, math.inf, 5),
                                       lambda: Grid.from_nodes([0.0, 1.0, math.nan])],
-                             ids=["simpson-nan", "trapezoid-inf", "from-nodes-nan"])
+                             ids=["simpson-nan", "simpson-inf", "trapezoid-inf",
+                                  "from-nodes-nan"])
     def test_rejects_non_finite_bounds(self, make):
         with pytest.raises(ValueError, match="finite"):
             make()

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from majorfix import (
     ConstantModulus,
+    LipschitzModulus,
     MajorantProfile,
     NoExistenceError,
     PowerSumModulus,
@@ -20,6 +23,8 @@ from majorfix import (
     majorant_sequence,
 )
 from majorfix import majorant
+from majorfix.cli import run_analyze
+from majorfix.presets import get_preset
 from helpers import quadratic_radii, random_existence_profile
 
 
@@ -30,6 +35,21 @@ def quad_profile(a, c=1.0, radius=1.0):
 BANACH = MajorantProfile(1.0, ConstantModulus(0.5), 10.0)
 QUAD = quad_profile(0.1875)
 TANGENT = quad_profile(0.25)
+
+
+class CountingModulus(LipschitzModulus):
+    """Delegates to another modulus and counts primitive evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.primitive_calls = 0
+
+    def __call__(self, r):
+        return self.inner(r)
+
+    def primitive(self, r):
+        self.primitive_calls += 1
+        return self.inner.primitive(r)
 
 
 class TestEvalMajorants:
@@ -106,6 +126,17 @@ class TestConvergenceRadius:
         r_conv = find_convergence_radius(profile, find_contraction_radius(profile))
         assert r_conv == pytest.approx(0.2, abs=1e-9)
 
+    def test_near_tangent_root_takes_one_bisection(self):
+        # the roots 0.5 -+ 1e-5 of r = a + r^2 nearly touch; one bisection on
+        # [0, 0.5] down to tol/10 needs about 45 primitive evaluations
+        modulus = CountingModulus(PowerSumModulus(((2.0, 1.0),)))
+        profile = MajorantProfile(0.25 - 1e-10, modulus, 1.0)
+        r_cr = find_contraction_radius(profile)
+        modulus.primitive_calls = 0
+        r_conv = find_convergence_radius(profile, r_cr)
+        assert modulus.primitive_calls <= 64
+        assert r_conv == pytest.approx(0.5 - 1e-5, abs=1e-9)
+
 
 class TestInnerRadius:
     def test_constant_closed_form(self):
@@ -173,21 +204,33 @@ class TestTolerance:
     # skipped every bisection and reported the midpoint 0.45
     PROFILE = MajorantProfile(0.1, PowerSumModulus(((2.0, 1.0),)), 0.9)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf, -math.inf])
-    def test_analyze_and_every_finder_reject(self, tol):
+    def calls(self, tol):
         profile = self.PROFILE
         r_cr = find_contraction_radius(profile)
         r_conv = find_convergence_radius(profile, r_cr)
-        calls = [
+        return [
             lambda: analyze(profile, tol),
             lambda: find_contraction_radius(profile, tol),
             lambda: find_convergence_radius(profile, r_cr, tol),
             lambda: find_inner_radius(profile, tol),
             lambda: find_uniqueness_radius(profile, r_conv, r_cr, tol),
         ]
-        for call in calls:
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf, -math.inf])
+    def test_analyze_and_every_finder_reject(self, tol):
+        for call in self.calls(tol):
             with pytest.raises(ValueError, match="tol must be finite and > 0"):
                 call()
+
+    @pytest.mark.parametrize("tol", [math.nextafter(0.9 / 1024, 1.0), 0.01, 1e300])
+    def test_tol_above_radius_over_1024_rejected(self, tol):
+        for call in self.calls(tol):
+            with pytest.raises(ValueError, match="exceeds R / 1024"):
+                call()
+
+    def test_tol_of_radius_over_1024_accepted(self):
+        for call in self.calls(0.9 / 1024):
+            call()
 
 
 class TestContractionRadius:
@@ -251,6 +294,47 @@ class TestAnalyze:
         assert report.uniqueness_radius == pytest.approx(r_uni, abs=1e-10)
         assert report.uniqueness_radius_closed == closed
         assert report.degenerate == degenerate
+
+
+def _quadratic_roots(a: float, c: float) -> dict:
+    """Exact radii of upper(r) = a + c r^2, lower(r) = a - c r^2 (50 digits)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, c = Decimal(a), Decimal(c)
+        disc = (1 - 4 * a * c).sqrt()
+        roots = {"inner_radius": ((1 + 4 * a * c).sqrt() - 1) / (2 * c),
+                 "convergence_radius": (1 - disc) / (2 * c),
+                 "uniqueness_radius": (1 + disc) / (2 * c),
+                 "contraction_radius": 1 / (2 * c)}
+    return {key: Fraction(value) for key, value in roots.items()}
+
+
+EXACT_RADII = {
+    "quadratic": _quadratic_roots(0.1875, 1.0),
+    "multilinear-quadratic": _quadratic_roots(0.1875, 1.0),
+    "tangency": _quadratic_roots(0.25, 1.0),
+    # upper(r) = 1 + r/2 on R = 10: uniqueness closed at R, no contraction radius
+    "contraction": {"inner_radius": Fraction(2, 3), "convergence_radius": Fraction(2),
+                    "uniqueness_radius": Fraction(10)},
+}
+
+
+class TestSafeSide:
+    @pytest.mark.parametrize("name", sorted(EXACT_RADII))
+    def test_preset_radii_on_safe_side_within_width(self, name):
+        # up for the convergence radius, down for the others; the bracket is
+        # tol/10 wide, tol for the contraction radius and at a tangency
+        tol = majorant.DEFAULT_TOL
+        radii = run_analyze(get_preset(name))["radii"]
+        for key, root in EXACT_RADII[name].items():
+            if key == "uniqueness_radius" and radii["degenerate"]:
+                continue          # collapses onto the convergence radius
+            value = Fraction(radii[key])
+            offset = value - root if key == "convergence_radius" else root - value
+            wide = key == "contraction_radius" or (
+                key == "convergence_radius" and radii["degenerate"])
+            width = Fraction(tol if wide else tol / 10.0)
+            assert 0 <= offset <= width, (key, float(offset))
 
 
 class TestRandomProfiles:

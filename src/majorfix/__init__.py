@@ -34,7 +34,6 @@ from .discretize import (
     Grid,
     KernelTable,
     lp_norm,
-    quadrature_integrate,
     zaanen_norm_estimate,
     zaanen_sweep_objectives,
 )

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "KernelTable",
-    "quadrature_integrate",
     "lp_norm",
     "zaanen_norm_estimate",
     "zaanen_sweep_objectives",
@@ -99,26 +98,16 @@ class Grid:
         return cls(float(nodes[0]), float(nodes[-1]), nodes, weights, "trapezoid")
 
 
-def _on_grid(grid: Grid, samples) -> np.ndarray:
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != grid.nodes.shape:
-        raise ValueError(
-            f"samples length {samples.size} does not match grid size {grid.n}"
-        )
-    return samples
-
-
-def quadrature_integrate(grid: Grid, samples) -> float:
-    """Weighted sum over the grid; exact up to the rule's polynomial degree."""
-    return float(grid.weights @ _on_grid(grid, samples))
-
-
 def lp_norm(grid: Grid, samples, p) -> float:
     """Discrete L_p norm with the grid's quadrature weights.
 
     Pass p = "sup" (or math.inf) for the max-norm variant.
     """
-    samples = _on_grid(grid, samples)
+    samples = np.asarray(samples, dtype=float)
+    if samples.shape != grid.nodes.shape:
+        raise ValueError(
+            f"samples length {samples.size} does not match grid size {grid.n}"
+        )
     if p == "sup" or p == math.inf:
         return float(np.max(np.abs(samples)))
     p = float(p)

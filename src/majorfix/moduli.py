@@ -1,10 +1,16 @@
 """Radius-dependent Lipschitz bounds and their exact primitives.
 
 A modulus is a nonnegative, nondecreasing function k(r) on [0, R] together
-with its primitive K(r) = integral of k from 0 to r.  The primitive is
-always evaluated in closed form (constant and power-sum variants) or as the
-exact integral of the linear interpolant (tabulated variant), never by
-numeric quadrature, so downstream root finding sees a noise-free function.
+with its primitive K(r) = integral of k from 0 to r.  Every radius the
+library reports is a root of a +- K(r) - r, so K is never approximated:
+
+* constant and power-sum moduli evaluate K in closed form;
+* a tabulated modulus is a linear interpolant and K is its exact
+  piecewise-quadratic integral;
+* scaled, combined and recentered moduli are one shifted weighted sum
+  k(r) = sum_i w_i k_i(offset + r) with
+  K(r) = sum_i w_i (K_i(offset + r) - K_i(offset)), built from the inputs'
+  own exact primitives and never resampled.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ __all__ = [
 ]
 
 _DOMAIN_SLACK = 1e-12
+_MONOTONE_TOL = 1e-9
 
 
 class LipschitzModulus:
@@ -152,41 +159,41 @@ class TabulatedModulus(LipschitzModulus):
         return float(self._cumulative[j] + ys[j] * dr + 0.5 * slope * dr * dr)
 
 
+@dataclass(frozen=True, eq=False)
+class _ShiftedSum(LipschitzModulus):
+    """k(r) = sum_i w_i k_i(offset + r) with the exact primitive
+    K(r) = sum_i w_i (K_i(offset + r) - K_i(offset)), K_i(offset) taken once."""
+
+    parts: tuple[tuple[float, LipschitzModulus], ...]
+    offset: float = 0.0
+
+    def __post_init__(self):
+        ends = [m.domain_end() for _, m in self.parts if m.domain_end() is not None]
+        object.__setattr__(self, "_end", min(ends) - self.offset if ends else None)
+        object.__setattr__(self, "_bases",
+                           tuple(m.primitive(self.offset) for _, m in self.parts))
+
+    def domain_end(self) -> float | None:
+        return self._end
+
+    def __call__(self, r: float) -> float:
+        r = self.offset + self._check_radius(r)
+        return sum(w * m(r) for w, m in self.parts)
+
+    def primitive(self, r: float) -> float:
+        r = self.offset + self._check_radius(r)
+        return sum(w * (m.primitive(r) - base)
+                   for (w, m), base in zip(self.parts, self._bases))
+
+
 def scale_modulus(modulus: LipschitzModulus, factor: float) -> LipschitzModulus:
-    """Return factor * k as a modulus of the same variant (factor >= 0)."""
-    factor = float(factor)
-    if not math.isfinite(factor) or factor < 0.0:
-        raise ValueError(f"scale factor must be finite and >= 0, got {factor!r}")
-    if isinstance(modulus, ConstantModulus):
-        return ConstantModulus(factor * modulus.value)
-    if isinstance(modulus, PowerSumModulus):
-        return PowerSumModulus(tuple((factor * c, p) for c, p in modulus.terms))
-    if isinstance(modulus, TabulatedModulus):
-        return TabulatedModulus(modulus.abscissae, factor * modulus.ordinates)
-    raise TypeError(f"unsupported modulus type {type(modulus)!r}")
+    """Return factor * k (factor >= 0), with its exact primitive."""
+    return combine_moduli([modulus], [factor])
 
 
-def _merge_power_terms(moduli, weights) -> PowerSumModulus:
-    merged: dict[float, float] = {}
-    for modulus, weight in zip(moduli, weights):
-        if isinstance(modulus, ConstantModulus):
-            terms = ((modulus.value, 0.0),)
-        else:
-            terms = modulus.terms
-        for coef, exponent in terms:
-            merged[exponent] = merged.get(exponent, 0.0) + weight * coef
-    return PowerSumModulus(tuple(sorted((c, p) for p, c in merged.items() if c != 0.0))
-                           or ((0.0, 0.0),))
-
-
-def combine_moduli(moduli, weights=None, *, radius: float | None = None,
-                   samples: int = 257) -> LipschitzModulus:
-    """Weighted sum of moduli (weights >= 0).
-
-    Constant and power-sum inputs combine exactly.  Any tabulated input
-    forces resampling on the union of all tabulated breakpoints plus a
-    uniform fill, which is exact when every input is tabulated or constant.
-    """
+def combine_moduli(moduli, weights=None) -> LipschitzModulus:
+    """Weighted sum of moduli (weights >= 0, default 1), with the exact
+    primitive sum_i w_i K_i, on the smallest of the inputs' domains."""
     moduli = list(moduli)
     if not moduli:
         raise ValueError("need at least one modulus to combine")
@@ -197,67 +204,28 @@ def combine_moduli(moduli, weights=None, *, radius: float | None = None,
         raise ValueError("weights length must match moduli length")
     if any(not math.isfinite(w) or w < 0.0 for w in weights):
         raise ValueError("combination weights must be finite and >= 0")
-
-    if all(isinstance(m, (ConstantModulus, PowerSumModulus)) for m in moduli):
-        return _merge_power_terms(moduli, weights)
-
-    ends = [m.domain_end() for m in moduli if m.domain_end() is not None]
-    end = min(ends) if ends else None
-    if radius is None:
-        radius = end
-    if radius is None:
-        raise ValueError("radius required to combine moduli without a tabulated range")
-    if end is not None and radius > end * (1.0 + _DOMAIN_SLACK):
-        raise ValueError(f"radius {radius!r} beyond the combined tabulated range {end!r}")
-
-    nodes = {0.0, float(radius)}
-    nodes.update(np.linspace(0.0, radius, samples).tolist())
-    for m in moduli:
-        if isinstance(m, TabulatedModulus):
-            nodes.update(x for x in m.abscissae.tolist() if x <= radius)
-    xs = np.array(sorted(nodes))
-    ys = np.zeros_like(xs)
-    for m, w in zip(moduli, weights):
-        ys += w * np.array([m(x) for x in xs])
-    return modulus_from_samples(xs, ys)
+    return _ShiftedSum(tuple(zip(weights, moduli)))
 
 
-def recenter_modulus(modulus: LipschitzModulus, offset: float, radius: float,
-                     samples: int = 257) -> LipschitzModulus:
+def recenter_modulus(modulus: LipschitzModulus, offset: float) -> LipschitzModulus:
     """Modulus for a ball recentered at distance ``offset`` from the origin.
 
     Points of the new ball of radius r lie within radius offset + r of the
-    original center, so the valid bound is k(offset + r).  Exact for
-    constants and for power sums with integer exponents (binomial shift);
-    tabulated resampling otherwise.
+    original center, so the valid bound is k(offset + r), whose exact
+    primitive is K(offset + r) - K(offset).
     """
     offset = float(offset)
-    if offset < 0.0:
-        raise ValueError("offset must be >= 0")
-    if offset == 0.0:
-        return modulus
-    if isinstance(modulus, ConstantModulus):
-        return modulus
-    if isinstance(modulus, PowerSumModulus) and all(
-        float(p).is_integer() for _, p in modulus.terms
-    ):
-        shifted: dict[float, float] = {}
-        for coef, exponent in modulus.terms:
-            p = int(exponent)
-            for j in range(p + 1):
-                c = coef * math.comb(p, j) * offset ** (p - j)
-                shifted[float(j)] = shifted.get(float(j), 0.0) + c
-        return PowerSumModulus(tuple(sorted((c, p) for p, c in shifted.items())))
-    xs = np.linspace(0.0, radius, samples)
-    ys = np.array([modulus(offset + x) for x in xs])
-    return modulus_from_samples(xs, ys)
+    if not math.isfinite(offset) or offset < 0.0:
+        raise ValueError(f"offset must be finite and >= 0, got {offset!r}")
+    if isinstance(modulus, _ShiftedSum):
+        return _ShiftedSum(modulus.parts, modulus.offset + offset)
+    return _ShiftedSum(((1.0, modulus),), offset)
 
 
-def modulus_from_samples(abscissae, ordinates, *, monotone_tol: float = 1e-9
-                         ) -> TabulatedModulus:
+def modulus_from_samples(abscissae, ordinates) -> TabulatedModulus:
     """Build a tabulated modulus, tolerating float-level monotonicity noise.
 
-    Dips no deeper than monotone_tol relative to the sample scale are
+    Dips no deeper than _MONOTONE_TOL relative to the sample scale are
     clamped; anything larger is a genuine non-monotone input and rejected.
     """
     xs = np.asarray(abscissae, dtype=float)
@@ -265,7 +233,7 @@ def modulus_from_samples(abscissae, ordinates, *, monotone_tol: float = 1e-9
     scale = float(np.max(np.abs(ys))) if ys.size else 0.0
     running = np.maximum.accumulate(ys)
     worst_dip = float(np.max(running - ys)) if ys.size else 0.0
-    if worst_dip > monotone_tol * max(scale, 1.0):
+    if worst_dip > _MONOTONE_TOL * max(scale, 1.0):
         raise ValueError(
             f"sampled modulus is not nondecreasing (worst dip {worst_dip:.3g})"
         )

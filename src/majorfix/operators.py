@@ -219,12 +219,11 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, mats, moduli, knorms,
                     norm, radius: float, center) -> OperatorHandle:
     """x -> f + lambda * sum_j K_j (w * h_j(x)) with modulus
     |lambda| * sum_j knorms_j * moduli_j(r), recentered on x0."""
-    modulus = combine_moduli(moduli, [abs(spec.lam) * kn for kn in knorms],
-                             radius=radius)
+    modulus = combine_moduli(moduli, [abs(spec.lam) * kn for kn in knorms])
     x0 = _resolve_center(center, grid)
     shift = norm(x0)
     if shift > 0.0:
-        modulus = recenter_modulus(modulus, shift, radius)
+        modulus = recenter_modulus(modulus, shift)
     if callable(spec.forcing):
         fvec = _mesh_callback(spec.forcing)(grid.nodes)
     elif np.shape(spec.forcing) == (grid.n,):

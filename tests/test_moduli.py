@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from majorfix import (
     ConstantModulus,
+    MajorantProfile,
     PowerSumModulus,
     TabulatedModulus,
     combine_moduli,
@@ -100,6 +101,11 @@ class TestValidation:
             modulus_from_samples(xs, np.array([0.0, 0.5, 0.2, 0.7, 1.0]))
 
 
+def sqrt_primitive(offset, r):
+    """Exact primitive of k(r) = sqrt(offset + r) from 0 to r."""
+    return (2.0 / 3.0) * ((offset + r) ** 1.5 - offset**1.5)
+
+
 class TestAlgebra:
     def test_scale(self):
         k = scale_modulus(PowerSumModulus(((2.0, 1.0),)), 0.5)
@@ -110,27 +116,83 @@ class TestAlgebra:
             [ConstantModulus(1.0), PowerSumModulus(((2.0, 1.0),))],
             weights=[0.3, 0.7],
         )
-        assert isinstance(combined, PowerSumModulus)
-        assert combined(2.0) == pytest.approx(0.3 + 0.7 * 4.0, abs=1e-15)
+        for r in (0.0, 0.4, 1.0, 2.0):
+            assert combined(r) == pytest.approx(0.3 + 1.4 * r, abs=1e-15)
+            assert combined.primitive(r) == pytest.approx(0.3 * r + 0.7 * r * r,
+                                                          abs=1e-15)
 
     def test_combine_with_tabulated_is_exact_on_breakpoints(self):
         tab = TabulatedModulus(np.array([0.0, 0.3, 1.0]), np.array([0.0, 0.6, 0.6]))
-        combined = combine_moduli([tab, ConstantModulus(0.1)], radius=1.0)
+        combined = combine_moduli([tab, ConstantModulus(0.1)])
+        assert combined.domain_end() == 1.0
         for r in (0.0, 0.15, 0.3, 0.65, 1.0):
-            assert combined(r) == pytest.approx(tab(r) + 0.1, abs=1e-12)
+            tab_k = 2.0 * r if r <= 0.3 else 0.6
+            tab_K = r * r if r <= 0.3 else 0.09 + 0.6 * (r - 0.3)
+            assert combined(r) == pytest.approx(tab_k + 0.1, abs=1e-15)
+            assert combined.primitive(r) == pytest.approx(tab_K + 0.1 * r, abs=1e-15)
 
     def test_recenter_constant_identity(self):
-        k = ConstantModulus(0.4)
-        assert recenter_modulus(k, 0.7, 1.0) is k
+        k = recenter_modulus(ConstantModulus(0.4), 0.7)
+        for r in (0.0, 0.3, 1.0, 2.5):
+            assert k(r) == 0.4
+            assert k.primitive(r) == pytest.approx(0.4 * r, abs=1e-15)
 
     def test_recenter_integer_power_exact(self):
         k = PowerSumModulus(((3.0, 2.0),))
-        shifted = recenter_modulus(k, 0.5, 1.0)
-        assert isinstance(shifted, PowerSumModulus)
+        shifted = recenter_modulus(k, 0.5)
         for r in (0.0, 0.3, 1.0):
-            assert shifted(r) == pytest.approx(3.0 * (r + 0.5) ** 2, abs=1e-12)
+            assert shifted(r) == pytest.approx(3.0 * (r + 0.5) ** 2, abs=1e-14)
+            assert shifted.primitive(r) == pytest.approx((r + 0.5) ** 3 - 0.125,
+                                                         abs=1e-14)
 
     def test_recenter_fractional_power_sampled(self):
         k = PowerSumModulus(((1.0, 0.5),))
-        shifted = recenter_modulus(k, 0.25, 1.0, samples=2001)
-        assert shifted(0.5) == pytest.approx(math.sqrt(0.75), abs=1e-6)
+        shifted = recenter_modulus(k, 0.25)
+        for r in (0.0, 0.1, 0.5, 1.0):
+            assert shifted(r) == pytest.approx(math.sqrt(0.25 + r), abs=1e-14)
+            assert shifted.primitive(r) == pytest.approx(sqrt_primitive(0.25, r),
+                                                         abs=1e-14)
+
+    def test_recentered_sqrt_primitive_is_exact_near_origin(self):
+        shifted = recenter_modulus(PowerSumModulus(((1.0, 0.5),)), 0.01)
+        for r in (0.0, 1e-3, 0.05, 0.3, 1.0):
+            assert shifted.primitive(r) == pytest.approx(sqrt_primitive(0.01, r),
+                                                         abs=1e-15)
+
+    def test_combine_table_with_sqrt_is_sum_of_primitives(self):
+        tab = TabulatedModulus(np.array([0.0, 0.4, 2.0]), np.array([0.1, 0.3, 0.9]))
+        root = PowerSumModulus(((1.0, 0.5),))
+        combined = combine_moduli([tab, root])
+        for r in (0.0, 0.01, 0.2, 0.4, 1.3, 2.0):
+            assert combined(r) == pytest.approx(tab(r) + math.sqrt(r), abs=1e-15)
+            assert combined.primitive(r) == pytest.approx(
+                tab.primitive(r) + sqrt_primitive(0.0, r), abs=1e-15)
+
+    def test_recentered_table_domain_shrinks_by_offset(self):
+        tab = TabulatedModulus(np.array([0.0, 0.4, 2.0]), np.array([0.1, 0.3, 0.9]))
+        shifted = recenter_modulus(tab, 0.5)
+        assert shifted.domain_end() == 2.0 - 0.5
+        assert shifted.primitive(1.5) == pytest.approx(
+            tab.primitive(2.0) - tab.primitive(0.5), abs=1e-15)
+        MajorantProfile(0.1, shifted, 1.5)
+        with pytest.raises(ValueError):
+            MajorantProfile(0.1, shifted, 1.6)
+        with pytest.raises(ValueError):
+            shifted(1.6)
+
+    def test_recentering_twice_adds_offsets(self):
+        k = recenter_modulus(recenter_modulus(PowerSumModulus(((1.0, 0.5),)), 0.25),
+                             0.5)
+        for r in (0.0, 0.2, 1.0):
+            assert k(r) == pytest.approx(math.sqrt(0.75 + r), abs=1e-15)
+            assert k.primitive(r) == pytest.approx(sqrt_primitive(0.75, r), abs=1e-15)
+
+    @pytest.mark.parametrize("offset", [-0.1, math.inf, math.nan])
+    def test_recenter_rejects_bad_offset(self, offset):
+        with pytest.raises(ValueError):
+            recenter_modulus(ConstantModulus(1.0), offset)
+
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, -0.5], [1.0, math.inf]])
+    def test_combine_rejects_bad_weights(self, weights):
+        with pytest.raises(ValueError):
+            combine_moduli([ConstantModulus(1.0), ConstantModulus(2.0)], weights)

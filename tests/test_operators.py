@@ -148,9 +148,29 @@ class TestHammersteinSup:
         )
         grid = Grid.simpson(0.0, 1.0, 101)
         op = build_hammerstein_sup(spec, grid, 1.0)
-        assert isinstance(op.profile.modulus, PowerSumModulus)
-        flat = [value for term in op.profile.modulus.terms for value in term]
-        assert flat == pytest.approx([0.5, 0.0, 0.5, 1.0], abs=1e-12)
+        # 0.5 * (1 * 1 + (1/2) * 2r): kernel norms 1 and 1/2
+        for r in (0.0, 0.25, 0.5, 1.0):
+            assert op.profile.slope(r) == pytest.approx(0.5 + 0.5 * r, abs=1e-12)
+            assert op.profile.modulus.primitive(r) == pytest.approx(
+                0.5 * r + 0.25 * r * r, abs=1e-12)
+
+    def test_recentered_fractional_power_primitive_is_exact(self):
+        spec = HammersteinSpec(
+            (0.0, 1.0),
+            (HammersteinTerm(lambda t, s: t * s, np.sqrt,
+                             PowerSumModulus(((1.0, 0.5),))),),
+            0.5,
+            lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        )
+        grid = Grid.simpson(0.0, 1.0, 101)
+        op = build_hammerstein_sup(spec, grid, 1.0, center=0.05)
+        weight = 0.5 * float(np.max(_absolute(grid.nodes[:, None] * grid.nodes)
+                                    @ grid.weights))
+        for r in (0.0, 0.01, 0.3, 1.0):
+            exact = weight * (2.0 / 3.0) * ((0.05 + r) ** 1.5 - 0.05**1.5)
+            assert op.profile.modulus.primitive(r) == pytest.approx(exact, abs=1e-15)
+            assert op.profile.slope(r) == pytest.approx(
+                weight * math.sqrt(0.05 + r), abs=1e-15)
 
     def test_kernel_norm_richardson_ratio(self):
         # exp kernel has genuine trapezoid error; halving h divides it by ~4
@@ -273,7 +293,16 @@ class TestHammersteinSampling:
         op_scalar = build_hammerstein_sup(scalar, grid, 1.0)
         op_twin = build_hammerstein_sup(twin, grid, 1.0)
         assert op_scalar.profile.center_shift == op_twin.profile.center_shift
-        assert op_scalar.profile.modulus.terms == op_twin.profile.modulus.terms
+        # k(r) = 0.1 * knorm * 2r with knorm the largest row sum of sqrt(t s)
+        knorm = float(np.max(np.sqrt(np.outer(grid.nodes, grid.nodes)) @ grid.weights))
+        for r in (0.0, 0.3, 1.0):
+            for op in (op_scalar, op_twin):
+                assert op.profile.slope(r) == pytest.approx(0.2 * knorm * r, abs=1e-15)
+                assert op.profile.modulus.primitive(r) == pytest.approx(
+                    0.1 * knorm * r * r, abs=1e-15)
+            assert op_scalar.profile.slope(r) == op_twin.profile.slope(r)
+            assert (op_scalar.profile.modulus.primitive(r)
+                    == op_twin.profile.modulus.primitive(r))
         assert np.array_equal(op_scalar.apply(x), op_twin.apply(x))
 
 

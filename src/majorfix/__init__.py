@@ -28,7 +28,6 @@ from .majorant import (
     find_convergence_radius,
     find_inner_radius,
     find_uniqueness_radius,
-    majorant_sequence,
 )
 from .discretize import (
     Grid,

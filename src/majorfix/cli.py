@@ -173,7 +173,7 @@ def _multilinear(config: dict, radius: float):
     spec = MultilinearSpec(
         dimension=dimension, degree=degree, tensor=tensor,
         constant=np.asarray(config.get("constant"), dtype=float),
-        operator_norm=config.get("operator_norm"), seed=config.get("seed", 0))
+        operator_norm=config.get("operator_norm"))
     handle = build_multilinear(spec, radius)
     shift = handle.profile.center_shift
     critical = multilinear_critical_shift(
@@ -228,8 +228,7 @@ def _hammerstein_lp(config: dict, radius: float):
         q = float(q)
         pairs = LipschitzPairSet(tuple(
             (float(a), float(b)) for a, b in term.get("pairs", default_pairs)))
-        moduli.append(build_superposition_modulus(
-            pairs, p, q, grid.upper - grid.lower, radius=radius))
+        moduli.append(build_superposition_modulus(pairs, p, q, grid.upper - grid.lower))
         kernel = _resolve_kernel(term, grid)
         if "zaanen_norm" in term:
             norms.append(float(term["zaanen_norm"]))

@@ -46,7 +46,6 @@ __all__ = [
     "find_uniqueness_radius",
     "find_contraction_radius",
     "analyze",
-    "majorant_sequence",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -376,30 +375,3 @@ def analyze(profile: MajorantProfile, tol: float = DEFAULT_TOL) -> ZoneReport:
         existence_zone=existence_zone,
     )
 
-
-def majorant_sequence(profile: MajorantProfile, start: float,
-                      count: int) -> list[float]:
-    """Iterate the upper majorant: [s_0 = start, s_1 = upper(s_0), ...].
-
-    Started at 0 this is the certified envelope of the center iteration;
-    started at the initial offset it is the envelope of an arbitrary start.
-    The sequence is monotone toward the convergence radius when the start
-    lies in its basin; it exits [0, R] only in the no-existence regime,
-    which raises ValueError naming the offending step.
-    """
-    start = float(start)
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if start < 0.0 or start > profile.radius:
-        raise ValueError(f"start {start!r} outside [0, {profile.radius}]")
-    values = [start]
-    s = start
-    for step in range(count):
-        s = profile.upper(s)
-        if s > profile.radius * (1.0 + 1e-12):
-            raise ValueError(
-                f"majorant sequence left [0, {profile.radius}] at step "
-                f"{step + 1} (value {s!r}); no fixed point below R"
-            )
-        values.append(s)
-    return values

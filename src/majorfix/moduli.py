@@ -10,11 +10,14 @@ library reports is a root of a +- K(r) - r, so K is never approximated:
 * scaled, combined and recentered moduli are one shifted weighted sum
   k(r) = sum_i w_i k_i(offset + r) with
   K(r) = sum_i w_i (K_i(offset + r) - K_i(offset)), built from the inputs'
-  own exact primitives and never resampled.
+  own exact primitives and never resampled;
+* a power envelope k(r) = min_i (a_i + b_i r**e) sums the closed-form
+  integrals of its pieces between crossings.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -184,6 +187,52 @@ class _ShiftedSum(LipschitzModulus):
         r = self.offset + self._check_radius(r)
         return sum(w * (m.primitive(r) - base)
                    for (w, m), base in zip(self.parts, self._bases))
+
+
+@dataclass(frozen=True, eq=False)
+class _PowerEnvelope(LipschitzModulus):
+    """k(r) = min_i (a_i + b_i r**e) for e > 0, with its exact primitive.
+
+    In u = r**e the curves are lines, so between consecutive crossings the
+    minimum is one curve (a, b), and K is the running sum of the pieces'
+    integrals a (r - r_j) + b (r**(e+1) - r_j**(e+1)) / (e+1).
+    """
+
+    curves: tuple[tuple[float, float], ...]
+    exponent: float
+
+    def __post_init__(self):
+        if not all(math.isfinite(a) and math.isfinite(b) for a, b in self.curves):
+            raise ValueError("envelope curves must be finite")
+        e1 = self.exponent + 1.0
+        # walk the lines from u = 0: the lowest intercept starts, and each
+        # piece hands over to the first line to cross it, the flattest on a tie
+        a, b = min(self.curves)
+        u = start = base = power = 0.0
+        pieces = []
+        while True:
+            pieces.append((start, base, power, a, b))
+            later = [((aj - a) / (b - bj), bj, aj) for aj, bj in self.curves if bj < b]
+            if not later:
+                break
+            crossing, b_next, a_next = min(later)
+            u = max(u, crossing)  # a crossing rounded below u is at u
+            end = u ** (1.0 / self.exponent)
+            end_power = end**e1
+            base += a * (end - start) + b * (end_power - power) / e1
+            start, power, a, b = end, end_power, a_next, b_next
+        object.__setattr__(self, "_starts", tuple(piece[0] for piece in pieces))
+        object.__setattr__(self, "_pieces", tuple(pieces))
+
+    def __call__(self, r: float) -> float:
+        r = self._check_radius(r)
+        return min(a + b * r**self.exponent for a, b in self.curves)
+
+    def primitive(self, r: float) -> float:
+        r = self._check_radius(r)
+        start, base, power, a, b = self._pieces[bisect.bisect_right(self._starts, r) - 1]
+        e1 = self.exponent + 1.0
+        return base + a * (r - start) + b * (r**e1 - power) / e1
 
 
 def scale_modulus(modulus: LipschitzModulus, factor: float) -> LipschitzModulus:

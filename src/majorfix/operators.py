@@ -2,9 +2,11 @@
 
 Each builder returns an OperatorHandle: grid-discretized apply, the ambient
 norm, a center, and the majorant profile assembled from the family's
-Lipschitz modulus.  Moduli that need quadrature (Urysohn, composition) are
-sampled on a radius grid and wrapped as tabulated moduli so the scalar core
-keeps its exact-primitive contract.
+Lipschitz modulus.  The multilinear norm is the smallest mode-unfolding
+spectral norm, a certified upper bound; superposition envelopes carry their
+exact piecewise primitive.  Moduli that need quadrature (Urysohn,
+composition) are sampled on a radius grid and wrapped as tabulated moduli
+so the scalar core keeps its exact-primitive contract.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .moduli import (
     ConstantModulus,
     LipschitzModulus,
     PowerSumModulus,
+    _PowerEnvelope,
     combine_moduli,
     modulus_from_samples,
     recenter_modulus,
@@ -44,8 +47,6 @@ __all__ = [
     "build_self_majorizing",
 ]
 
-_NORM_SAMPLES = 2000
-_NORM_INFLATION = 1.10
 _RADIUS_SAMPLES = 257
 _CHUNK_ELEMENTS = 2**17  # a radius chunk's (c, n, n) block: 1 MiB, cache-sized
 
@@ -59,8 +60,8 @@ class MultilinearSpec:
     """Symmetric m-linear map T plus constant term eta on R^d.
 
     operator_norm is the norm C of T; exact for d = 1, otherwise supplied
-    or estimated by seeded random sampling (inflated 10%, since an
-    over-estimate only shrinks the certified zones).
+    or bounded by the smallest spectral norm over the m+1 mode unfoldings
+    (a certified upper bound: an over-estimate only shrinks the zones).
     """
 
     dimension: int
@@ -68,7 +69,6 @@ class MultilinearSpec:
     tensor: np.ndarray | float
     constant: np.ndarray | float
     operator_norm: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -84,21 +84,6 @@ def _contract(tensor: np.ndarray, vectors) -> np.ndarray:
     for v in vectors:
         out = np.tensordot(out, v, axes=([out.ndim - 1], [0]))
     return out
-
-
-def _estimate_multilinear_norm(tensor: np.ndarray, degree: int,
-                               seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    d = tensor.shape[0]
-    best = 0.0
-    for _ in range(_NORM_SAMPLES):
-        vectors = rng.normal(size=(degree, d))
-        norms = np.linalg.norm(vectors, axis=1)
-        if np.any(norms == 0.0):
-            continue
-        vectors /= norms[:, None]
-        best = max(best, float(np.linalg.norm(_contract(tensor, vectors))))
-    return best
 
 
 def build_multilinear(spec: MultilinearSpec, radius: float) -> OperatorHandle:
@@ -127,7 +112,11 @@ def build_multilinear(spec: MultilinearSpec, radius: float) -> OperatorHandle:
                 f"tensor shape {tensor.shape} does not match (d,)*(m+1) = {(d,) * (m + 1)}"
             )
         if spec.operator_norm is None:
-            norm_c = _NORM_INFLATION * _estimate_multilinear_norm(tensor, m, spec.seed)
+            # y . T(x_1, ..., x_m) = u^T M_k v for the mode-k unfolding M_k,
+            # with u one of y, x_1, ..., x_m and v the Kronecker product of
+            # the rest, so ||M_k||_2 bounds C for every k
+            norm_c = min(float(np.linalg.norm(np.moveaxis(tensor, k, 0).reshape(d, -1), 2))
+                         for k in range(m + 1))
         else:
             norm_c = float(spec.operator_norm)
 
@@ -309,15 +298,12 @@ class LipschitzPairSet:
 
 
 def build_superposition_modulus(pair_set: LipschitzPairSet, p: float, q: float,
-                                length: float, *, radius: float | None = None,
-                                samples: int = _RADIUS_SAMPLES
-                                ) -> LipschitzModulus:
+                                length: float) -> LipschitzModulus:
     """Pointwise minimum over the pair set of weight * length**e0 + slope * r**e
     with e0 = (p-q)/(pq) and e = (p-q)/q.
 
-    Exact (constant or power-sum) for a single pair or when the exponents
-    vanish; otherwise the finite lower envelope is tabulated on [0, radius]
-    with every pairwise breakpoint included as a node.
+    Exact on all of [0, inf): a constant when e vanishes, otherwise the
+    envelope with its piecewise closed-form primitive (see _PowerEnvelope).
     """
     p, q, length = float(p), float(q), float(length)
     if p <= 1.0:
@@ -328,33 +314,10 @@ def build_superposition_modulus(pair_set: LipschitzPairSet, p: float, q: float,
         raise ValueError("interval length must be > 0")
     e0 = (p - q) / (p * q)
     e = (p - q) / q
-    curves = [(first * length**e0, second) for first, second in pair_set.pairs]
+    curves = tuple((first * length**e0, second) for first, second in pair_set.pairs)
     if e == 0.0:
         return ConstantModulus(min(a + b for a, b in curves))
-    if len(curves) == 1:
-        a0, b0 = curves[0]
-        if b0 == 0.0:
-            return ConstantModulus(a0)
-        terms = ((b0, e),) if a0 == 0.0 else ((a0, 0.0), (b0, e))
-        return PowerSumModulus(terms)
-    if radius is None:
-        raise ValueError("radius required to tabulate a multi-pair envelope")
-    nodes = set(np.linspace(0.0, radius, samples).tolist())
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            ai, bi = curves[i]
-            aj, bj = curves[j]
-            if bi == bj:
-                continue
-            ratio = (aj - ai) / (bi - bj)
-            if ratio > 0.0:
-                crossing = ratio ** (1.0 / e)
-                if 0.0 < crossing < radius:
-                    nodes.add(crossing)
-    xs = np.array(sorted(nodes))
-    powers = xs**e
-    values = np.min(np.array([a + b * powers for a, b in curves]), axis=0)
-    return modulus_from_samples(xs, values)
+    return _PowerEnvelope(curves, e)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from majorfix import (
     find_inner_radius,
     find_uniqueness_radius,
     iterate,
-    majorant_sequence,
     multilinear_critical_shift,
     scale_modulus,
     zaanen_norm_estimate,
@@ -276,6 +275,14 @@ def test_criterion_7_exclusion_zones():
     _verdict("7 exclusion zones", problems)
 
 
+def _envelope(profile, start, count):
+    """Iterates of the upper majorant: [start, upper(start), ...]."""
+    values = [start]
+    for _ in range(count):
+        values.append(profile.upper(values[-1]))
+    return values
+
+
 def test_criterion_8_monotone_sequences():
     problems = []
     rng = np.random.default_rng(8)
@@ -284,14 +291,14 @@ def test_criterion_8_monotone_sequences():
         report = analyze(profile)
         rate = profile.slope(report.convergence_radius)
         count = _steps_for_rate(rate)
-        center = majorant_sequence(profile, 0.0, count)
+        center = _envelope(profile, 0.0, count)
         _check(problems,
                all(b >= a - 1e-15 for a, b in zip(center, center[1:])),
                f"#{i}: center envelope not nondecreasing")
         _check(problems, abs(center[-1] - report.convergence_radius) <= 1e-9,
                f"#{i}: center envelope limit {center[-1]} vs "
                f"{report.convergence_radius}")
-        below = majorant_sequence(profile, 0.5 * rho, count)
+        below = _envelope(profile, 0.5 * rho, count)
         _check(problems,
                all(b >= a - 1e-15 for a, b in zip(below, below[1:])),
                f"#{i}: start envelope from below not nondecreasing")
@@ -301,7 +308,7 @@ def test_criterion_8_monotone_sequences():
         upper_room = min(report.uniqueness_radius, profile.radius)
         if upper_room > rho * (1.0 + 1e-9):
             start = min(0.5 * (rho + upper_room), 0.999 * upper_room)
-            above = majorant_sequence(profile, start, count)
+            above = _envelope(profile, start, count)
             _check(problems,
                    all(b <= a + 1e-15 for a, b in zip(above, above[1:])),
                    f"#{i}: start envelope from above not nonincreasing")

@@ -53,6 +53,21 @@ class TestAnalyzeCommand:
         assert not doc["multilinear"]["solvable"]
         assert doc["gap_witness"]["gap"] == pytest.approx(0.25, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", [7, "x"])
+    def test_multilinear_seed_key_is_ignored(self, tmp_path, seed):
+        config = get_preset("multilinear-2d")
+        del config["operator_norm"]
+        config["seed"] = seed
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(config))
+        code, doc = run_json(["analyze", "--config", str(path)])
+        assert code == 0
+        tensor = np.asarray(config["tensor"])
+        norm_c = min(np.linalg.norm(np.moveaxis(tensor, k, 0).reshape(2, 4), 2)
+                     for k in range(3))
+        assert doc["multilinear"]["critical_shift"] == pytest.approx(
+            1.0 / (4.0 * norm_c), rel=1e-14)
+
     def test_zero_displacement(self, tmp_path):
         config = {"kind": "scalar_profile", "center_shift": 0.0,
                   "modulus": {"type": "constant", "value": 0.5}, "radius": 1.0}
@@ -349,7 +364,6 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("preset,term,changes", [
-        ("multilinear-2d", False, {"seed": "x", "operator_norm": None}),
         ("multilinear-2d", False, {"operator_norm": "x"}),
         ("multilinear-2d", False, {"tensor": None}),
         ("multilinear-quadratic", False, {"constant": "ab"}),

@@ -20,7 +20,6 @@ from majorfix import (
     find_convergence_radius,
     find_inner_radius,
     find_uniqueness_radius,
-    majorant_sequence,
 )
 from majorfix import majorant
 from majorfix.cli import run_analyze
@@ -349,8 +348,10 @@ class TestRandomProfiles:
                 assert report.convergence_radius <= report.contraction_radius + 1e-9
             assert report.convergence_radius <= report.uniqueness_radius + 1e-9
             assert report.uniqueness_radius <= profile.radius + 1e-12
-            tail = majorant_sequence(profile, 0.0, 400)[-1]
-            assert tail <= report.convergence_radius + 1e-9
+            s = 0.0
+            for _ in range(400):
+                s = profile.upper(s)
+            assert s <= report.convergence_radius + 1e-9
 
     def test_banach_reduction(self, rng):
         for _ in range(100):
@@ -365,32 +366,3 @@ class TestRandomProfiles:
             assert report.contraction_radius is None
             assert report.uniqueness_radius == radius
             assert report.uniqueness_radius_closed
-
-
-class TestMajorantSequence:
-    def test_from_center(self):
-        assert majorant_sequence(QUAD, 0.0, 3) == pytest.approx(
-            [0.0, 0.1875, 0.22265625, 0.2370758056640625], abs=1e-15)
-
-    def test_constant_at_fixed_point(self):
-        values = majorant_sequence(QUAD, 0.25, 4)
-        assert values == pytest.approx([0.25] * 5, abs=1e-12)
-
-    def test_decreasing_branch(self):
-        assert majorant_sequence(QUAD, 0.5, 2) == pytest.approx(
-            [0.5, 0.4375, 0.37890625], abs=1e-15)
-
-    def test_exits_domain_in_no_existence_regime(self):
-        with pytest.raises(ValueError, match="left"):
-            majorant_sequence(quad_profile(0.5), 0.0, 50)
-
-    def test_start_outside_domain(self):
-        with pytest.raises(ValueError):
-            majorant_sequence(QUAD, 1.5, 1)
-
-    def test_monotone_bounded_by_convergence_radius(self, rng):
-        for _ in range(50):
-            profile, rho = random_existence_profile(rng)
-            values = majorant_sequence(profile, 0.0, 100)
-            assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
-            assert all(v <= rho + 1e-9 for v in values)

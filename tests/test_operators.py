@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,27 @@ def bisect_root(fn, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+# standard-normal 8x8x8 probe: HOPM reaches 7.20, the smallest unfolding
+# spectral norm is 10.42
+PROBE = np.random.default_rng(0).normal(size=(8, 8, 8))
+
+
+def hopm(tensor, iters=500):
+    """Higher-order power method: the value |y . T(x_1, x_2)| it converges
+    to over unit y, x_1, x_2 is a lower bound on the bilinear norm C."""
+    d = tensor.shape[0]
+    y = x1 = x2 = np.ones(d) / math.sqrt(d)
+    for _ in range(iters):
+        y = np.einsum("ijk,j,k->i", tensor, x1, x2)
+        y /= np.linalg.norm(y)
+        x1 = np.einsum("ijk,i,k->j", tensor, y, x2)
+        x1 /= np.linalg.norm(x1)
+        x2 = np.einsum("ijk,i,j->k", tensor, y, x1)
+        value = np.linalg.norm(x2)
+        x2 /= value
+    return float(value)
+
+
 class TestMultilinear:
     def test_scalar_quadratic_matches_core_oracle(self):
         op = build_multilinear(MultilinearSpec(1, 2, 1.0, 0.1875), 1.0)
@@ -76,7 +98,7 @@ class TestMultilinear:
         tensor = np.zeros((2, 2, 2))
         tensor[0, 0, 1] = tensor[0, 1, 0] = 0.5   # true bilinear norm 0.5
         op = build_multilinear(
-            MultilinearSpec(2, 2, tensor, [0.05, 0.08], seed=7), 1.0)
+            MultilinearSpec(2, 2, tensor, [0.05, 0.08]), 1.0)
         estimated = op.profile.modulus.terms[0][0]  # C * m
         assert 1.0 <= estimated <= 1.12
 
@@ -84,8 +106,46 @@ class TestMultilinear:
         tensor = np.zeros((2, 2, 2))
         tensor[0, 0, 1] = tensor[0, 1, 0] = 0.5
         op = build_multilinear(
-            MultilinearSpec(2, 2, tensor, [0.05, 0.08], seed=7), 1.0)
+            MultilinearSpec(2, 2, tensor, [0.05, 0.08]), 1.0)
         lipschitz_increment_holds(op, rng, count=200)
+
+    def test_probe_norm_between_hopm_and_every_unfolding(self):
+        op = build_multilinear(MultilinearSpec(8, 2, PROBE, np.zeros(8)), 1.0)
+        norm_c = op.profile.modulus.terms[0][0] / 2.0
+        lower = hopm(PROBE)
+        assert lower > 7.2
+        assert norm_c >= lower
+        for k in range(3):
+            unfolding = np.moveaxis(PROBE, k, 0).reshape(8, 64)
+            assert norm_c <= np.linalg.norm(unfolding, 2)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("v,length", [([1.0, 2.0, 2.0], 3.0),
+                                          ([2.0, 3.0, 6.0], 7.0),
+                                          ([1.0, 2.0, 2.0, 4.0], 5.0)])
+    def test_rank_one_norm_is_exact(self, v, length, m):
+        v = np.array(v)
+        tensor = v
+        for _ in range(m):
+            tensor = np.multiply.outer(tensor, v)
+        op = build_multilinear(MultilinearSpec(v.size, m, tensor, np.zeros(v.size)), 1.0)
+        exact = length ** (m + 1)
+        assert abs(op.profile.modulus.terms[0][0] / m - exact) <= 4 * math.ulp(exact)
+
+    def test_probe_passes_increment_check(self, rng):
+        op = build_multilinear(MultilinearSpec(8, 2, PROBE, np.zeros(8)), 1.0)
+        lipschitz_increment_holds(op, rng, count=200)
+        # random increments stay far below C; from the center along a unit x
+        # that maximizes ||T(x, x)||, the increment is ||T(x, x)|| r**2
+        sym = 0.5 * (PROBE + PROBE.transpose(0, 2, 1))
+        x = np.ones(8) / math.sqrt(8.0)
+        for _ in range(500):
+            y = np.einsum("ijk,j,k->i", sym, x, x)
+            x = np.einsum("ijk,i,k->j", sym, y / np.linalg.norm(y), x)
+            x /= np.linalg.norm(x)
+        for r in (0.25, 0.5, 1.0):
+            step = op.norm(op.apply(r * x) - op.apply(np.zeros(8)))
+            assert step <= op.profile.modulus_integral(r)
 
     @pytest.mark.parametrize("c,m,expected", [
         (1.0, 2, 0.25),
@@ -309,20 +369,99 @@ class TestHammersteinSampling:
 class TestSuperpositionModulus:
     def test_two_curve_envelope(self):
         pairs = LipschitzPairSet(((1.0, 0.0), (0.0, 1.0)))
-        h = build_superposition_modulus(pairs, 2.0, 1.0, 1.0, radius=2.0)
+        h = build_superposition_modulus(pairs, 2.0, 1.0, 1.0)
         for r in (0.0, 0.25, 0.5, 1.0, 1.7, 2.0):
             assert h(r) == pytest.approx(min(1.0, r), abs=1e-12)
 
     def test_single_constant_pair(self):
         h = build_superposition_modulus(
             LipschitzPairSet(((2.0, 0.0),)), 2.0, 1.0, 4.0)
-        assert isinstance(h, ConstantModulus)
-        assert h(0.3) == pytest.approx(2.0 * 4.0 ** 0.5, abs=1e-12)
+        for r in (0.0, 0.3, 1.0, 7.5):
+            assert h(r) == 4.0
+            assert h.primitive(r) == pytest.approx(4.0 * r, abs=1e-15)
 
     def test_equal_exponents_degenerate(self):
         h = build_superposition_modulus(
             LipschitzPairSet(((1.0, 1.0),)), 2.0, 2.0, 1.0)
         assert h(0.0) == h(5.0) == 2.0
+
+    def test_concave_envelope_primitive_is_exact(self):
+        # k = min(1, r**(1/3)) is concave, so a linear interpolant undercuts K
+        pairs = LipschitzPairSet(((1.0, 0.0), (0.0, 1.0)))
+        h = build_superposition_modulus(pairs, 2.0, 1.5, 1.0)
+        assert h.primitive(1.0) == pytest.approx(0.75, abs=1e-15)
+        assert h.primitive(0.125) == pytest.approx(0.75 * 0.125 ** (4.0 / 3.0),
+                                                   abs=1e-15)
+        assert h.primitive(10.0) == pytest.approx(9.75, abs=1e-14)
+
+    def test_envelope_needs_no_radius(self):
+        pairs = LipschitzPairSet(((1.0, 0.0), (0.0, 1.0)))
+        envelope = build_superposition_modulus(pairs, 2.0, 1.5, 1.0)
+        grid = Grid.simpson(0.0, 1.0, 51)
+        spec = HammersteinSpec(
+            (0.0, 1.0), (HammersteinTerm(lambda t, s: t * s, lambda u: u),),
+            0.1, lambda t: np.asarray(t, dtype=float))
+        op = build_hammerstein_lp(spec, [envelope], [1.0 / 3.0], 2.0, grid, 10.0)
+        assert op.profile.modulus_integral(10.0) == pytest.approx(
+            0.1 / 3.0 * 9.75, abs=1e-14)
+        assert analyze(op.profile).existence_certified
+
+    def test_linear_envelope_matches_exact_primitive(self):
+        # e = 1: k is the lower envelope of the lines a + b r
+        lines = ((2.0, 0.0), (1.0, 0.25), (0.75, 0.5), (0.5, 1.0), (0.0, 4.0),
+                 (1.5, 0.25))
+        h = build_superposition_modulus(LipschitzPairSet(lines), 2.0, 1.0, 1.0)
+        exact = [(Fraction(a), Fraction(b)) for a, b in lines]
+        cuts = {(ai - aj) / (bj - bi) for ai, bi in exact for aj, bj in exact
+                if bi != bj and (ai - aj) / (bj - bi) > 0}
+
+        def primitive(r):
+            total, lo = Fraction(0), Fraction(0)
+            for hi in sorted(c for c in cuts if c < r) + [r]:
+                mid = (lo + hi) / 2
+                a, b = min(exact, key=lambda ab: ab[0] + ab[1] * mid)
+                total += a * (hi - lo) + b * (hi * hi - lo * lo) / 2
+                lo = hi
+            return total
+
+        for r in sorted(cuts) + [Fraction(1, 3), Fraction(3, 2), Fraction(10)]:
+            assert h.primitive(float(r)) == pytest.approx(float(primitive(r)),
+                                                          rel=1e-15, abs=1e-15)
+
+    def test_k_is_the_brute_force_minimum(self, rng):
+        for _ in range(20):
+            pairs = LipschitzPairSet(tuple(map(tuple, rng.uniform(0.0, 2.0, (4, 2)))))
+            p = float(rng.uniform(1.5, 4.0))
+            q = float(rng.uniform(0.5, p))
+            length = float(rng.uniform(0.5, 2.0))
+            h = build_superposition_modulus(pairs, p, q, length)
+            e0, e = (p - q) / (p * q), (p - q) / q
+            a = np.array([first for first, _ in pairs.pairs]) * length**e0
+            b = np.array([second for _, second in pairs.pairs])
+            rs = np.sort(rng.uniform(0.0, 5.0, 50))
+            ks = [float(np.min(a + b * r**e)) for r in rs]
+            for r, k in zip(rs, ks):
+                assert h(r) == k
+            # K rises between the brute-force k at either end of each step
+            for r0, r1, k0, k1 in zip(rs, rs[1:], ks, ks[1:]):
+                rise = h.primitive(r1) - h.primitive(r0)
+                assert k0 * (r1 - r0) - 1e-12 <= rise <= k1 * (r1 - r0) + 1e-12
+
+    @pytest.mark.parametrize("first,second", [(0.7, 0.0), (0.0, 1.3), (0.7, 1.3)])
+    def test_one_pair_is_bit_equal_to_power_sum(self, first, second):
+        p, q, length = 3.0, 2.0, 2.0
+        e0, e = (p - q) / (p * q), (p - q) / q
+        h = build_superposition_modulus(LipschitzPairSet(((first, second),)),
+                                        p, q, length)
+        a = first * length**e0
+        if second == 0.0:
+            old = ConstantModulus(a)
+        else:
+            old = PowerSumModulus(((second, e),) if a == 0.0
+                                  else ((a, 0.0), (second, e)))
+        for r in (0.0, 1e-3, 0.37, 1.0, 2.5, 40.0):
+            assert h(r) == old(r)
+            assert h.primitive(r) == old.primitive(r)
 
     def test_pair_validation(self):
         with pytest.raises(ValueError):
@@ -334,7 +473,7 @@ class TestSuperpositionModulus:
 class TestHammersteinLp:
     def test_modulus_composition(self):
         pairs = LipschitzPairSet(((1.0, 0.0), (0.0, 1.0)))
-        envelope = build_superposition_modulus(pairs, 2.0, 1.0, 1.0, radius=2.0)
+        envelope = build_superposition_modulus(pairs, 2.0, 1.0, 1.0)
         grid = Grid.simpson(0.0, 1.0, 101)
         spec = HammersteinSpec(
             (0.0, 1.0),

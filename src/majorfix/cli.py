@@ -355,7 +355,8 @@ def run_solve(config: dict, bound_tol: float = 1e-10, max_steps: int = 1000,
 
     A bound violation still produces a document (status bound_violated with
     the offending step as the diagnostic row); the caller maps it to exit
-    code 4.
+    code 4.  A profile with no fixed point raises NoExistenceError from
+    iterate (exit code 3).
     """
     try:
         rule = StoppingRule(bound_tol=bound_tol, max_steps=max_steps)
@@ -364,8 +365,6 @@ def run_solve(config: dict, bound_tol: float = 1e-10, max_steps: int = 1000,
     _number({"start_offset": start_offset}, "start_offset", nonnegative=True)
     problem, report = _analyzed(config, tol)
     handle = problem["handle"]
-    if not report.existence_certified:
-        raise NoExistenceError(report.gap, report.gap_argmin)
     xi0 = handle.center
     if start_offset:
         direction = np.ones_like(handle.center)

@@ -22,6 +22,8 @@ __all__ = [
     "zaanen_sweep_objectives",
 ]
 
+_ZAANEN_SWEEPS = 50
+
 
 def _uniform_nodes(lower: float, upper: float, n: int) -> tuple[np.ndarray, float]:
     if not (math.isfinite(lower) and math.isfinite(upper)):
@@ -98,47 +100,54 @@ class Grid:
         return cls(float(nodes[0]), float(nodes[-1]), nodes, weights, "trapezoid")
 
 
-def lp_norm(grid: Grid, samples, p) -> float:
-    """Discrete L_p norm with the grid's quadrature weights.
-
-    Pass p = "sup" (or math.inf) for the max-norm variant.
-    """
+def lp_norm(grid: Grid, samples, p: float) -> float:
+    """Discrete L_p norm with the grid's quadrature weights."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape != grid.nodes.shape:
         raise ValueError(
             f"samples length {samples.size} does not match grid size {grid.n}"
         )
-    if p == "sup" or p == math.inf:
-        return float(np.max(np.abs(samples)))
     p = float(p)
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p!r}")
     return float((grid.weights @ np.abs(samples) ** p) ** (1.0 / p))
 
 
+def _shaped(values, shape) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
+
+
 def _mesh_callback(fn):
     """Evaluate fn on broadcastable arrays as a float array of their shape
     (fn's own result, or a read-only broadcast view of it).  If fn rejects
     arrays on its first call (TypeError or ValueError), it is called per
-    element with scalars from then on; other exceptions propagate."""
+    element with scalars from then on.  Once that is settled, a TypeError or
+    ValueError from fn is a fault of the callback, not of its arguments: it
+    is raised as a RuntimeError naming fn, chained from the original.  Other
+    exceptions propagate."""
     vectorised = None
 
     def evaluate(*args):
         nonlocal vectorised
         shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-        if vectorised is not False:
+        if vectorised is None:
             try:
-                values = np.asarray(fn(*args), dtype=float)
-                if values.shape != shape:
-                    values = np.broadcast_to(values, shape)
+                values = _shaped(fn(*args), shape)
+            except (TypeError, ValueError):
+                vectorised = False
+            else:
                 vectorised = True
                 return values
-            except (TypeError, ValueError):
-                if vectorised:
-                    raise
-                vectorised = False
-        points = zip(*(np.broadcast_to(a, shape).flat for a in args))
-        return np.array([float(fn(*p)) for p in points]).reshape(shape)
+        try:
+            if vectorised:
+                return _shaped(fn(*args), shape)
+            points = zip(*(np.broadcast_to(a, shape).flat for a in args))
+            return np.array([float(fn(*p)) for p in points]).reshape(shape)
+        except (TypeError, ValueError) as exc:
+            name = getattr(fn, "__qualname__", repr(fn))
+            raise RuntimeError(f"callback {name} raised {type(exc).__name__}: "
+                               f"{exc}") from exc
 
     return evaluate
 
@@ -198,9 +207,10 @@ class KernelTable:
         """Sample fn once, on the open mesh t = grid_t.nodes[:, None],
         s = grid_s.nodes[None, :]; its result must broadcast to (n_t, n_s).
         A scalar-only fn (TypeError or ValueError on arrays) is called per
-        node pair, slowly; other errors propagate.  On CPython a fresh result
-        that nothing else references becomes the table's array, uncopied;
-        anything else (and every result on other interpreters) is copied."""
+        node pair, slowly; its later errors propagate (see _mesh_callback).
+        On CPython a fresh result that nothing else references becomes the
+        table's array, uncopied; anything else (and every result on other
+        interpreters) is copied."""
         values = _mesh_callback(fn)(grid_t.nodes[:, None], grid_s.nodes[None, :])
         if (values.base is None and _FRESH_REFS is not None
                 and sys.getrefcount(values) == _FRESH_REFS):
@@ -284,12 +294,12 @@ def zaanen_sweep_objectives(kernel: KernelTable, alpha: float, beta: float,
     return objectives
 
 
-def zaanen_norm_estimate(kernel: KernelTable, alpha: float, beta: float,
-                         iters: int = 50) -> float:
+def zaanen_norm_estimate(kernel: KernelTable, alpha: float, beta: float) -> float:
     """Estimate the bilinear sup-norm of |z| over the two unit balls.
 
-    Alternating maximization yields a certified lower bound of the discrete
-    norm; it is reported as an estimate.  Consumers needing a safe bound may
-    inflate it (over-estimating a modulus only shrinks certified zones).
+    _ZAANEN_SWEEPS sweeps of alternating maximization yield a certified lower
+    bound of the discrete norm; it is reported as an estimate.  Consumers
+    needing a safe bound may inflate it (over-estimating a modulus only
+    shrinks certified zones).
     """
-    return zaanen_sweep_objectives(kernel, alpha, beta, iters)[-1]
+    return zaanen_sweep_objectives(kernel, alpha, beta, _ZAANEN_SWEEPS)[-1]

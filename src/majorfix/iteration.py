@@ -61,25 +61,11 @@ class OperatorHandle:
 
 
 def make_operator(apply, center, norm, modulus: LipschitzModulus,
-                  radius: float, *, center_shift: float | None = None,
-                  consistency_tol: float = 1e-9) -> OperatorHandle:
-    """Assemble an OperatorHandle, deriving a = ||A x0 - x0|| when absent.
-
-    A supplied center_shift is cross-checked against one operator
-    application; disagreement beyond consistency_tol (relative) flags a
-    mis-specified handle early.
-    """
+                  radius: float) -> OperatorHandle:
+    """Assemble an OperatorHandle, measuring a = ||A x0 - x0|| with one
+    application of the operator."""
     center = np.asarray(center, dtype=float)
-    measured = float(norm(np.asarray(apply(center), dtype=float) - center))
-    if center_shift is None:
-        center_shift = measured
-    else:
-        center_shift = float(center_shift)
-        if abs(center_shift - measured) > consistency_tol * max(1.0, measured):
-            raise ValueError(
-                f"supplied center shift {center_shift!r} disagrees with the "
-                f"measured ||A x0 - x0|| = {measured!r}"
-            )
+    center_shift = float(norm(np.asarray(apply(center), dtype=float) - center))
     profile = MajorantProfile(center_shift, modulus, float(radius))
     return OperatorHandle(apply, center, norm, profile)
 

@@ -154,13 +154,6 @@ class Interval:
             "hi_closed": self.hi_closed,
         }
 
-    def __str__(self) -> str:
-        if self.is_empty():
-            return "(empty)"
-        left = "[" if self.lo_closed else "("
-        right = "]" if self.hi_closed else ")"
-        return f"{left}{self.lo:.12g}, {self.hi:.12g}{right}"
-
 
 @dataclass(frozen=True)
 class ZoneReport:
@@ -220,28 +213,24 @@ def find_contraction_radius(profile: MajorantProfile,
                                0.0, profile.radius, tol)[0]
 
 
-def _gap_minimum(profile: MajorantProfile,
-                 contraction_radius: float | None) -> tuple[float, float]:
-    """Location and value of min_r (upper(r) - r).
+def _gap_minimum(profile: MajorantProfile, contraction_radius: float | None
+                 ) -> tuple[float, float, float]:
+    """Location, value and float noise of min_r (upper(r) - r).
 
     The gap has nondecreasing derivative k(r) - 1, so its minimum sits at
-    the contraction radius, or at R when k never reaches 1.
+    the contraction radius, or at R when k never reaches 1.  At a tangency
+    the true gap falls below the rounding of a + K(r) - r, so its sign is
+    decided only outside the noise band: above it existence is refuted,
+    within it the minimum is a double root (the conservative reading: zones
+    only shrink).
     """
     argmin = (profile.radius if contraction_radius is None
               else float(contraction_radius))
     if not 0.0 <= argmin <= profile.radius:
         raise ValueError(f"contraction radius {argmin!r} outside [0, R]")
-    return argmin, profile.upper(argmin) - argmin
-
-
-def _gap_noise(profile: MajorantProfile, argmin: float) -> float:
-    """Float evaluation noise of the gap near its minimum.
-
-    At a tangency the true gap falls below the rounding of a + K(r) - r,
-    so sign tests there are meaningless; anything within this band is
-    treated as zero (the conservative direction: zones only shrink)."""
-    scale = max(1.0, profile.center_shift, argmin, abs(profile.upper(argmin)))
-    return 16.0 * math.ulp(scale)
+    upper = profile.upper(argmin)
+    scale = max(1.0, profile.center_shift, argmin, abs(upper))
+    return argmin, upper - argmin, 16.0 * math.ulp(scale)
 
 
 def find_convergence_radius(profile: MajorantProfile,
@@ -257,16 +246,17 @@ def find_convergence_radius(profile: MajorantProfile,
     fixed-point set.  A gap minimum zero within float noise is a double
     root: min(argmin + tol, R), the upper end of the contraction bracket.
 
-    Raises NoExistenceError when upper(r) > r across [0, R], reporting the
-    minimized gap and its location.
+    Raises NoExistenceError when the minimized gap exceeds float noise
+    (upper(r) > r across [0, R]), reporting the gap and its location; tol
+    is a radius tolerance only.
     """
     _check_tol(tol, profile.radius)
     if profile.center_shift == 0.0:
         return 0.0
-    argmin, min_gap = _gap_minimum(profile, contraction_radius)
-    if min_gap > tol:
+    argmin, min_gap, noise = _gap_minimum(profile, contraction_radius)
+    if min_gap > noise:
         raise NoExistenceError(min_gap, argmin)
-    if min_gap > -_gap_noise(profile, argmin):
+    if min_gap >= -noise:
         return min(argmin + tol, profile.radius)
     return _predicate_boundary(lambda x: profile.upper(x) - x > 0.0,
                                0.0, argmin, tol / 10.0)[1]
@@ -306,7 +296,9 @@ def find_uniqueness_radius(profile: MajorantProfile, convergence_radius: float,
     Returns (radius, closed, degenerate): closed means upper(R) < R, so the
     boundary radius itself is certified; degenerate marks the tangency case
     where the upper majorant never drops below the bisectrix and the
-    uniqueness radius collapses onto the convergence radius.
+    uniqueness radius collapses onto the convergence radius, exactly when
+    find_convergence_radius reports a double root.  Raises
+    NoExistenceError where find_convergence_radius does.
     """
     _check_tol(tol, profile.radius)
     r_conv = float(convergence_radius)
@@ -315,8 +307,10 @@ def find_uniqueness_radius(profile: MajorantProfile, convergence_radius: float,
     R = profile.radius
     if profile.upper(R) - R < 0.0:
         return R, True, False
-    argmin, min_gap = _gap_minimum(profile, contraction_radius)
-    if min_gap >= -_gap_noise(profile, argmin):
+    argmin, min_gap, noise = _gap_minimum(profile, contraction_radius)
+    if min_gap > noise:
+        raise NoExistenceError(min_gap, argmin)
+    if min_gap >= -noise:
         return r_conv, False, True
     boundary = _predicate_boundary(lambda r: profile.upper(r) - r < 0.0,
                                    argmin, R, tol / 10.0)[0]

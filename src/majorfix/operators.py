@@ -51,6 +51,10 @@ _RADIUS_SAMPLES = 257
 _CHUNK_ELEMENTS = 2**17  # a radius chunk's (c, n, n) block: 1 MiB, cache-sized
 
 
+def _sup_norm(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v)))
+
+
 # ---------------------------------------------------------------------------
 # polynomial (multilinear) equations x = eta + T(x, ..., x)
 # ---------------------------------------------------------------------------
@@ -161,7 +165,9 @@ class HammersteinSpec:
     """Callbacks must be pointwise numpy functions: a kernel k(t, s) is
     sampled once, on the open mesh t = nodes[:, None], s = nodes[None, :]
     (see KernelTable.from_function); f(t) gets the nodes and h(u) the
-    iterate.  Scalar-only callbacks work, but slowly; other errors propagate.
+    iterate.  Scalar-only callbacks work, but slowly.  Once a callback's
+    first call has settled array or scalar calls, a TypeError or ValueError
+    from it is raised as a RuntimeError naming it.
     """
 
     interval: tuple[float, float]
@@ -245,9 +251,8 @@ def build_hammerstein_sup(spec: HammersteinSpec, grid: Grid, radius: float,
     if any(term.modulus is None for term in spec.terms):
         raise ValueError("every term needs a scalar modulus for the sup-norm build")
     knorms = [float(np.max(_absolute(mat) @ grid.weights)) for mat in mats]
-    norm = lambda v: float(np.max(np.abs(v)))
     return _nystrom_handle(spec, grid, mats, [term.modulus for term in spec.terms],
-                           knorms, norm, radius, center)
+                           knorms, _sup_norm, radius, center)
 
 
 def build_hammerstein_lp(spec: HammersteinSpec, moduli, zaanen_norms,
@@ -325,19 +330,19 @@ def build_superposition_modulus(pair_set: LipschitzPairSet, p: float, q: float,
 # ---------------------------------------------------------------------------
 
 def _tabulated_sup_handle(apply, chunk_modulus, grid: Grid, radius: float,
-                          center, samples: int) -> OperatorHandle:
-    """Sup-norm handle whose modulus k(r + |x0|) is tabulated on samples radii
-    r in [0, radius]; chunk_modulus maps a (c, 1, 1) chunk of radii to k."""
+                          center) -> OperatorHandle:
+    """Sup-norm handle whose modulus k(r + |x0|) is tabulated on
+    _RADIUS_SAMPLES radii r in [0, radius]; chunk_modulus maps a (c, 1, 1)
+    chunk of radii to k."""
     x0 = _resolve_center(center, grid)
-    rs = np.linspace(0.0, radius, samples)
-    r = (rs + float(np.max(np.abs(x0))))[:, None, None]
+    rs = np.linspace(0.0, radius, _RADIUS_SAMPLES)
+    r = (rs + _sup_norm(x0))[:, None, None]
     chunk = max(1, _CHUNK_ELEMENTS // grid.n**2)
     ks = np.concatenate([chunk_modulus(r[i:i + chunk])
-                         for i in range(0, samples, chunk)])
+                         for i in range(0, rs.size, chunk)])
     if np.any(~np.isfinite(ks)) or np.any(ks < 0.0):
         raise ValueError("sampled modulus values must be finite and nonnegative")
-    norm = lambda v: float(np.max(np.abs(v)))
-    return make_operator(apply, x0, norm, modulus_from_samples(rs, ks), radius)
+    return make_operator(apply, x0, _sup_norm, modulus_from_samples(rs, ks), radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,8 +363,7 @@ class UrysohnSpec:
 
 
 def build_urysohn(spec: UrysohnSpec, grid: Grid, radius: float,
-                  center=None, radius_samples: int = _RADIUS_SAMPLES
-                  ) -> OperatorHandle:
+                  center=None) -> OperatorHandle:
     """Nystrom discretization in the sup norm.
 
     The modulus k(r) = max_t sum_l w_l (l(t, s_l, r) + m(t, s_l, r)) is
@@ -379,8 +383,7 @@ def build_urysohn(spec: UrysohnSpec, grid: Grid, radius: float,
         block = l_mod(t[None], s[None], r) + m_mod(t[None], s[None], r)
         return np.max(np.ascontiguousarray(block) @ weights, axis=1)
 
-    return _tabulated_sup_handle(apply, chunk_modulus, grid, radius, center,
-                                 radius_samples)
+    return _tabulated_sup_handle(apply, chunk_modulus, grid, radius, center)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +412,7 @@ class CompositionSpec:
 
 
 def build_composition(spec: CompositionSpec, grid: Grid, radius: float,
-                      center=None, radius_samples: int = _RADIUS_SAMPLES
-                      ) -> OperatorHandle:
+                      center=None) -> OperatorHandle:
     """Nystrom discretization of the outer/inner split in the sup norm.
 
     The combined modulus k(r) = max_t [ l(t, r, rho(t,r)) +
@@ -434,8 +436,7 @@ def build_composition(spec: CompositionSpec, grid: Grid, radius: float,
         tr = (grid.nodes[None, :], r[:, :, 0])
         return np.max(l_mod(*tr, rho) + m_mod(*tr, rho) * n_int, axis=1)
 
-    return _tabulated_sup_handle(apply, chunk_modulus, grid, radius, center,
-                                 radius_samples)
+    return _tabulated_sup_handle(apply, chunk_modulus, grid, radius, center)
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +446,12 @@ def build_composition(spec: CompositionSpec, grid: Grid, radius: float,
 def build_self_majorizing(profile: MajorantProfile) -> OperatorHandle:
     """Scalar map x -> a + K(|x|): it coincides with its own upper majorant
     on the nonnegative axis, so every certified bound is an equality and the
-    handle serves as the exact test oracle."""
+    handle serves as the exact test oracle.  The handle carries profile
+    itself: A(0) = a + K(0) = a, so there is no shift to measure."""
     R = profile.radius
 
     def apply(x: np.ndarray) -> np.ndarray:
         r = min(abs(float(x[0])), R)
         return np.array([profile.center_shift + profile.modulus_integral(r)])
 
-    norm = lambda v: float(np.max(np.abs(v)))
-    return make_operator(apply, np.zeros(1), norm, profile.modulus, R,
-                         center_shift=profile.center_shift)
+    return OperatorHandle(apply, np.zeros(1), _sup_norm, profile)

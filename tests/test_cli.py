@@ -10,7 +10,7 @@ import pytest
 from majorfix import KernelTable, MajorantProfile, PowerSumModulus, cli, eval_majorants
 from majorfix.cli import main
 from majorfix.errors import ConfigError
-from majorfix.presets import get_preset, preset_names
+from majorfix.presets import URYSOHN_KERNELS, get_preset, preset_names
 
 BETA = (1.0 - math.sqrt(0.9)) / 0.05
 
@@ -452,6 +452,47 @@ class TestExitCodes:
     def test_solve_on_supercritical(self):
         code, _ = run_cli(["solve", "--preset", "supercritical"])
         assert code == 3
+
+    def test_gap_past_tangency_is_refuted(self, tmp_path, capsys):
+        # 9e-13 above tangency: below the radius tolerance, above float noise
+        config = {"kind": "scalar_profile", "center_shift": 0.25 + 9e-13,
+                  "modulus": {"type": "power_sum", "terms": [[2.0, 1.0]]},
+                  "radius": 1.0}
+        path = tmp_path / "past_tangency.json"
+        path.write_text(json.dumps(config))
+        code, doc = run_json(["analyze", "--config", str(path)])
+        assert code == 0 and doc["existence_certified"] is False
+        assert doc["gap_witness"]["gap"] == pytest.approx(9.0e-13, rel=1e-4)
+        assert doc["radii"]["convergence_radius"] is None
+        code, out = run_cli(["solve", "--config", str(path)])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith("cannot iterate: ")
+
+    def test_callback_fault_after_first_call_propagates(self, monkeypatch):
+        calls = []
+
+        def u_modulus(t, s, r):
+            calls.append(np.shape(r))
+            if len(calls) > 1:
+                raise ValueError("bug on the second chunk")
+            return 0.2 * s * r + 0.0 * t
+
+        monkeypatch.setitem(URYSOHN_KERNELS["mixed_quadratic"], "u_modulus", u_modulus)
+        with pytest.raises(RuntimeError, match="u_modulus raised ValueError") as info:
+            main(["analyze", "--preset", "urysohn"])
+        assert isinstance(info.value.__cause__, ValueError)
+        assert len(calls) == 2
+
+    def test_callback_fault_on_every_call_propagates(self, monkeypatch):
+        def u_modulus(t, s, r):
+            raise TypeError("bug on every call")
+
+        monkeypatch.setitem(URYSOHN_KERNELS["mixed_quadratic"], "u_modulus", u_modulus)
+        # the first, array call falls back to scalars; the first scalar call
+        # then fails
+        with pytest.raises(RuntimeError, match="u_modulus raised TypeError") as info:
+            main(["analyze", "--preset", "urysohn"])
+        assert isinstance(info.value.__cause__, TypeError)
 
     def test_bound_violation(self, tmp_path):
         config = {"kind": "scalar_profile", "center_shift": 0.1875,

@@ -78,11 +78,6 @@ class TestLpNorm:
         assert lp_norm(grid, grid.nodes, 2.0) == pytest.approx(
             1.0 / math.sqrt(3.0), abs=1e-10)
 
-    def test_sup_variant(self):
-        grid = Grid.simpson(0.0, 1.0, 101)
-        assert lp_norm(grid, grid.nodes, "sup") == 1.0
-        assert lp_norm(grid, grid.nodes, math.inf) == 1.0
-
     def test_p_below_one_rejected(self):
         grid = Grid.trapezoid(0.0, 1.0, 5)
         with pytest.raises(ValueError):
@@ -131,7 +126,7 @@ class TestZaanen:
     def test_matches_weighted_operator_norm(self):
         table = KernelTable.from_function(self.grid, self.grid,
                                           lambda t, s: np.exp(-t * s) + 0.3 * t)
-        estimate = zaanen_norm_estimate(table, 2.0, 2.0, iters=200)
+        estimate = zaanen_sweep_objectives(table, 2.0, 2.0, 200)[-1]
         assert estimate == pytest.approx(weighted_operator_norm(table), rel=1e-6)
 
     def test_alpha_must_exceed_one(self):

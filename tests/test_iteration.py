@@ -171,11 +171,14 @@ class TestCertifyTrace:
 
 
 class TestMakeOperator:
-    def test_consistency_check(self):
+    def test_center_shift_is_measured(self):
         apply = lambda x: 0.1875 + x**2
         norm = lambda v: float(np.max(np.abs(v)))
         modulus = PowerSumModulus(((2.0, 1.0),))
         op = make_operator(apply, np.zeros(1), norm, modulus, 1.0)
         assert op.profile.center_shift == pytest.approx(0.1875, abs=1e-15)
-        with pytest.raises(ValueError):
-            make_operator(apply, np.zeros(1), norm, modulus, 1.0, center_shift=0.3)
+
+    def test_self_majorizing_handle_carries_its_profile(self):
+        op = build_self_majorizing(QUAD)
+        assert op.profile is QUAD
+        assert op.apply(op.center)[0] == QUAD.center_shift

@@ -173,6 +173,61 @@ class TestUniquenessRadius:
             find_uniqueness_radius(QUAD, 2.0, find_contraction_radius(QUAD))
 
 
+class TestExistenceVerdict:
+    # the sign of the minimized gap is decided only outside the float-noise
+    # band; the radius tolerance (1e-12) plays no part in it
+    PAST_TANGENCY = quad_profile(0.25 + 9e-13)
+
+    def test_gap_past_tangency_refutes_existence(self):
+        report = analyze(self.PAST_TANGENCY)
+        assert not report.existence_certified
+        assert report.convergence_radius is None
+        assert report.gap == pytest.approx(9.0e-13, rel=1e-4)
+        assert report.gap_argmin == pytest.approx(0.5, abs=1e-12)
+
+    @staticmethod
+    def verdicts(profile):
+        """(convergence verdict, uniqueness degenerate flag) of one profile."""
+        r_cr = find_contraction_radius(profile)
+        try:
+            r_conv = find_convergence_radius(profile, r_cr)
+        except NoExistenceError:
+            with pytest.raises(NoExistenceError):
+                find_uniqueness_radius(profile, r_cr, r_cr)
+            return "refuted", None
+        # a double root is reported past the gap minimizer, a bisected root
+        # at or before it
+        verdict = "tangent" if r_conv > r_cr else "bisected"
+        return verdict, find_uniqueness_radius(profile, r_conv, r_cr)[2]
+
+    def test_ulp_sweep_across_tangency_agrees_between_finders(self):
+        # a = 0.25 + j ulp(0.25), k = 2r: the gap minimum is j ulp(0.25), and
+        # the noise band is 16 ulp(1) = 64 ulp(0.25)
+        order = {"bisected": 0, "tangent": 1, "refuted": 2}
+        seen = []
+        for j in range(-128, 129):
+            verdict, degenerate = self.verdicts(
+                quad_profile(0.25 + j * math.ulp(0.25)))
+            if verdict != "refuted":
+                assert degenerate == (verdict == "tangent"), j
+            if -64 <= j <= 64:
+                assert verdict == "tangent", j
+            seen.append(order[verdict])
+        assert seen == sorted(seen)
+        assert seen[0] == order["bisected"] and seen[-1] == order["refuted"]
+
+    def test_gap_minimum_read_once_per_finder(self):
+        modulus = CountingModulus(PowerSumModulus(((2.0, 1.0),)))
+        profile = MajorantProfile(0.25, modulus, 1.0)
+        r_cr = find_contraction_radius(profile)
+        modulus.primitive_calls = 0
+        r_conv = find_convergence_radius(profile, r_cr)
+        assert modulus.primitive_calls == 1
+        modulus.primitive_calls = 0
+        find_uniqueness_radius(profile, r_conv, r_cr)
+        assert modulus.primitive_calls == 2      # upper(R), then upper(argmin)
+
+
 class TestFinderChain:
     @pytest.mark.parametrize("profile", [QUAD, BANACH, TANGENT, quad_profile(0.5)],
                              ids=["quadratic", "contraction", "tangency",

@@ -28,6 +28,7 @@ from majorfix import (
     iterate,
     multilinear_critical_shift,
 )
+from majorfix import operators
 from majorfix.discretize import _absolute
 from majorfix.presets import (COMPOSITION_INNER, COMPOSITION_OUTER, FORCINGS,
                               KERNELS, NONLINEARITIES, URYSOHN_KERNELS)
@@ -655,17 +656,19 @@ class TestRadiusTabulation:
     @pytest.mark.parametrize("n,samples", [(101, 257), (101, 25), (201, 257), (401, 40)])
     @pytest.mark.parametrize("x0", [None, 0.15])
     @pytest.mark.parametrize("kind", ["urysohn", "composition", "composition-rho"])
-    def test_moduli_match_per_radius_reference(self, kind, n, samples, x0):
+    def test_moduli_match_per_radius_reference(self, monkeypatch, kind, n, samples, x0):
+        monkeypatch.setattr(operators, "_RADIUS_SAMPLES", samples)
         spec = _tabulation_spec(kind, (0.3, 1.4))
         grid = Grid.simpson(0.3, 1.4, n)
-        op = _build(spec, grid, 1.5, center=x0, radius_samples=samples)
+        op = _build(spec, grid, 1.5, center=x0)
         rs, ks = per_radius_modulus(spec, grid, 1.5, shift=x0 or 0.0,
                                     samples=samples)
         assert np.array_equal(op.profile.modulus.abscissae, rs)
         assert np.array_equal(op.profile.modulus.ordinates, ks)
 
     @pytest.mark.parametrize("x0", [None, 0.15])
-    def test_scalar_only_callbacks_match_numpy_twins(self, x0):
+    def test_scalar_only_callbacks_match_numpy_twins(self, monkeypatch, x0):
+        monkeypatch.setattr(operators, "_RADIUS_SAMPLES", 65)
         array_calls = []
 
         def scalar_only(fn):
@@ -708,15 +711,16 @@ class TestRadiusTabulation:
         grid = Grid.simpson(0.3, 1.4, 21)
         x = 0.2 + 0.1 * np.cos(grid.nodes)
         for twin, scalar in zip(twins, scalars):
-            op_twin = _build(twin, grid, 1.5, center=x0, radius_samples=65)
-            op_scalar = _build(scalar, grid, 1.5, center=x0, radius_samples=65)
+            op_twin = _build(twin, grid, 1.5, center=x0)
+            op_scalar = _build(scalar, grid, 1.5, center=x0)
             assert np.array_equal(op_scalar.profile.modulus.ordinates,
                                   op_twin.profile.modulus.ordinates)
             assert np.array_equal(op_scalar.apply(x), op_twin.apply(x))
         # each callback saw arrays once, on its first call
         assert len(array_calls) == len(set(array_calls)) == 9
 
-    def test_scalar_fallback_decided_once_per_callback(self):
+    def test_scalar_fallback_decided_once_per_callback(self, monkeypatch):
+        monkeypatch.setattr(operators, "_RADIUS_SAMPLES", 30)
         array_calls = []
 
         def u_modulus(t, s, r):
@@ -726,8 +730,7 @@ class TestRadiusTabulation:
 
         spec = UrysohnSpec((0.0, 1.0), lambda t, s, u, v: 0.0 * (t + s + u + v),
                            u_modulus, lambda t, s, r: 0.05 + 0.0 * (t + s))
-        op = build_urysohn(spec, Grid.simpson(0.0, 1.0, 101), 1.0,
-                           radius_samples=30)
+        op = build_urysohn(spec, Grid.simpson(0.0, 1.0, 101), 1.0)
         assert array_calls == [(12, 1, 1)]
         assert op.profile.slope(1.0) == pytest.approx(1.0 / 1.5 + 0.05, abs=1e-3)
 
@@ -770,8 +773,9 @@ class TestRadiusTabulation:
 
         spec = UrysohnSpec((0.0, 1.0), lambda t, s, u, v: 0.0 * (t + s + u + v),
                            u_modulus, lambda t, s, r: 0.05 + 0.0 * (t + s))
-        with pytest.raises(TypeError, match="second chunk"):
+        with pytest.raises(RuntimeError, match="u_modulus.*second chunk") as info:
             build_urysohn(spec, Grid.simpson(0.0, 1.0, 101), 1.0)
+        assert isinstance(info.value.__cause__, TypeError)
         assert calls == [3, 3]
 
     def test_apply_error_propagates_without_scalar_retry(self):

@@ -139,21 +139,12 @@ def _resolve_kernel(term: dict, grid: Grid):
         path = Path(term["kernel_csv"])
         if not path.exists():
             _fail(f"kernel CSV {path} does not exist")
-        table = KernelTable.from_csv(path)
-        if table.values.shape != (grid.n, grid.n):
-            _fail(
-                f"kernel CSV shape {table.values.shape} does not match the "
-                f"grid ({grid.n}, {grid.n})"
-            )
-        return table.regrid(grid, grid)
+        return KernelTable.from_csv(path, grid, grid)
     kernel = term.get("kernel")
     if isinstance(kernel, str):
         return _lookup(KERNELS, kernel, "kernel")
     if isinstance(kernel, list):
-        mat = np.asarray(kernel, dtype=float)
-        if mat.shape != (grid.n, grid.n):
-            _fail(f"inline kernel shape {mat.shape} does not match the grid")
-        return KernelTable(grid, grid, mat)
+        return KernelTable(grid, grid, kernel)
     _fail("each term needs a 'kernel' (name or matrix) or 'kernel_csv'")
 
 
@@ -196,8 +187,7 @@ def _hammerstein_spec(config: dict, grid: Grid, make_term) -> HammersteinSpec:
         forcing = np.asarray(forcing, dtype=float)
     else:
         _fail("'forcing' must be a name or a sample list")
-    return HammersteinSpec((grid.lower, grid.upper),
-                           tuple(make_term(term) for term in terms), lam, forcing)
+    return HammersteinSpec(tuple(make_term(term) for term in terms), lam, forcing)
 
 
 def _hammerstein_c(config: dict, radius: float):
@@ -251,8 +241,7 @@ def _hammerstein_lp(config: dict, radius: float):
 def _urysohn(config: dict, radius: float):
     grid = _build_grid(config)
     demo = _lookup(URYSOHN_KERNELS, config.get("kernel"), "Urysohn kernel")
-    spec = UrysohnSpec((grid.lower, grid.upper), demo["kernel"],
-                       demo["u_modulus"], demo["v_modulus"])
+    spec = UrysohnSpec(demo["kernel"], demo["u_modulus"], demo["v_modulus"])
     handle = build_urysohn(spec, grid, radius, center=config.get("x0"))
     return handle, {"grid": {"rule": grid.rule, "n": grid.n}}
 
@@ -261,10 +250,8 @@ def _composition(config: dict, radius: float):
     grid = _build_grid(config)
     outer = _lookup(COMPOSITION_OUTER, config.get("outer"), "outer map")
     inner = _lookup(COMPOSITION_INNER, config.get("inner"), "inner kernel")
-    spec = CompositionSpec(
-        (grid.lower, grid.upper), outer["outer"],
-        outer["u_modulus"], outer["v_modulus"],
-        inner["kernel"], inner["bound"], inner["modulus"])
+    spec = CompositionSpec(outer["outer"], outer["u_modulus"], outer["v_modulus"],
+                           inner["kernel"], inner["bound"], inner["modulus"])
     handle = build_composition(spec, grid, radius, center=config.get("x0"))
     return handle, {"grid": {"rule": grid.rule, "n": grid.n}}
 

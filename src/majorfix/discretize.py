@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,11 +22,15 @@ __all__ = [
 ]
 
 _ZAANEN_SWEEPS = 50
+_BLOCK_ELEMENTS = 2**17  # a sampler's block of float64 values: 1 MiB, cache-sized
 
 
 def _uniform_nodes(lower: float, upper: float, n: int) -> tuple[np.ndarray, float]:
+    # both checked before np.linspace, which warns on a non-finite length
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise ValueError("grid bounds, nodes and weights must be finite")
+    if not math.isfinite(upper - lower):
+        raise ValueError(f"grid interval [{lower!r}, {upper!r}] has no finite length")
     return np.linspace(lower, upper, n), (upper - lower) / (n - 1)
 
 
@@ -87,18 +90,6 @@ class Grid:
         weights[0] = weights[-1] = h / 3.0
         return cls(lower, upper, nodes, weights, "simpson")
 
-    @classmethod
-    def from_nodes(cls, nodes) -> "Grid":
-        """Trapezoid weights on arbitrary strictly increasing nodes."""
-        nodes = np.asarray(nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise ValueError("need at least 2 nodes")
-        gaps = np.diff(nodes)
-        weights = np.zeros_like(nodes)
-        weights[:-1] += 0.5 * gaps
-        weights[1:] += 0.5 * gaps
-        return cls(float(nodes[0]), float(nodes[-1]), nodes, weights, "trapezoid")
-
 
 def lp_norm(grid: Grid, samples, p: float) -> float:
     """Discrete L_p norm with the grid's quadrature weights."""
@@ -157,21 +148,23 @@ def _absolute(values: np.ndarray) -> np.ndarray:
     return np.abs(values) if np.any(np.signbit(values)) else values
 
 
-def _fresh_refcount():
-    values = np.empty(0)
-    return sys.getrefcount(values)
-
-
-# what sys.getrefcount reads for a local array nothing else holds, in the
-# code shape of KernelTable.from_function; None off CPython (no such count)
-_FRESH_REFS = (_fresh_refcount() if sys.implementation.name == "cpython"
-               and hasattr(sys, "getrefcount") else None)
+def _node_indices(coords: np.ndarray, grid: Grid, path: Path) -> np.ndarray:
+    """The index of the grid node each coordinate names: the sorted unique
+    coordinates must be the nodes, to within 1e-9 of the grid's length."""
+    unique, index = np.unique(coords, return_inverse=True)
+    if (unique.shape != grid.nodes.shape or np.any(
+            np.abs(unique - grid.nodes) > 1e-9 * (grid.upper - grid.lower))):
+        raise ValueError(f"{path}: kernel coordinates are not the {grid.n} "
+                         f"nodes of the {grid.rule} grid on "
+                         f"[{grid.lower!r}, {grid.upper!r}]")
+    return index
 
 
 @dataclass(frozen=True, eq=False)
 class KernelTable:
-    """Kernel samples z(t_i, s_l) on a product of two grids, held as a
-    read-only C-contiguous copy of the values given."""
+    """Kernel samples z(t_i, s_l) on a product of two grids, held in a
+    read-only C-contiguous array that the table alone owns: the values given
+    are copied, and the sampling constructors fill an array of their own."""
 
     grid_t: Grid
     grid_s: Grid
@@ -190,65 +183,57 @@ class KernelTable:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def _adopt(cls, grid_t: Grid, grid_s: Grid, values) -> "KernelTable":
-        """A table around values, uncopied if C-contiguous float: only for
-        arrays that this module made and nothing else holds."""
+    def _adopt(cls, grid_t: Grid, grid_s: Grid, values: np.ndarray) -> "KernelTable":
+        """A table around values, uncopied: only for arrays that this module
+        made and nothing else holds."""
         table = object.__new__(cls)
         table.__dict__.update(grid_t=grid_t, grid_s=grid_s, values=values)
         table.__post_init__(copy=False)
         return table
 
-    def regrid(self, grid_t: Grid, grid_s: Grid) -> "KernelTable":
-        """The same samples, shared read-only, on other grids of their sizes."""
-        return self._adopt(grid_t, grid_s, self.values)
-
     @classmethod
     def from_function(cls, grid_t: Grid, grid_s: Grid, fn) -> "KernelTable":
-        """Sample fn once, on the open mesh t = grid_t.nodes[:, None],
-        s = grid_s.nodes[None, :]; its result must broadcast to (n_t, n_s).
-        A scalar-only fn (TypeError or ValueError on arrays) is called per
-        node pair, slowly; its later errors propagate (see _mesh_callback).
-        On CPython a fresh result that nothing else references becomes the
-        table's array, uncopied; anything else (and every result on other
-        interpreters) is copied."""
-        values = _mesh_callback(fn)(grid_t.nodes[:, None], grid_s.nodes[None, :])
-        if (values.base is None and _FRESH_REFS is not None
-                and sys.getrefcount(values) == _FRESH_REFS):
-            return cls._adopt(grid_t, grid_s, values)
-        return cls(grid_t, grid_s, values)
+        """Sample fn into the table's own array, a block of rows per call:
+        t = grid_t.nodes[i:j, None], s = grid_s.nodes[None, :], with
+        _BLOCK_ELEMENTS values per block; each result must broadcast to the
+        block's shape.  fn must be pointwise, so every sample is what one
+        call on the whole open mesh would give.  A scalar-only fn (TypeError
+        or ValueError on the first block) is called per node pair, slowly;
+        its later errors propagate (see _mesh_callback)."""
+        t, s = grid_t.nodes[:, None], grid_s.nodes[None, :]
+        values = np.empty((grid_t.n, grid_s.n))
+        rows = max(1, _BLOCK_ELEMENTS // grid_s.n)
+        sample = _mesh_callback(fn)
+        for i in range(0, grid_t.n, rows):
+            values[i:i + rows] = sample(t[i:i + rows], s)
+        return cls._adopt(grid_t, grid_s, values)
 
     @classmethod
-    def from_csv(cls, path) -> "KernelTable":
-        """Load a kernel from CSV.
+    def from_csv(cls, path, grid_t: Grid, grid_s: Grid) -> "KernelTable":
+        """Load a kernel from CSV onto grid_t x grid_s.
 
         Two layouts are accepted: a header row "t,s,value" followed by
-        triples (grids are rebuilt from the unique sorted coordinates with
-        trapezoid weights), or a headerless dense matrix whose rows span t
-        and columns span s on uniform [0, 1] grids.
+        triples, whose unique t and s coordinates must be the grids' nodes
+        (to within 1e-9 of each grid's length), one triple per node pair; or
+        a headerless dense matrix whose rows are the t nodes and whose
+        columns are the s nodes.
         """
         path = Path(path)
         with path.open(newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
         if not rows:
             raise ValueError(f"{path}: empty kernel CSV")
-        header = [cell.strip().lower() for cell in rows[0]]
-        if header == ["t", "s", "value"]:
-            triples = [
-                (float(r[0]), float(r[1]), float(r[2])) for r in rows[1:]
-            ]
-            ts = sorted({t for t, _, _ in triples})
-            ss = sorted({s for _, s, _ in triples})
-            index_t = {t: i for i, t in enumerate(ts)}
-            index_s = {s: i for i, s in enumerate(ss)}
-            values = np.full((len(ts), len(ss)), np.nan)
-            for t, s, v in triples:
-                values[index_t[t], index_s[s]] = v
-            if np.any(np.isnan(values)):
-                raise ValueError(f"{path}: triples do not fill the (t, s) product")
-            return cls._adopt(Grid.from_nodes(ts), Grid.from_nodes(ss), values)
-        values = np.array([[float(cell) for cell in row] for row in rows])
-        grid_t = Grid.trapezoid(0.0, 1.0, values.shape[0])
-        grid_s = Grid.trapezoid(0.0, 1.0, values.shape[1])
+        if [cell.strip().lower() for cell in rows[0]] != ["t", "s", "value"]:
+            values = np.array([[float(cell) for cell in row] for row in rows])
+            return cls._adopt(grid_t, grid_s, values)
+        triples = np.array([[float(cell) for cell in row] for row in rows[1:]])
+        if triples.ndim != 2 or triples.shape[1] != 3:
+            raise ValueError(f"{path}: each row after the header needs t, s and value")
+        values = np.full((grid_t.n, grid_s.n), np.nan)
+        values[_node_indices(triples[:, 0], grid_t, path),
+               _node_indices(triples[:, 1], grid_s, path)] = triples[:, 2]
+        if len(triples) != values.size or np.any(np.isnan(values)):
+            raise ValueError(f"{path}: triples do not name each (t, s) node pair once")
         return cls._adopt(grid_t, grid_s, values)
 
 

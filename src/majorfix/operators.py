@@ -11,13 +11,13 @@ so the scalar core keeps its exact-primitive contract.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .discretize import Grid, KernelTable, _absolute, _mesh_callback, lp_norm
+from .discretize import (_BLOCK_ELEMENTS, Grid, KernelTable, _absolute, _mesh_callback,
+                         lp_norm)
 from .iteration import OperatorHandle, make_operator
 from .majorant import MajorantProfile
 from .moduli import (
@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 _RADIUS_SAMPLES = 257
-_CHUNK_ELEMENTS = 2**17  # a radius chunk's (c, n, n) block: 1 MiB, cache-sized
 
 
 def _sup_norm(v: np.ndarray) -> float:
@@ -162,15 +161,16 @@ class HammersteinTerm:
 
 @dataclass(frozen=True, eq=False)
 class HammersteinSpec:
-    """Callbacks must be pointwise numpy functions: a kernel k(t, s) is
-    sampled once, on the open mesh t = nodes[:, None], s = nodes[None, :]
-    (see KernelTable.from_function); f(t) gets the nodes and h(u) the
-    iterate.  Scalar-only callbacks work, but slowly.  Once a callback's
-    first call has settled array or scalar calls, a TypeError or ValueError
-    from it is raised as a RuntimeError naming it.
+    """Terms, lambda and forcing of a Hammerstein sum; the interval is the
+    build grid's.  Callbacks must be pointwise numpy functions: a kernel
+    k(t, s) is sampled once, a block of rows per call, on the open mesh
+    t = nodes[i:j, None], s = nodes[None, :] (see KernelTable.from_function);
+    f(t) gets the nodes and h(u) the iterate.  Scalar-only callbacks work,
+    but slowly.  Once a callback's first call has settled array or scalar
+    calls, a TypeError or ValueError from it is raised as a RuntimeError
+    naming it.
     """
 
-    interval: tuple[float, float]
     terms: tuple[HammersteinTerm, ...]
     lam: float
     forcing: Callable[[float], float] | np.ndarray
@@ -178,25 +178,22 @@ class HammersteinSpec:
     def __post_init__(self):
         if not self.terms:
             raise ValueError("need at least one Hammerstein term")
-        a, b = self.interval
-        if not (b > a):
-            raise ValueError("interval must have positive length")
 
 
 def _sample_kernel(kernel, grid: Grid) -> np.ndarray:
+    """The kernel's samples on the build grid, in a read-only array of a
+    table: a callable is sampled and an array copied, so the caller cannot
+    change the operator after its modulus was built."""
     if callable(kernel):
         return KernelTable.from_function(grid, grid, kernel).values
+    if not hasattr(kernel, "values"):
+        return KernelTable(grid, grid, kernel).values
     # a table must be sampled on the build grid (or an equal one)
     if not all(g is grid or (np.array_equal(g.nodes, grid.nodes)
                              and np.array_equal(g.weights, grid.weights))
-               for g in (getattr(kernel, "grid_t", grid),
-                         getattr(kernel, "grid_s", grid))):
+               for g in (kernel.grid_t, kernel.grid_s)):
         raise ValueError("kernel table is not sampled on the build grid")
-    values = getattr(kernel, "values", kernel)
-    if np.shape(values) != (grid.n, grid.n):
-        raise ValueError(f"kernel array shape {np.shape(values)} does not "
-                         f"match grid ({grid.n}, {grid.n})")
-    return np.asarray(values, dtype=float)
+    return kernel.values
 
 
 def _resolve_center(center, grid: Grid) -> np.ndarray:
@@ -244,9 +241,6 @@ def build_hammerstein_sup(spec: HammersteinSpec, grid: Grid, radius: float,
     Kernel norms are row sums max_i sum_l w_l |k_j(t_i, s_l)| and the
     modulus is |lambda| * sum_j ||K_j|| * w_j(r).
     """
-    if not (math.isclose(grid.lower, spec.interval[0])
-            and math.isclose(grid.upper, spec.interval[1])):
-        raise ValueError("grid does not cover the spec interval")
     mats = [_sample_kernel(term.kernel, grid) for term in spec.terms]
     if any(term.modulus is None for term in spec.terms):
         raise ValueError("every term needs a scalar modulus for the sup-norm build")
@@ -337,7 +331,7 @@ def _tabulated_sup_handle(apply, chunk_modulus, grid: Grid, radius: float,
     x0 = _resolve_center(center, grid)
     rs = np.linspace(0.0, radius, _RADIUS_SAMPLES)
     r = (rs + _sup_norm(x0))[:, None, None]
-    chunk = max(1, _CHUNK_ELEMENTS // grid.n**2)
+    chunk = max(1, _BLOCK_ELEMENTS // grid.n**2)
     ks = np.concatenate([chunk_modulus(r[i:i + chunk])
                          for i in range(0, rs.size, chunk)])
     if np.any(~np.isfinite(ks)) or np.any(ks < 0.0):
@@ -348,7 +342,8 @@ def _tabulated_sup_handle(apply, chunk_modulus, grid: Grid, radius: float,
 @dataclass(frozen=True, eq=False)
 class UrysohnSpec:
     """Kernel K(t,s,u,v) with its partial moduli l(t,s,r) (in u) and
-    m(t,s,r) (in v), both nonnegative and nondecreasing in r.
+    m(t,s,r) (in v), both nonnegative and nondecreasing in r; the interval
+    is the build grid's.
 
     Callbacks must be pointwise numpy functions of broadcastable open-mesh
     arrays: K(t, s, u, v) gets t = nodes[:, None], s = nodes[None, :],
@@ -356,7 +351,6 @@ class UrysohnSpec:
     radius axis r[:, None, None].  Scalar-only callbacks work, but slowly.
     """
 
-    interval: tuple[float, float]
     kernel: Callable
     u_modulus: Callable
     v_modulus: Callable
@@ -393,7 +387,8 @@ def build_urysohn(spec: UrysohnSpec, grid: Grid, radius: float,
 @dataclass(frozen=True, eq=False)
 class CompositionSpec:
     """Outer map F(t,u,v) with moduli l(t,r,rho), m(t,r,rho); inner kernel
-    K(t,s,u) with envelope n0(t,s,r) and modulus n(t,s,r).
+    K(t,s,u) with envelope n0(t,s,r) and modulus n(t,s,r); the interval is
+    the build grid's.
 
     Callbacks must be pointwise numpy functions of broadcastable open-mesh
     arrays: K gets t = nodes[:, None], s = nodes[None, :], u = x[None, :]; F
@@ -402,7 +397,6 @@ class CompositionSpec:
     r[:, None] and rho[r, t].  Scalar-only callbacks work, but slowly.
     """
 
-    interval: tuple[float, float]
     outer: Callable
     outer_u_modulus: Callable
     outer_v_modulus: Callable

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,11 +96,12 @@ class TestAnalyzeCommand:
         assert code == 0 and doc["existence_certified"]
         assert len(sampled) == 1
 
-    @pytest.mark.parametrize("source", ["kernel_csv", "inline"])
+    @pytest.mark.parametrize("source", ["kernel_csv", "kernel_csv_triples", "inline"])
     def test_lp_tabulated_kernel_shared_by_estimate_and_build(
             self, tmp_path, monkeypatch, source):
-        # a CSV or inline kernel reaches the Zaanen estimate and the build as
-        # one table, and certifies exactly as the named kernel it tabulates
+        # a CSV (dense or triples) or inline kernel reaches the Zaanen
+        # estimate and the build as one table, and certifies exactly as the
+        # named kernel it tabulates
         from majorfix import Grid, cli
         config = {"kind": "hammerstein_lp", "interval": [0.0, 1.0],
                   "lambda": 0.3, "p": 2.0, "grid": {"rule": "simpson", "n": 21},
@@ -115,6 +117,13 @@ class TestAnalyzeCommand:
             path = tmp_path / "kernel.csv"
             path.write_text("".join(",".join(map(repr, row)) + "\n"
                                     for row in values.tolist()))
+            term["kernel_csv"] = str(path)
+        elif source == "kernel_csv_triples":
+            path = tmp_path / "kernel.csv"
+            nodes, rows = grid.nodes.tolist(), values.tolist()
+            path.write_text("t,s,value\n" + "".join(
+                f"{t!r},{s!r},{rows[i][j]!r}\n" for i, t in enumerate(nodes)
+                for j, s in enumerate(nodes)))
             term["kernel_csv"] = str(path)
         else:
             term["kernel"] = values.tolist()
@@ -132,6 +141,27 @@ class TestAnalyzeCommand:
         assert code == 0 and len(seen) == 2 and seen[0] is seen[1]
         assert np.array_equal(seen[0].values, values)
         assert doc == run_json(["analyze", "--config", str(named)])[1]
+
+    @pytest.mark.parametrize("interval", [[0.0, 2.0], [0.0, 1.0 + 1e-6]])
+    def test_kernel_csv_triples_off_the_config_grid_are_config_error(
+            self, tmp_path, capsys, interval):
+        # the triples name the nodes of simpson(0, 1, 5); the config grid is
+        # another one with 5 nodes
+        grid_nodes = [0.0, 0.25, 0.5, 0.75, 1.0]
+        path = tmp_path / "kernel.csv"
+        path.write_text("t,s,value\n" + "".join(
+            f"{t!r},{s!r},{t * s!r}\n" for t in grid_nodes for s in grid_nodes))
+        config = {"kind": "hammerstein_c", "interval": interval,
+                  "lambda": 0.1, "grid": {"rule": "simpson", "n": 5},
+                  "radius": 1.0, "forcing": "identity",
+                  "terms": [{"kernel_csv": str(path), "nonlinearity": "square"}]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        assert run_cli(["analyze", "--config", str(bad)]) == (2, "")
+        assert "kernel coordinates are not the 5 nodes" in capsys.readouterr().err
+        config["interval"] = [0.0, 1.0]
+        bad.write_text(json.dumps(config))
+        assert run_cli(["analyze", "--config", str(bad)])[0] == 0
 
     def test_inline_kernel_rows_stay_the_callers(self):
         from majorfix.cli import run_analyze
@@ -419,6 +449,18 @@ class TestExitCodes:
         code, out = run_cli(["analyze", "--config", str(path)])
         assert code == 2 and out == ""
         assert "grid bounds, nodes and weights must be finite" in capsys.readouterr().err
+
+    # finite bounds whose difference overflows are rejected before numpy
+    # computes with the length (no RuntimeWarning)
+    @pytest.mark.parametrize("preset", ["hammerstein-separable", "urysohn"])
+    def test_config_error_overflowing_interval_length(self, tmp_path, capsys, preset):
+        path = tmp_path / "interval.json"
+        path.write_text(json.dumps({**get_preset(preset), "interval": [-1e308, 1e308]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(["analyze", "--config", str(path)])
+        assert code == 2 and out == ""
+        assert "has no finite length" in capsys.readouterr().err
 
     @pytest.mark.parametrize("changes", [
         {"radius": 1e200},                              # K(R) overflows

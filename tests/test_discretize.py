@@ -1,5 +1,4 @@
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -32,17 +31,15 @@ class TestGrid:
         grid = Grid.simpson(0.0, 1.0, 11)
         assert np.all(np.diff(grid.nodes) > 0)
 
-    def test_from_nodes_nonuniform(self):
-        grid = Grid.from_nodes([0.0, 0.1, 0.5, 1.0])
-        assert abs(math.fsum(grid.weights.tolist()) - 1.0) < 1e-14
-
-    # checked before np.linspace, which warns on a non-finite bound
+    # checked before np.linspace, which warns on a non-finite bound or length
     @pytest.mark.parametrize("make", [lambda: Grid.simpson(0.0, math.nan, 5),
                                       lambda: Grid.simpson(-math.inf, 1.0, 5),
                                       lambda: Grid.trapezoid(0.0, math.inf, 5),
-                                      lambda: Grid.from_nodes([0.0, 1.0, math.nan])],
+                                      lambda: Grid.simpson(-1e308, 1e308, 5),
+                                      lambda: Grid.trapezoid(-1e308, 1e308, 5)],
                              ids=["simpson-nan", "simpson-inf", "trapezoid-inf",
-                                  "from-nodes-nan"])
+                                  "simpson-length-overflow",
+                                  "trapezoid-length-overflow"])
     def test_rejects_non_finite_bounds(self, make):
         with pytest.raises(ValueError, match="finite"):
             make()
@@ -144,20 +141,62 @@ class TestKernelTable:
     def test_from_csv_triples(self, tmp_path):
         path = tmp_path / "kernel.csv"
         lines = ["t,s,value"]
-        for t in (0.0, 0.5, 1.0):
-            for s in (0.0, 1.0):
+        for t in (1.0, 0.0, 0.5):
+            for s in (1.0, 0.0):
                 lines.append(f"{t},{s},{t * s}")
         path.write_text("\n".join(lines) + "\n")
-        table = KernelTable.from_csv(path)
-        assert table.values.shape == (3, 2)
-        assert table.values[1, 1] == 0.5
+        grid_t, grid_s = Grid.simpson(0.0, 1.0, 3), Grid.trapezoid(0.0, 1.0, 2)
+        table = KernelTable.from_csv(path, grid_t, grid_s)
+        assert table.grid_t is grid_t and table.grid_s is grid_s
+        assert np.array_equal(table.values, [[0.0, 0.0], [0.0, 0.5], [0.0, 1.0]])
 
     def test_from_csv_dense(self, tmp_path):
         path = tmp_path / "dense.csv"
         path.write_text("0.0,0.1\n0.2,0.3\n0.4,0.5\n")
-        table = KernelTable.from_csv(path)
-        assert table.values.shape == (3, 2)
-        assert table.grid_t.n == 3 and table.grid_s.n == 2
+        grid_t, grid_s = Grid.simpson(-1.0, 1.0, 3), Grid.trapezoid(0.0, 2.0, 2)
+        table = KernelTable.from_csv(path, grid_t, grid_s)
+        assert table.grid_t is grid_t and table.grid_s is grid_s
+        assert np.array_equal(table.values, [[0.0, 0.1], [0.2, 0.3], [0.4, 0.5]])
+        assert not table.values.flags.writeable
+        with pytest.raises(ValueError, match="does not match grids"):
+            KernelTable.from_csv(path, grid_s, grid_t)
+
+    # the grid [0, 2] with 5 nodes; the tolerance is 1e-9 * 2
+    @pytest.mark.parametrize("ts,ok", [
+        ([0.0, 0.5, 1.0, 1.5, 2.0], True),
+        ([0.0, 0.5 + 1.5e-9, 1.0, 1.5, 2.0 - 1.5e-9], True),
+        ([0.0, 0.5 + 3e-9, 1.0, 1.5, 2.0], False),
+        ([0.0, 0.5, 1.0, 2.0], False),
+        ([0.0, 0.5, 1.0, 1.5, 2.0, 2.5], False),
+        ([0.0, 0.4, 1.0, 1.5, 2.0], False),
+    ], ids=["nodes", "within-tolerance", "off-node", "missing-node", "extra-node",
+            "other-node"])
+    def test_from_csv_triples_must_name_grid_nodes(self, tmp_path, ts, ok):
+        grid = Grid.simpson(0.0, 2.0, 5)
+        path = tmp_path / "kernel.csv"
+        path.write_text("t,s,value\n" + "".join(
+            f"{t!r},{s!r},{i + 0.25 * j}\n" for i, t in enumerate(ts)
+            for j, s in enumerate(grid.nodes.tolist())))
+        if not ok:
+            with pytest.raises(ValueError, match="not the 5 nodes"):
+                KernelTable.from_csv(path, grid, grid)
+            return
+        table = KernelTable.from_csv(path, grid, grid)
+        assert np.array_equal(table.values,
+                              np.arange(5.0)[:, None] + 0.25 * np.arange(5.0))
+
+    @pytest.mark.parametrize("text,match", [
+        ("t,s,value\n0,0,1\n0,1,2\n1,0,3\n", "each .* pair once"),
+        ("t,s,value\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n0,0,9\n", "each .* pair once"),
+        ("t,s,value\n0,0\n0,1\n1,0\n1,1\n", "needs t, s and value"),
+        ("", "empty"),
+    ], ids=["hole", "duplicate", "short-row", "empty"])
+    def test_from_csv_malformed(self, tmp_path, text, match):
+        path = tmp_path / "kernel.csv"
+        path.write_text(text)
+        grid = Grid.trapezoid(0.0, 1.0, 2)
+        with pytest.raises(ValueError, match=match):
+            KernelTable.from_csv(path, grid, grid)
 
 
 SAMPLED_KERNELS = {
@@ -168,14 +207,27 @@ SAMPLED_KERNELS = {
 _OWNED = np.arange(35.0).reshape(7, 5)
 
 
+@pytest.fixture(params=[None, 3], ids=["default-block", "3-row-block"])
+def block_rows(request, monkeypatch):
+    """The kernel block size: the default, or 3 rows of an s-grid of n_s
+    nodes (call the fixture's value with n_s)."""
+    def set_rows(n_s):
+        if request.param is not None:
+            monkeypatch.setattr(discretize, "_BLOCK_ELEMENTS", request.param * n_s)
+    return set_rows
+
+
 class TestKernelSampling:
+    # a block is 2**17 // n_s rows by default: all 101 rows at n = 101, and
+    # 130 rows at n = 1001, so 8 blocks with a partial last one
     @pytest.mark.parametrize("name", sorted(SAMPLED_KERNELS))
     @pytest.mark.parametrize("grids", [
         (Grid.simpson(0.0, 1.0, 101),) * 2,
         (Grid.simpson(-0.5, 1.5, 1001),) * 2,
         (Grid.trapezoid(0.0, 1.0, 7), Grid.trapezoid(0.2, 2.0, 5)),
     ], ids=["simpson101", "simpson1001", "trapezoid7x5"])
-    def test_open_mesh_matches_meshgrid_reference(self, name, grids):
+    def test_open_mesh_matches_meshgrid_reference(self, name, grids, block_rows):
+        block_rows(grids[1].n)
         fn = SAMPLED_KERNELS[name]
         table = KernelTable.from_function(*grids, fn)
         reference = meshgrid_kernel(fn, *grids)
@@ -183,7 +235,8 @@ class TestKernelSampling:
         assert np.array_equal(table.values, reference)
         assert not table.values.flags.writeable
 
-    def test_array_error_propagates_without_scalar_retry(self):
+    def test_array_error_propagates_without_scalar_retry(self, block_rows):
+        block_rows(11)
         calls = []
 
         def kernel(t, s):
@@ -197,18 +250,22 @@ class TestKernelSampling:
             KernelTable.from_function(grid, grid, kernel)
         assert calls == [2]
 
-    def test_fresh_result_is_adopted(self):
-        made = []
+    def test_type_error_after_an_array_block_names_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(discretize, "_BLOCK_ELEMENTS", 3 * 11)
+        calls = []
 
         def kernel(t, s):
-            out = t * s
-            made.append(weakref.ref(out))
-            return out
+            calls.append(np.shape(t))
+            if len(calls) > 1:
+                raise TypeError("fails on the second block")
+            return t * s
 
         grid = Grid.simpson(0.0, 1.0, 11)
-        table = KernelTable.from_function(grid, grid, kernel)
-        assert made[0]() is table.values
-        assert not table.values.flags.writeable
+        with pytest.raises(RuntimeError, match="kernel raised TypeError: fails on "
+                                               "the second block") as info:
+            KernelTable.from_function(grid, grid, kernel)
+        assert isinstance(info.value.__cause__, TypeError)
+        assert calls == [(3, 1), (3, 1)]
 
     def test_held_result_is_copied(self):
         held = []
@@ -233,32 +290,6 @@ class TestKernelSampling:
             assert np.array_equal(table.values, before)
         finally:
             _OWNED[0, 0] = before[0, 0]
-
-    def test_result_is_copied_where_refcount_is_unknown(self, monkeypatch):
-        # off CPython there is no reference count to tell a fresh result
-        monkeypatch.setattr(discretize, "_FRESH_REFS", None)
-        made = []
-
-        def kernel(t, s):
-            out = t * s
-            made.append(weakref.ref(out))
-            return out
-
-        grid = Grid.simpson(0.0, 1.0, 11)
-        table = KernelTable.from_function(grid, grid, kernel)
-        assert made[0]() is not table.values
-        assert np.array_equal(table.values, grid.nodes[:, None] * grid.nodes)
-
-    def test_regrid_shares_samples_and_checks_shape(self, tmp_path):
-        path = tmp_path / "k.csv"
-        path.write_text("1,2,3\n4,5,6\n")
-        table = KernelTable.from_csv(path)
-        grid_t, grid_s = Grid.simpson(-1.0, 1.0, 3), Grid.trapezoid(0.0, 2.0, 2)
-        with pytest.raises(ValueError, match="does not match grids"):
-            table.regrid(grid_t, grid_s)
-        moved = table.regrid(grid_s, grid_t)
-        assert moved.values is table.values
-        assert moved.grid_t is grid_s and moved.grid_s is grid_t
 
     def test_passed_array_is_copied(self):
         grid = Grid.trapezoid(0.0, 1.0, 4)

@@ -164,7 +164,6 @@ class TestMultilinear:
 
 
 SEPARABLE = HammersteinSpec(
-    (0.0, 1.0),
     (HammersteinTerm(lambda t, s: t * s, lambda u: u**2,
                      PowerSumModulus(((2.0, 1.0),))),),
     0.1,
@@ -187,7 +186,7 @@ class TestHammersteinSup:
 
     def test_lambda_zero_decouples(self):
         spec = HammersteinSpec(
-            (0.0, 1.0), SEPARABLE.terms, 0.0, lambda t: np.asarray(t, dtype=float))
+            SEPARABLE.terms, 0.0, lambda t: np.asarray(t, dtype=float))
         grid = Grid.simpson(0.0, 1.0, 51)
         op = build_hammerstein_sup(spec, grid, 2.0)
         assert op.profile.center_shift == pytest.approx(1.0, abs=1e-14)
@@ -197,7 +196,6 @@ class TestHammersteinSup:
 
     def test_two_summand_modulus_merges(self):
         spec = HammersteinSpec(
-            (0.0, 1.0),
             (
                 HammersteinTerm(lambda t, s: np.ones_like(t * s),
                                 lambda u: np.sin(u), ConstantModulus(1.0)),
@@ -217,7 +215,6 @@ class TestHammersteinSup:
 
     def test_recentered_fractional_power_primitive_is_exact(self):
         spec = HammersteinSpec(
-            (0.0, 1.0),
             (HammersteinTerm(lambda t, s: t * s, np.sqrt,
                              PowerSumModulus(((1.0, 0.5),))),),
             0.5,
@@ -257,7 +254,6 @@ class TestHammersteinSup:
 
     def test_missing_term_modulus_rejected(self):
         spec = HammersteinSpec(
-            (0.0, 1.0),
             (HammersteinTerm(lambda t, s: t * s, lambda u: u),),
             1.0, lambda t: np.zeros_like(np.asarray(t, dtype=float)))
         grid = Grid.simpson(0.0, 1.0, 11)
@@ -267,8 +263,7 @@ class TestHammersteinSup:
 
 def _square_spec(kernel, nonlinearity=lambda u: u**2, forcing=FORCINGS["identity"]):
     return HammersteinSpec(
-        (0.0, 1.0), (HammersteinTerm(kernel, nonlinearity,
-                                     PowerSumModulus(((2.0, 1.0),))),),
+        (HammersteinTerm(kernel, nonlinearity, PowerSumModulus(((2.0, 1.0),))),),
         0.1, forcing)
 
 
@@ -299,10 +294,24 @@ class TestHammersteinSampling:
         x = np.linspace(0.1, 0.3, grid.n)
         assert np.array_equal(op.apply(x), twin.apply(x))
 
-    def test_build_peak_memory_is_one_table(self):
+    def test_array_kernel_is_copied_at_build(self):
+        grid = Grid.simpson(0.0, 1.0, 11)
+        mat = grid.nodes[:, None] * grid.nodes
+        op = build_hammerstein_sup(_square_spec(mat), grid, 1.0)
+        twin = build_hammerstein_sup(_square_spec(KERNELS["product"]), grid, 1.0)
+        mat[:] = 5.0
+        x = np.linspace(0.1, 0.3, grid.n)
+        assert np.array_equal(op.apply(x), twin.apply(x))
+        with pytest.raises(ValueError, match="does not match grids"):
+            build_hammerstein_sup(_square_spec(mat[:, :-1]), grid, 1.0)
+
+    # exp_product makes a temporary t * s before np.exp: sampled whole, the
+    # build would peak at two tables; a block of rows holds 2 x 1 MiB
+    @pytest.mark.parametrize("name", ["product", "exp_product"])
+    def test_build_peak_memory_is_one_table(self, name):
         n = 1001
         grid = Grid.simpson(0.0, 1.0, n)
-        spec = _square_spec(KERNELS["product"])
+        spec = _square_spec(KERNELS[name])
         build_hammerstein_sup(spec, grid, 1.0)
         tracemalloc.start()
         try:
@@ -400,7 +409,7 @@ class TestSuperpositionModulus:
         envelope = build_superposition_modulus(pairs, 2.0, 1.5, 1.0)
         grid = Grid.simpson(0.0, 1.0, 51)
         spec = HammersteinSpec(
-            (0.0, 1.0), (HammersteinTerm(lambda t, s: t * s, lambda u: u),),
+            (HammersteinTerm(lambda t, s: t * s, lambda u: u),),
             0.1, lambda t: np.asarray(t, dtype=float))
         op = build_hammerstein_lp(spec, [envelope], [1.0 / 3.0], 2.0, grid, 10.0)
         assert op.profile.modulus_integral(10.0) == pytest.approx(
@@ -477,7 +486,6 @@ class TestHammersteinLp:
         envelope = build_superposition_modulus(pairs, 2.0, 1.0, 1.0)
         grid = Grid.simpson(0.0, 1.0, 101)
         spec = HammersteinSpec(
-            (0.0, 1.0),
             (HammersteinTerm(lambda t, s: t * s, lambda u: u**2),),
             1.0,
             lambda t: np.zeros_like(np.asarray(t, dtype=float)),
@@ -489,7 +497,6 @@ class TestHammersteinLp:
     def test_zero_norms_zero_modulus(self):
         grid = Grid.simpson(0.0, 1.0, 51)
         spec = HammersteinSpec(
-            (0.0, 1.0),
             (HammersteinTerm(lambda t, s: t * s, lambda u: u),),
             1.0, lambda t: np.asarray(t, dtype=float))
         op = build_hammerstein_lp(spec, [ConstantModulus(1.0)], [0.0], 2.0, grid, 2.0)
@@ -498,7 +505,6 @@ class TestHammersteinLp:
     def test_linear_instance_converges(self):
         grid = Grid.simpson(0.0, 1.0, 101)
         spec = HammersteinSpec(
-            (0.0, 1.0),
             (HammersteinTerm(lambda t, s: t * s, lambda u: u),),
             0.3, lambda t: np.asarray(t, dtype=float))
         op = build_hammerstein_lp(spec, [ConstantModulus(1.0)], [1.0 / 3.0],
@@ -514,7 +520,6 @@ class TestHammersteinLp:
 class TestUrysohn:
     def test_constant_moduli_integral(self):
         spec = UrysohnSpec(
-            (0.0, 2.0),
             lambda t, s, u, v: 0.05 * (u + v),
             lambda t, s, r: 0.05 + 0.0 * (t + s),
             lambda t, s, r: 0.05 + 0.0 * (t + s),
@@ -525,7 +530,6 @@ class TestUrysohn:
 
     def test_kernel_independent_of_state(self):
         spec = UrysohnSpec(
-            (0.0, 1.0),
             lambda t, s, u, v: t + s + 0.0 * u + 0.0 * v,
             lambda t, s, r: 0.0 * (t + s),
             lambda t, s, r: 0.0 * (t + s),
@@ -538,7 +542,6 @@ class TestUrysohn:
 
     def test_mixed_quadratic_demo_matches_hand_modulus(self):
         spec = UrysohnSpec(
-            (0.0, 1.0),
             lambda t, s, u, v: 0.2 * t + 0.1 * s * u**2 + 0.05 * v,
             lambda t, s, r: 0.2 * s * r + 0.0 * t,
             lambda t, s, r: 0.05 + 0.0 * (t + s),
@@ -554,7 +557,6 @@ class TestUrysohn:
 
     def test_non_monotone_modulus_rejected(self):
         spec = UrysohnSpec(
-            (0.0, 1.0),
             lambda t, s, u, v: 0.0 * (t + s + u + v),
             lambda t, s, r: max(0.0, 0.5 - r) + 0.0 * (t + s),
             lambda t, s, r: 0.0 * (t + s),
@@ -568,7 +570,6 @@ class TestComposition:
     def test_constant_moduli_formula(self):
         c1, c2, c3 = 0.3, 0.2, 0.4
         spec = CompositionSpec(
-            (0.0, 1.0),
             lambda t, u, v: 0.1 * t + 0.0 * u + 0.0 * v,
             lambda t, r, rho: c1 + 0.0 * np.asarray(t, dtype=float),
             lambda t, r, rho: c2 + 0.0 * np.asarray(t, dtype=float),
@@ -582,7 +583,6 @@ class TestComposition:
 
     def test_outer_projection_reduces_to_urysohn(self):
         comp = CompositionSpec(
-            (0.0, 1.0),
             lambda t, u, v: v + 0.0 * u + 0.0 * np.asarray(t, dtype=float),
             lambda t, r, rho: 0.0 * np.asarray(t, dtype=float),
             lambda t, r, rho: 1.0 + 0.0 * np.asarray(t, dtype=float),
@@ -591,7 +591,6 @@ class TestComposition:
             lambda t, s, r: 2.0 * s * r + 0.0 * t,
         )
         ury = UrysohnSpec(
-            (0.0, 1.0),
             lambda t, s, u, v: s * u**2 + 0.0 * t + 0.0 * v,
             lambda t, s, r: 2.0 * s * r + 0.0 * t,
             lambda t, s, r: 0.0 * (t + s),
@@ -607,7 +606,6 @@ class TestComposition:
 
     def test_affine_demo_hand_modulus(self):
         spec = CompositionSpec(
-            (0.0, 1.0),
             lambda t, u, v: 0.5 * u + 0.25 * v + 0.0 * np.asarray(t, dtype=float),
             lambda t, r, rho: 0.5 + 0.0 * np.asarray(t, dtype=float),
             lambda t, r, rho: 0.25 + 0.0 * np.asarray(t, dtype=float),
@@ -622,20 +620,19 @@ class TestComposition:
 
 
 
-def _tabulation_spec(kind: str, interval):
+def _tabulation_spec(kind: str):
     if kind == "urysohn":
         demo = URYSOHN_KERNELS["mixed_quadratic"]
-        return UrysohnSpec(interval, demo["kernel"], demo["u_modulus"],
-                           demo["v_modulus"])
+        return UrysohnSpec(demo["kernel"], demo["u_modulus"], demo["v_modulus"])
     outer = COMPOSITION_OUTER["affine_mix"]
     inner = COMPOSITION_INNER["weighted_square"]
     if kind == "composition":
-        return CompositionSpec(interval, outer["outer"], outer["u_modulus"],
+        return CompositionSpec(outer["outer"], outer["u_modulus"],
                                outer["v_modulus"], inner["kernel"],
                                inner["bound"], inner["modulus"])
     # outer moduli that read rho, so the inner envelope reaches the samples
     return CompositionSpec(
-        interval, outer["outer"],
+        outer["outer"],
         lambda t, r, rho: 0.3 + 0.1 * rho + 0.0 * t,
         lambda t, r, rho: 0.2 + 0.05 * r * rho,
         inner["kernel"],
@@ -658,7 +655,7 @@ class TestRadiusTabulation:
     @pytest.mark.parametrize("kind", ["urysohn", "composition", "composition-rho"])
     def test_moduli_match_per_radius_reference(self, monkeypatch, kind, n, samples, x0):
         monkeypatch.setattr(operators, "_RADIUS_SAMPLES", samples)
-        spec = _tabulation_spec(kind, (0.3, 1.4))
+        spec = _tabulation_spec(kind)
         grid = Grid.simpson(0.3, 1.4, n)
         op = _build(spec, grid, 1.5, center=x0)
         rs, ks = per_radius_modulus(spec, grid, 1.5, shift=x0 or 0.0,
@@ -680,12 +677,10 @@ class TestRadiusTabulation:
 
         twins = [
             UrysohnSpec(
-                (0.3, 1.4),
                 lambda t, s, u, v: np.sqrt(s) * u * u + 0.05 * v + 0.0 * t,
                 lambda t, s, r: np.sqrt(s) * r,
                 lambda t, s, r: np.maximum(0.05, 0.1 * t * r) + 0.0 * s),
             CompositionSpec(
-                (0.3, 1.4),
                 lambda t, u, v: np.maximum(0.1 * t, 0.5 * u + 0.25 * v),
                 lambda t, r, rho: np.maximum(0.2, 0.1 + rho),
                 lambda t, r, rho: 0.25 + 0.0 * t,
@@ -695,12 +690,10 @@ class TestRadiusTabulation:
         ]
         scalars = [
             UrysohnSpec(
-                (0.3, 1.4),
                 scalar_only(lambda t, s, u, v: math.sqrt(s) * u * u + 0.05 * v),
                 scalar_only(lambda t, s, r: math.sqrt(s) * r),
                 scalar_only(lambda t, s, r: max(0.05, 0.1 * t * r))),
             CompositionSpec(
-                (0.3, 1.4),
                 scalar_only(lambda t, u, v: max(0.1 * t, 0.5 * u + 0.25 * v)),
                 scalar_only(lambda t, r, rho: max(0.2, 0.1 + rho)),
                 scalar_only(lambda t, r, rho: 0.25),
@@ -728,7 +721,7 @@ class TestRadiusTabulation:
                 array_calls.append(np.shape(r))
             return math.sqrt(s) * r
 
-        spec = UrysohnSpec((0.0, 1.0), lambda t, s, u, v: 0.0 * (t + s + u + v),
+        spec = UrysohnSpec(lambda t, s, u, v: 0.0 * (t + s + u + v),
                            u_modulus, lambda t, s, r: 0.05 + 0.0 * (t + s))
         op = build_urysohn(spec, Grid.simpson(0.0, 1.0, 101), 1.0)
         assert array_calls == [(12, 1, 1)]
@@ -741,7 +734,7 @@ class TestRadiusTabulation:
             calls.append(np.ndim(r))
             raise RuntimeError("bug in the modulus")
 
-        spec = UrysohnSpec((0.0, 1.0), lambda t, s, u, v: 0.0 * (t + s + u + v),
+        spec = UrysohnSpec(lambda t, s, u, v: 0.0 * (t + s + u + v),
                            u_modulus, lambda t, s, r: 0.05 + 0.0 * (t + s))
         with pytest.raises(RuntimeError, match="bug in the modulus"):
             build_urysohn(spec, Grid.simpson(0.0, 1.0, 11), 1.0)
@@ -754,8 +747,8 @@ class TestRadiusTabulation:
             calls.append(np.ndim(rho))
             raise RuntimeError("bug in the outer modulus")
 
-        spec = _tabulation_spec("composition", (0.0, 1.0))
-        spec = CompositionSpec(spec.interval, spec.outer, outer_u_modulus,
+        spec = _tabulation_spec("composition")
+        spec = CompositionSpec(spec.outer, outer_u_modulus,
                                spec.outer_v_modulus, spec.inner_kernel,
                                spec.inner_bound, spec.inner_modulus)
         with pytest.raises(RuntimeError, match="bug in the outer modulus"):
@@ -771,7 +764,7 @@ class TestRadiusTabulation:
                 raise TypeError("fails on the second chunk")
             return 0.1 * r + 0.0 * (t + s)
 
-        spec = UrysohnSpec((0.0, 1.0), lambda t, s, u, v: 0.0 * (t + s + u + v),
+        spec = UrysohnSpec(lambda t, s, u, v: 0.0 * (t + s + u + v),
                            u_modulus, lambda t, s, r: 0.05 + 0.0 * (t + s))
         with pytest.raises(RuntimeError, match="u_modulus.*second chunk") as info:
             build_urysohn(spec, Grid.simpson(0.0, 1.0, 101), 1.0)
@@ -785,7 +778,7 @@ class TestRadiusTabulation:
             calls.append(np.ndim(u))
             raise RuntimeError("bug in the kernel")
 
-        spec = UrysohnSpec((0.0, 1.0), kernel, lambda t, s, r: 0.1 + 0.0 * (t + s),
+        spec = UrysohnSpec(kernel, lambda t, s, r: 0.1 + 0.0 * (t + s),
                            lambda t, s, r: 0.05 + 0.0 * (t + s))
         # the build applies the kernel once, for the center displacement
         with pytest.raises(RuntimeError, match="bug in the kernel"):

@@ -18,7 +18,6 @@ from .moduli import (
     scale_modulus,
 )
 from .majorant import (
-    DEFAULT_TOL,
     Interval,
     MajorantProfile,
     ZoneReport,

@@ -25,8 +25,7 @@ from .errors import (
     NoExistenceError,
 )
 from .iteration import OperatorHandle, StoppingRule, certify_trace, iterate
-from .majorant import (DEFAULT_TOL, MajorantProfile, ZoneReport, _check_tol, analyze,
-                       eval_majorants)
+from .majorant import MajorantProfile, ZoneReport, analyze, eval_majorants
 from .moduli import (
     ConstantModulus,
     PowerSumModulus,
@@ -263,8 +262,8 @@ _BUILDERS = {"multilinear": _multilinear, "hammerstein_c": _hammerstein_c,
 KINDS = tuple(_BUILDERS)
 
 
-def _build_problem(config: dict, tol: float = DEFAULT_TOL) -> dict:
-    """Validate the config and tol and build the handle it describes.  A
+def _build_problem(config: dict) -> dict:
+    """Validate the config and build the handle it describes.  A
     TypeError, ValueError or OverflowError (the library's argument checks,
     float() of a JSON number) is a config error; any other fault propagates."""
     if not isinstance(config, dict):
@@ -281,15 +280,14 @@ def _build_problem(config: dict, tol: float = DEFAULT_TOL) -> dict:
             profile = MajorantProfile(old.center_shift,
                                       scale_modulus(old.modulus, scale), old.radius)
             handle = OperatorHandle(handle.apply, handle.center, handle.norm, profile)
-        _check_tol(tol, handle.profile.radius)
     except (TypeError, ValueError, OverflowError) as exc:
         _fail(f"invalid {kind} config: {exc}")
     return {"kind": kind, "handle": handle, "extras": extras}
 
 
-def _analyzed(config: dict, tol: float) -> tuple[dict, ZoneReport]:
-    problem = _build_problem(config, tol)
-    return problem, analyze(problem["handle"].profile, tol)
+def _analyzed(config: dict) -> tuple[dict, ZoneReport]:
+    problem = _build_problem(config)
+    return problem, analyze(problem["handle"].profile)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +314,13 @@ def _zones_doc(report: ZoneReport) -> dict:
     }
 
 
-def run_analyze(config: dict, tol: float = DEFAULT_TOL) -> dict:
+def run_analyze(config: dict) -> dict:
     """Build the problem, run the zone analysis, and emit the certificate.
 
     A no-existence outcome is a valid certificate, not an error: the
     document carries the flag and the minimized-gap witness.
     """
-    problem, report = _analyzed(config, tol)
+    problem, report = _analyzed(config)
     document = {
         "kind": problem["kind"],
         "existence_certified": report.existence_certified,
@@ -337,7 +335,7 @@ def run_analyze(config: dict, tol: float = DEFAULT_TOL) -> dict:
 
 
 def run_solve(config: dict, bound_tol: float = 1e-10, max_steps: int = 1000,
-              start_offset: float = 0.0, tol: float = DEFAULT_TOL) -> dict:
+              start_offset: float = 0.0) -> dict:
     """Run the certified iteration and emit the step-by-step trace.
 
     A bound violation still produces a document (status bound_violated with
@@ -350,7 +348,7 @@ def run_solve(config: dict, bound_tol: float = 1e-10, max_steps: int = 1000,
     except ValueError as exc:
         _fail(str(exc))
     _number({"start_offset": start_offset}, "start_offset", nonnegative=True)
-    problem, report = _analyzed(config, tol)
+    problem, report = _analyzed(config)
     handle = problem["handle"]
     xi0 = handle.center
     if start_offset:
@@ -367,7 +365,7 @@ def run_solve(config: dict, bound_tol: float = 1e-10, max_steps: int = 1000,
         "certification": None,
     }
     try:
-        solution, trace = iterate(handle, xi0, rule, report=report, tol=tol)
+        solution, trace = iterate(handle, xi0, rule, report=report)
     except BoundViolationError as exc:
         document["status"] = "bound_violated"
         document["steps"] = [rec.to_dict() for rec in exc.trace.steps]
@@ -404,14 +402,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
                              for v in row])
 
 
-def run_zones(config: dict, samples: int, out: Path,
-              tol: float = DEFAULT_TOL) -> dict:
+def run_zones(config: dict, samples: int, out: Path) -> dict:
     """Write the curve table (r, a_plus, a_minus, bisectrix), a companion
     marker table, and, for multilinear problems, a family sweep of upper
     majorants across sub- and supercritical center shifts."""
     if samples < 2:
         _fail("--samples must be >= 2")
-    problem, report = _analyzed(config, tol)
+    problem, report = _analyzed(config)
     profile = problem["handle"].profile
     out = Path(out)
 
@@ -449,9 +446,9 @@ def run_zones(config: dict, samples: int, out: Path,
             "existence_certified": report.existence_certified}
 
 
-def run_compare(config: dict, tol: float = DEFAULT_TOL) -> dict:
+def run_compare(config: dict) -> dict:
     """Contrast the classical contraction zone with the majorization zones."""
-    problem, report = _analyzed(config, tol)
+    problem, report = _analyzed(config)
     contraction, uniqueness = report.contraction_zone, report.uniqueness_zone
     wider = (uniqueness.contains_interval(contraction)
              and not contraction.contains_interval(uniqueness))
@@ -515,8 +512,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="path to a JSON problem config")
         cmd.add_argument("--preset", help=f"named preset ({', '.join(preset_names())})")
         cmd.add_argument("--out", help="output path (default: stdout)")
-        cmd.add_argument("--tol", type=float, default=None,
-                         help="radius tolerance, at most R/1024 (default 1e-12)")
         if name == "solve":
             cmd.add_argument("--bound-tol", type=float, default=1e-10,
                              help="stop once the a-priori bound drops below this")
@@ -537,14 +532,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = _load_config(args)
-        tol = args.tol if args.tol is not None else config.get("tol", DEFAULT_TOL)
-        tol = _number({"tol": tol}, "tol", positive=True)
         if args.command == "analyze":
-            _emit(run_analyze(config, tol), args.out)
+            _emit(run_analyze(config), args.out)
         elif args.command == "solve":
             document = run_solve(config, bound_tol=args.bound_tol,
                                  max_steps=args.max_steps,
-                                 start_offset=args.start_offset, tol=tol)
+                                 start_offset=args.start_offset)
             _emit(document, args.out)
             if document["status"] == "bound_violated":
                 print("bound violation: " + document["diagnostic"]["message"],
@@ -553,10 +546,10 @@ def main(argv=None) -> int:
         elif args.command == "zones":
             if not args.out:
                 _fail("zones requires --out (CSV destination)")
-            summary = run_zones(config, args.samples, Path(args.out), tol)
+            summary = run_zones(config, args.samples, Path(args.out))
             print(json.dumps(summary, indent=2))
         else:
-            _emit(run_compare(config, tol), args.out)
+            _emit(run_compare(config), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

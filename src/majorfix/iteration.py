@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundViolationError, InadmissibleStartError, NoExistenceError
-from .majorant import DEFAULT_TOL, MajorantProfile, ZoneReport, analyze
+from .majorant import MajorantProfile, ZoneReport, analyze
 from .moduli import LipschitzModulus
 
 __all__ = [
@@ -131,16 +131,11 @@ def check_admissible_start(report: ZoneReport, rho0: float) -> bool:
     rho0 = float(rho0)
     if rho0 < 0.0:
         raise ValueError("rho0 must be >= 0")
-    if rho0 <= report.convergence_radius:
-        return True
-    if report.uniqueness_radius_closed:
-        return rho0 <= report.uniqueness_radius
-    return rho0 < report.uniqueness_radius
+    return rho0 <= report.convergence_radius or report.uniqueness_zone.contains(rho0)
 
 
 def iterate(op: OperatorHandle, xi0, rule: StoppingRule, *,
-            report: ZoneReport | None = None,
-            tol: float = DEFAULT_TOL) -> tuple[np.ndarray, IterationTrace]:
+            report: ZoneReport | None = None) -> tuple[np.ndarray, IterationTrace]:
     """Run certified successive approximations from xi0.
 
     Returns (x_star, trace) where the final a-priori bound certifies
@@ -150,7 +145,7 @@ def iterate(op: OperatorHandle, xi0, rule: StoppingRule, *,
     observed step contradicts the modulus.
     """
     if report is None:
-        report = analyze(op.profile, tol)
+        report = analyze(op.profile)
     if not report.existence_certified:
         raise NoExistenceError(report.gap, report.gap_argmin)
     xi = np.array(xi0, dtype=float, copy=True)

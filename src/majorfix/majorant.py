@@ -36,7 +36,6 @@ from .errors import NoExistenceError
 from .moduli import LipschitzModulus
 
 __all__ = [
-    "DEFAULT_TOL",
     "MajorantProfile",
     "Interval",
     "ZoneReport",
@@ -48,7 +47,7 @@ __all__ = [
     "analyze",
 ]
 
-DEFAULT_TOL = 1e-12
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -157,20 +156,49 @@ class Interval:
 
 @dataclass(frozen=True)
 class ZoneReport:
-    """Radii and radius zones certified for one majorant profile."""
+    """Radii certified for one majorant profile; the zones follow from them.
 
-    existence_certified: bool
+    A report with no convergence radius is a refuted existence check: it
+    keeps the contraction radius and the minimized-gap witness, and every
+    zone is empty.
+    """
+
     inner_radius: float | None
     convergence_radius: float | None
     uniqueness_radius: float | None
     uniqueness_radius_closed: bool
     degenerate: bool
     contraction_radius: float | None
-    contraction_zone: Interval
-    uniqueness_zone: Interval
-    existence_zone: Interval
     gap: float | None = None
     gap_argmin: float | None = None
+
+    @property
+    def existence_certified(self) -> bool:
+        return self.convergence_radius is not None
+
+    @property
+    def existence_zone(self) -> Interval:
+        if not self.existence_certified:
+            return Interval.empty()
+        return Interval(self.inner_radius, self.convergence_radius, True, True)
+
+    @property
+    def uniqueness_zone(self) -> Interval:
+        if not self.existence_certified:
+            return Interval.empty()
+        return Interval(0.0, self.uniqueness_radius, True, self.uniqueness_radius_closed)
+
+    @property
+    def contraction_zone(self) -> Interval:
+        """[convergence radius, min(contraction, uniqueness radius))."""
+        if not self.existence_certified:
+            return Interval.empty()
+        r_conv, cap = self.convergence_radius, self.uniqueness_radius
+        if self.contraction_radius is not None:
+            cap = min(self.contraction_radius, cap)
+        if cap <= r_conv:
+            return Interval.empty()
+        return Interval(r_conv, cap, True, False)
 
 
 def eval_majorants(profile: MajorantProfile, r: float) -> tuple[float, float]:
@@ -179,18 +207,16 @@ def eval_majorants(profile: MajorantProfile, r: float) -> tuple[float, float]:
     return profile.center_shift + integral, profile.center_shift - integral
 
 
-def _check_tol(tol: float, radius: float) -> None:
-    """0 < tol <= radius / 1024: every bracket is halved at least ten times."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if tol > radius / 1024.0:
-        raise ValueError(f"tol {tol!r} exceeds R / 1024 = {radius / 1024.0!r}")
+def _resolution(profile: MajorantProfile) -> float:
+    """Bracket width of the finders: _TOL, or R / 1024 on smaller balls, so
+    every bracket is halved at least ten times."""
+    return min(_TOL, profile.radius / 1024.0)
 
 
-def _predicate_boundary(pred, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _predicate_boundary(pred, lo: float, hi: float, width: float) -> tuple[float, float]:
     """Bisect for the switch point of a predicate that is True at lo and
-    False at hi; returns the final bracket (lo, hi)."""
-    while hi - lo > tol:
+    False at hi, down to width; returns the final bracket (lo, hi)."""
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -201,16 +227,14 @@ def _predicate_boundary(pred, lo: float, hi: float, tol: float) -> tuple[float, 
     return lo, hi
 
 
-def find_contraction_radius(profile: MajorantProfile,
-                            tol: float = DEFAULT_TOL) -> float | None:
+def find_contraction_radius(profile: MajorantProfile) -> float | None:
     """Smallest r with k(r) >= 1, from below; None when k < 1 up to R."""
-    _check_tol(tol, profile.radius)
     if profile.slope(profile.radius) < 1.0:
         return None
     if profile.slope(0.0) >= 1.0:
         return 0.0
     return _predicate_boundary(lambda r: profile.slope(r) < 1.0,
-                               0.0, profile.radius, tol)[0]
+                               0.0, profile.radius, _resolution(profile))[0]
 
 
 def _gap_minimum(profile: MajorantProfile, contraction_radius: float | None
@@ -234,43 +258,40 @@ def _gap_minimum(profile: MajorantProfile, contraction_radius: float | None
 
 
 def find_convergence_radius(profile: MajorantProfile,
-                            contraction_radius: float | None,
-                            tol: float = DEFAULT_TOL) -> float:
+                            contraction_radius: float | None) -> float:
     """Smallest fixed point of the upper majorant on [0, R], from above.
 
-    contraction_radius is find_contraction_radius(profile, tol): the gap
+    contraction_radius is find_contraction_radius(profile): the gap
     minimizer, or None when the minimizer is R.
 
     The gap is strictly decreasing on [0, argmin], so one bisection there
     brackets the root; flat segments (k == 1) resolve to the infimum of the
     fixed-point set.  A gap minimum zero within float noise is a double
-    root: min(argmin + tol, R), the upper end of the contraction bracket.
+    root: min(argmin + _resolution(profile), R), the upper end of the
+    contraction bracket.
 
     Raises NoExistenceError when the minimized gap exceeds float noise
-    (upper(r) > r across [0, R]), reporting the gap and its location; tol
-    is a radius tolerance only.
+    (upper(r) > r across [0, R]), reporting the gap and its location.
     """
-    _check_tol(tol, profile.radius)
     if profile.center_shift == 0.0:
         return 0.0
     argmin, min_gap, noise = _gap_minimum(profile, contraction_radius)
     if min_gap > noise:
         raise NoExistenceError(min_gap, argmin)
+    width = _resolution(profile)
     if min_gap >= -noise:
-        return min(argmin + tol, profile.radius)
+        return min(argmin + width, profile.radius)
     return _predicate_boundary(lambda x: profile.upper(x) - x > 0.0,
-                               0.0, argmin, tol / 10.0)[1]
+                               0.0, argmin, width / 10.0)[1]
 
 
-def find_inner_radius(profile: MajorantProfile,
-                      tol: float = DEFAULT_TOL) -> float:
+def find_inner_radius(profile: MajorantProfile) -> float:
     """Unique root of lower(r) = r on [0, min(a, R)].
 
     lower(r) - r is strictly decreasing (slope -k(r) - 1 <= -1), so the
     bisection bracket [0, min(a, R)] is certified whenever the profile is
     in the existence regime (a <= convergence_radius <= R).
     """
-    _check_tol(tol, profile.radius)
     a = profile.center_shift
     if a == 0.0:
         return 0.0
@@ -281,12 +302,11 @@ def find_inner_radius(profile: MajorantProfile,
             "existence regime"
         )
     return _predicate_boundary(lambda r: profile.lower(r) - r > 0.0,
-                               0.0, hi, tol / 10.0)[0]
+                               0.0, hi, _resolution(profile) / 10.0)[0]
 
 
 def find_uniqueness_radius(profile: MajorantProfile, convergence_radius: float,
-                           contraction_radius: float | None,
-                           tol: float = DEFAULT_TOL
+                           contraction_radius: float | None
                            ) -> tuple[float, bool, bool]:
     """Supremum radius of guaranteed uniqueness beyond the convergence radius.
 
@@ -300,7 +320,6 @@ def find_uniqueness_radius(profile: MajorantProfile, convergence_radius: float,
     find_convergence_radius reports a double root.  Raises
     NoExistenceError where find_convergence_radius does.
     """
-    _check_tol(tol, profile.radius)
     r_conv = float(convergence_radius)
     if not math.isfinite(r_conv) or r_conv < 0.0 or r_conv > profile.radius:
         raise ValueError(f"convergence radius {r_conv!r} outside [0, R]")
@@ -313,59 +332,25 @@ def find_uniqueness_radius(profile: MajorantProfile, convergence_radius: float,
     if min_gap >= -noise:
         return r_conv, False, True
     boundary = _predicate_boundary(lambda r: profile.upper(r) - r < 0.0,
-                                   argmin, R, tol / 10.0)[0]
+                                   argmin, R, _resolution(profile) / 10.0)[0]
     return boundary, False, False
 
 
-def analyze(profile: MajorantProfile, tol: float = DEFAULT_TOL) -> ZoneReport:
+def analyze(profile: MajorantProfile) -> ZoneReport:
     """Compose the radius finders into a full zone report.
 
     The contraction radius is searched once and handed down the chain.
 
     A failed existence check is not an error here: the report comes back
-    with existence_certified False, the contraction radius, and the
+    with no convergence radius, the contraction radius, and the
     minimized-gap witness.
     """
-    _check_tol(tol, profile.radius)
-    r_cr = find_contraction_radius(profile, tol)
+    r_cr = find_contraction_radius(profile)
     try:
-        r_conv = find_convergence_radius(profile, r_cr, tol)
+        r_conv = find_convergence_radius(profile, r_cr)
     except NoExistenceError as exc:
-        return ZoneReport(
-            existence_certified=False,
-            inner_radius=None,
-            convergence_radius=None,
-            uniqueness_radius=None,
-            uniqueness_radius_closed=False,
-            degenerate=False,
-            contraction_radius=r_cr,
-            contraction_zone=Interval.empty(),
-            uniqueness_zone=Interval.empty(),
-            existence_zone=Interval.empty(),
-            gap=exc.gap,
-            gap_argmin=exc.argmin,
-        )
-    r_inner = find_inner_radius(profile, tol)
-    r_uni, closed, degenerate = find_uniqueness_radius(profile, r_conv, r_cr, tol)
-
-    existence_zone = Interval(r_inner, r_conv, True, True)
-    uniqueness_zone = Interval(0.0, r_uni, True, closed)
-    contraction_cap = r_uni if r_cr is None else min(r_cr, r_uni)
-    if contraction_cap <= r_conv:
-        contraction_zone = Interval.empty()
-    else:
-        contraction_zone = Interval(r_conv, contraction_cap, True, False)
-
-    return ZoneReport(
-        existence_certified=True,
-        inner_radius=r_inner,
-        convergence_radius=r_conv,
-        uniqueness_radius=r_uni,
-        uniqueness_radius_closed=closed,
-        degenerate=degenerate,
-        contraction_radius=r_cr,
-        contraction_zone=contraction_zone,
-        uniqueness_zone=uniqueness_zone,
-        existence_zone=existence_zone,
-    )
-
+        return ZoneReport(None, None, None, False, False, r_cr,
+                          gap=exc.gap, gap_argmin=exc.argmin)
+    r_inner = find_inner_radius(profile)
+    r_uni, closed, degenerate = find_uniqueness_radius(profile, r_conv, r_cr)
+    return ZoneReport(r_inner, r_conv, r_uni, closed, degenerate, r_cr)

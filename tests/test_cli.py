@@ -345,32 +345,15 @@ class TestExitCodes:
         code, _ = run_cli(["analyze", "--preset", "does-not-exist"])
         assert code == 2
 
+    def test_tol_is_not_an_option(self, capsys):
+        # the finders' resolution is fixed; argparse rejects the old flag
+        code, out = run_cli(["analyze", "--preset", "quadratic", "--tol", "1e-3"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     def test_config_error_zones_without_out(self):
         code, _ = run_cli(["zones", "--preset", "quadratic"])
         assert code == 2
-
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
-    def test_config_error_tol_flag(self, tol):
-        code, out = run_cli(["solve", "--preset", "supercritical", f"--tol={tol}"])
-        assert code == 2 and out == ""
-
-    @pytest.mark.parametrize("tol", ["x", None, True, [1e-12], 10**400])
-    def test_config_error_config_tol(self, tmp_path, tol):
-        config = {"kind": "scalar_profile", "center_shift": 0.1875,
-                  "modulus": {"type": "power_sum", "terms": [[2.0, 1.0]]},
-                  "radius": 1.0, "tol": tol}
-        path = tmp_path / "tol.json"
-        path.write_text(json.dumps(config))
-        code, out = run_cli(["analyze", "--config", str(path)])
-        assert code == 2 and out == ""
-
-    @pytest.mark.parametrize("tol,expected", [("1e300", 2), ("0.01", 2), ("1e-4", 0)])
-    def test_tol_at_most_radius_over_1024(self, capsys, tol, expected):
-        # quadratic has R = 1, so the cap is 1/1024
-        code, _ = run_cli(["analyze", "--preset", "quadratic", f"--tol={tol}"])
-        assert code == expected
-        if expected == 2:
-            assert "exceeds R / 1024" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--max-steps=0", "--max-steps=-3",
                                       "--bound-tol=-1", "--bound-tol=0",
@@ -496,7 +479,7 @@ class TestExitCodes:
         assert code == 3
 
     def test_gap_past_tangency_is_refuted(self, tmp_path, capsys):
-        # 9e-13 above tangency: below the radius tolerance, above float noise
+        # 9e-13 above tangency: below the bracket resolution, above float noise
         config = {"kind": "scalar_profile", "center_shift": 0.25 + 9e-13,
                   "modulus": {"type": "power_sum", "terms": [[2.0, 1.0]]},
                   "radius": 1.0}

@@ -5,7 +5,6 @@ from majorfix import (
     BoundViolationError,
     ConstantModulus,
     InadmissibleStartError,
-    Interval,
     MajorantProfile,
     NoExistenceError,
     OperatorHandle,
@@ -26,16 +25,12 @@ QUAD = MajorantProfile(0.1875, PowerSumModulus(((2.0, 1.0),)), 1.0)
 
 def handmade_report(r_conv=0.25, r_uni=0.75, closed=False):
     return ZoneReport(
-        existence_certified=True,
         inner_radius=0.16,
         convergence_radius=r_conv,
         uniqueness_radius=r_uni,
         uniqueness_radius_closed=closed,
         degenerate=False,
         contraction_radius=0.5,
-        contraction_zone=Interval(r_conv, 0.5, True, False),
-        uniqueness_zone=Interval(0.0, r_uni, True, closed),
-        existence_zone=Interval(0.16, r_conv, True, True),
     )
 
 

@@ -14,6 +14,7 @@ from majorfix import (
     NoExistenceError,
     PowerSumModulus,
     TabulatedModulus,
+    ZoneReport,
     analyze,
     eval_majorants,
     find_contraction_radius,
@@ -127,7 +128,7 @@ class TestConvergenceRadius:
 
     def test_near_tangent_root_takes_one_bisection(self):
         # the roots 0.5 -+ 1e-5 of r = a + r^2 nearly touch; one bisection on
-        # [0, 0.5] down to tol/10 needs about 45 primitive evaluations
+        # [0, 0.5] down to 1e-13 needs about 45 primitive evaluations
         modulus = CountingModulus(PowerSumModulus(((2.0, 1.0),)))
         profile = MajorantProfile(0.25 - 1e-10, modulus, 1.0)
         r_cr = find_contraction_radius(profile)
@@ -175,7 +176,7 @@ class TestUniquenessRadius:
 
 class TestExistenceVerdict:
     # the sign of the minimized gap is decided only outside the float-noise
-    # band; the radius tolerance (1e-12) plays no part in it
+    # band; the bracket resolution (1e-12) plays no part in it
     PAST_TANGENCY = quad_profile(0.25 + 9e-13)
 
     def test_gap_past_tangency_refutes_existence(self):
@@ -253,40 +254,6 @@ class TestFinderChain:
             find_uniqueness_radius(QUAD, 0.25, math.nan)
 
 
-class TestTolerance:
-    # a = 0.1, k = 2r, R = 0.9: contraction radius 0.5, while a NaN tol
-    # skipped every bisection and reported the midpoint 0.45
-    PROFILE = MajorantProfile(0.1, PowerSumModulus(((2.0, 1.0),)), 0.9)
-
-    def calls(self, tol):
-        profile = self.PROFILE
-        r_cr = find_contraction_radius(profile)
-        r_conv = find_convergence_radius(profile, r_cr)
-        return [
-            lambda: analyze(profile, tol),
-            lambda: find_contraction_radius(profile, tol),
-            lambda: find_convergence_radius(profile, r_cr, tol),
-            lambda: find_inner_radius(profile, tol),
-            lambda: find_uniqueness_radius(profile, r_conv, r_cr, tol),
-        ]
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf, -math.inf])
-    def test_analyze_and_every_finder_reject(self, tol):
-        for call in self.calls(tol):
-            with pytest.raises(ValueError, match="tol must be finite and > 0"):
-                call()
-
-    @pytest.mark.parametrize("tol", [math.nextafter(0.9 / 1024, 1.0), 0.01, 1e300])
-    def test_tol_above_radius_over_1024_rejected(self, tol):
-        for call in self.calls(tol):
-            with pytest.raises(ValueError, match="exceeds R / 1024"):
-                call()
-
-    def test_tol_of_radius_over_1024_accepted(self):
-        for call in self.calls(0.9 / 1024):
-            call()
-
-
 class TestContractionRadius:
     def test_quadratic(self):
         assert find_contraction_radius(QUAD) == pytest.approx(0.5, abs=1e-10)
@@ -337,6 +304,25 @@ class TestAnalyze:
         assert report.gap == pytest.approx(0.25, abs=1e-10)
         assert report.existence_zone.is_empty()
 
+    def test_refuted_report_has_no_zones(self):
+        # no convergence radius: the flag and all three zones follow from it
+        report = ZoneReport(None, None, None, False, False, 0.5,
+                            gap=0.25, gap_argmin=0.5)
+        assert report.existence_certified is False
+        for zone in (report.existence_zone, report.uniqueness_zone,
+                     report.contraction_zone):
+            assert zone.is_empty()
+
+    def test_small_ball_brackets_to_r_over_10240(self):
+        # a = 1e-12, k = 1/2: roots 2e-12 (upper) and 2e-12/3 (lower) on a
+        # ball too small for the 1e-12 resolution, so brackets go to R/10240
+        R = 1e-10
+        report = analyze(MajorantProfile(1e-12, ConstantModulus(0.5), R))
+        width = Fraction(R / 10240.0)
+        conv, inner = Fraction(report.convergence_radius), Fraction(report.inner_radius)
+        assert 0 <= conv - Fraction(2e-12) <= width
+        assert 0 <= Fraction(2e-12) / 3 - inner <= width
+
     @pytest.mark.parametrize("a,c", [(0.1875, 1.0), (0.05, 2.0), (0.12, 1.5)])
     def test_matches_quadratic_oracle(self, a, c):
         radius = 1.0
@@ -377,8 +363,8 @@ class TestSafeSide:
     @pytest.mark.parametrize("name", sorted(EXACT_RADII))
     def test_preset_radii_on_safe_side_within_width(self, name):
         # up for the convergence radius, down for the others; the bracket is
-        # tol/10 wide, tol for the contraction radius and at a tangency
-        tol = majorant.DEFAULT_TOL
+        # _TOL/10 wide, _TOL for the contraction radius and at a tangency
+        resolution = majorant._TOL
         radii = run_analyze(get_preset(name))["radii"]
         for key, root in EXACT_RADII[name].items():
             if key == "uniqueness_radius" and radii["degenerate"]:
@@ -387,7 +373,7 @@ class TestSafeSide:
             offset = value - root if key == "convergence_radius" else root - value
             wide = key == "contraction_radius" or (
                 key == "convergence_radius" and radii["degenerate"])
-            width = Fraction(tol if wide else tol / 10.0)
+            width = Fraction(resolution if wide else resolution / 10.0)
             assert 0 <= offset <= width, (key, float(offset))
 
 

@@ -13,7 +13,6 @@ from majorfix import (
     HammersteinTerm,
     KernelTable,
     LipschitzPairSet,
-    MajorantProfile,
     MultilinearSpec,
     PowerSumModulus,
     StoppingRule,
@@ -31,7 +30,7 @@ from majorfix import (
 from majorfix import operators
 from majorfix.discretize import _absolute
 from majorfix.presets import (COMPOSITION_INNER, COMPOSITION_OUTER, FORCINGS,
-                              KERNELS, NONLINEARITIES, URYSOHN_KERNELS)
+                              KERNELS, URYSOHN_KERNELS)
 from helpers import lipschitz_increment_holds, per_radius_modulus, quadratic_radii
 
 

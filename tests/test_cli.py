@@ -351,6 +351,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "solve", "zones", "compare"])
+    def test_tol_flag_rejected_by_every_command(self, capsys, command):
+        # 1e-12 was the old default: no value of the flag is read any more
+        code, out = run_cli([command, "--preset", "supercritical", "--tol=1e-12"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --tol=1e-12" in capsys.readouterr().err
+
     def test_config_error_zones_without_out(self):
         code, _ = run_cli(["zones", "--preset", "quadratic"])
         assert code == 2

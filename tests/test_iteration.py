@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,26 @@ class TestAdmissibleStart:
 
     def test_closed_boundary_included(self):
         assert check_admissible_start(handmade_report(closed=True), 0.75)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("rho0,admissible", [
+        (0.16, True),                           # inner radius
+        (0.25, True),                           # convergence radius
+        (math.nextafter(0.25, 1.0), True),      # just into the annulus
+        (math.nextafter(0.75, 0.0), True),      # just below the uniqueness radius
+        (math.nextafter(0.75, 1.0), False),     # just past it
+        (1.0, False),
+    ])
+    def test_region_is_ball_then_annulus(self, closed, rho0, admissible):
+        assert check_admissible_start(handmade_report(closed=closed), rho0) is admissible
+
+    def test_convergence_radius_admissible_at_open_tangency(self):
+        # degenerate: the uniqueness zone [0, 0.5) is open at the convergence
+        # radius, which is admissible all the same
+        report = handmade_report(r_conv=0.5, r_uni=0.5)
+        assert not report.uniqueness_zone.contains(0.5)
+        assert check_admissible_start(report, 0.5)
+        assert not check_admissible_start(report, math.nextafter(0.5, 1.0))
 
     def test_uncertified_report_rejected(self):
         report = analyze(MajorantProfile(0.5, PowerSumModulus(((2.0, 1.0),)), 1.0))

@@ -254,6 +254,34 @@ class TestFinderChain:
             find_uniqueness_radius(QUAD, 0.25, math.nan)
 
 
+class TestResolution:
+    # the finders bracket to min(1e-12, R / 1024): a fixed width on ordinary
+    # balls, a tenth of a percent of R on balls too small for it
+
+    @pytest.mark.parametrize("R", [1.0, 1e-3, 1.024e-9, 1e-10, 1e-12])
+    def test_constant_modulus_radii_within_a_tenth(self, R):
+        # a = R/100, k = 1/2: roots 2a (upper) and 2a/3 (lower) at every
+        # scale, no contraction radius, uniqueness up to R closed; the gap
+        # at R, -0.49 R, stays outside the 16-ulp(1) noise band
+        a = R / 100.0
+        report = analyze(MajorantProfile(a, ConstantModulus(0.5), R))
+        width = Fraction(min(1e-12, R / 1024.0) / 10.0)
+        conv, inner = Fraction(report.convergence_radius), Fraction(report.inner_radius)
+        assert 0 <= conv - 2 * Fraction(a) <= width
+        assert 0 <= 2 * Fraction(a) / 3 - inner <= width
+        assert report.contraction_radius is None
+        assert report.uniqueness_radius == R and report.uniqueness_radius_closed
+
+    @pytest.mark.parametrize("k", [0, 10, 34, 300])
+    def test_contraction_radius_within_one(self, k):
+        # s = 2^-k, slope 2r/s on R = 0.9 s: the predicate is exact in floats
+        # and switches at s/2, found from below
+        s = 2.0 ** -k
+        profile = MajorantProfile(0.1 * s, PowerSumModulus(((2.0 / s, 1.0),)), 0.9 * s)
+        r_cr = find_contraction_radius(profile)
+        assert 0 <= Fraction(s / 2.0) - Fraction(r_cr) <= Fraction(min(1e-12, 0.9 * s / 1024.0))
+
+
 class TestContractionRadius:
     def test_quadratic(self):
         assert find_contraction_radius(QUAD) == pytest.approx(0.5, abs=1e-10)

@@ -245,15 +245,18 @@ def _gap_minimum(profile: MajorantProfile, contraction_radius: float | None
     the contraction radius, or at R when k never reaches 1.  At a tangency
     the true gap falls below the rounding of a + K(r) - r, so its sign is
     decided only outside the noise band: above it existence is refuted,
-    within it the minimum is a double root (the conservative reading: zones
-    only shrink).
+    within it the minimum is a double root.  The band is 16 ulps of the
+    largest term, with a floor of 1 that shrinks with the resolution on
+    balls too small for _TOL: a fixed floor would outgrow the gaps of a
+    small ball and read a refuted gap as a tangency.
     """
     argmin = (profile.radius if contraction_radius is None
               else float(contraction_radius))
     if not 0.0 <= argmin <= profile.radius:
         raise ValueError(f"contraction radius {argmin!r} outside [0, R]")
     upper = profile.upper(argmin)
-    scale = max(1.0, profile.center_shift, argmin, abs(upper))
+    floor = _resolution(profile) / _TOL
+    scale = max(floor, profile.center_shift, argmin, abs(upper))
     return argmin, upper - argmin, 16.0 * math.ulp(scale)
 
 

@@ -345,18 +345,12 @@ class TestExitCodes:
         code, _ = run_cli(["analyze", "--preset", "does-not-exist"])
         assert code == 2
 
-    def test_tol_is_not_an_option(self, capsys):
-        # the finders' resolution is fixed; argparse rejects the old flag
-        code, out = run_cli(["analyze", "--preset", "quadratic", "--tol", "1e-3"])
-        assert code == 2 and out == ""
-        assert "unrecognized arguments: --tol" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command", ["analyze", "solve", "zones", "compare"])
-    def test_tol_flag_rejected_by_every_command(self, capsys, command):
-        # 1e-12 was the old default: no value of the flag is read any more
-        code, out = run_cli([command, "--preset", "supercritical", "--tol=1e-12"])
+    def test_tol_is_not_an_option(self, capsys, command):
+        # the finders' resolution is fixed; argparse rejects the old flag
+        code, out = run_cli([command, "--preset", "quadratic", "--tol", "1e-3"])
         assert code == 2 and out == ""
-        assert "unrecognized arguments: --tol=1e-12" in capsys.readouterr().err
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
 
     def test_config_error_zones_without_out(self):
         code, _ = run_cli(["zones", "--preset", "quadratic"])

@@ -186,6 +186,16 @@ class TestExistenceVerdict:
         assert report.gap == pytest.approx(9.0e-13, rel=1e-4)
         assert report.gap_argmin == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("R", [1e-10, 1e-16, 1e-300])
+    def test_small_ball_gap_past_tangency_refutes_existence(self, R):
+        # k = 1/2, a = 0.50001 R: the only fixed point, 2a, lies outside the
+        # ball; the gap at R, 1e-5 R, is far below 16 ulp(1), so the band
+        # must shrink with the ball for the verdict to hold
+        report = analyze(MajorantProfile(0.50001 * R, ConstantModulus(0.5), R))
+        assert not report.existence_certified
+        assert report.gap == pytest.approx(1e-5 * R, rel=1e-6)
+        assert report.gap_argmin == R
+
     @staticmethod
     def verdicts(profile):
         """(convergence verdict, uniqueness degenerate flag) of one profile."""
@@ -258,11 +268,12 @@ class TestResolution:
     # the finders bracket to min(1e-12, R / 1024): a fixed width on ordinary
     # balls, a tenth of a percent of R on balls too small for it
 
-    @pytest.mark.parametrize("R", [1.0, 1e-3, 1.024e-9, 1e-10, 1e-12])
+    @pytest.mark.parametrize("R", [1.0, 1e-3, 1.024e-9, 1e-10, 1e-12, 1e-16, 1e-300])
     def test_constant_modulus_radii_within_a_tenth(self, R):
         # a = R/100, k = 1/2: roots 2a (upper) and 2a/3 (lower) at every
         # scale, no contraction radius, uniqueness up to R closed; the gap
-        # at R, -0.49 R, stays outside the 16-ulp(1) noise band
+        # at R, -0.49 R, stays outside the noise band, which shrinks with
+        # the ball
         a = R / 100.0
         report = analyze(MajorantProfile(a, ConstantModulus(0.5), R))
         width = Fraction(min(1e-12, R / 1024.0) / 10.0)
@@ -340,16 +351,6 @@ class TestAnalyze:
         for zone in (report.existence_zone, report.uniqueness_zone,
                      report.contraction_zone):
             assert zone.is_empty()
-
-    def test_small_ball_brackets_to_r_over_10240(self):
-        # a = 1e-12, k = 1/2: roots 2e-12 (upper) and 2e-12/3 (lower) on a
-        # ball too small for the 1e-12 resolution, so brackets go to R/10240
-        R = 1e-10
-        report = analyze(MajorantProfile(1e-12, ConstantModulus(0.5), R))
-        width = Fraction(R / 10240.0)
-        conv, inner = Fraction(report.convergence_radius), Fraction(report.inner_radius)
-        assert 0 <= conv - Fraction(2e-12) <= width
-        assert 0 <= Fraction(2e-12) / 3 - inner <= width
 
     @pytest.mark.parametrize("a,c", [(0.1875, 1.0), (0.05, 2.0), (0.12, 1.5)])
     def test_matches_quadratic_oracle(self, a, c):

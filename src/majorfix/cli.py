@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -397,9 +398,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                             for v in row])
+        writer.writerows(rows)
 
 
 def run_zones(config: dict, samples: int, out: Path) -> dict:
@@ -487,15 +486,55 @@ def _load_config(args) -> dict:
     return config
 
 
+def _record_rows(records) -> str | None:
+    """The rows of a list of flat records at depth 1 of a document, as
+    json.dumps(indent=2) lays them out; None unless every record holds the
+    same string keys in the same order and only ints and floats.
+
+    An indent sends json.dumps to its pure-Python encoder, so the values go
+    through one compact dump (the C encoder) and are split on ", ", which no
+    JSON number, NaN or Infinity contains; each row is then filled into one
+    template.
+    """
+    if not isinstance(records, list) or not records or type(records[0]) is not dict:
+        return None
+    keys = list(records[0])
+    if (not keys or not all(type(key) is str for key in keys)
+            or not all(type(row) is dict and list(row) == keys for row in records)):
+        return None
+    values = [value for row in records for value in row.values()]
+    if not all(issubclass(t, (int, float)) for t in set(map(type, values))):
+        return None
+    template = "    {\n" + ",\n".join(
+        "      " + json.dumps(key).replace("%", "%%") + ": %s" for key in keys) + "\n    }"
+    parts = json.dumps(values)[1:-1].split(", ")
+    width = len(keys)
+    return ",\n".join(template % tuple(parts[i:i + width])
+                       for i in range(0, len(parts), width))
+
+
+def _document_text(document: dict) -> str:
+    """json.dumps(document, indent=2), with a solve trace's steps rendered
+    by _record_rows."""
+    rows = _record_rows(document.get("steps"))
+    if rows is None:
+        return json.dumps(document, indent=2)
+    # at indent 2, a line opening with two spaces and a quote is a top-level key
+    text = json.dumps({**document, "steps": []}, indent=2)
+    return text.replace('\n  "steps": []', '\n  "steps": [\n' + rows + "\n  ]", 1)
+
+
 def _emit(document: dict, out: str | None) -> None:
-    text = json.dumps(document, indent=2)
+    text = _document_text(document)
     if out:
         Path(out).write_text(text + "\n")
     else:
         print(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="majorfix",
         description="Certified fixed-point analysis and iteration on "

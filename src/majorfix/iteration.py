@@ -176,7 +176,9 @@ def iterate(op: OperatorHandle, xi0, rule: StoppingRule, *,
             raise ValueError("operator changed the state shape")
         step_norm = float(op.norm(nxt - xi))
         r_next = profile.upper(r_n)
-        rho_next = profile.upper(rho_n)
+        # upper is deterministic, so envelopes that start equal (xi0 at the
+        # center) stay equal without a second evaluation
+        rho_next = r_next if rho_n == r_n else profile.upper(rho_n)
         step_bound = rho_next + rho_n - 2.0 * r_n
         record = StepRecord(n, xi.copy(), step_norm, r_n, rho_n,
                             apriori, step_bound, r_star - r_n)

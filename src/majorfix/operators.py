@@ -51,7 +51,7 @@ _RADIUS_SAMPLES = 257
 
 
 def _sup_norm(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v)))
+    return float(np.abs(v).max())
 
 
 # ---------------------------------------------------------------------------

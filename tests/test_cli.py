@@ -4,9 +4,12 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majorfix import KernelTable, MajorantProfile, PowerSumModulus, cli, eval_majorants
 from majorfix.cli import main
@@ -14,6 +17,7 @@ from majorfix.errors import ConfigError
 from majorfix.presets import URYSOHN_KERNELS, get_preset, preset_names
 
 BETA = (1.0 - math.sqrt(0.9)) / 0.05
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args):
@@ -214,6 +218,80 @@ class TestSolveCommand:
         assert code == 0
         assert doc["steps"] == []
         assert doc["final_bound"] == 0.0
+
+
+class TestReentrantMain:
+    def test_parser_built_once_and_left_as_it_was(self, tmp_path):
+        out = tmp_path / "document.json"
+        assert main(["solve", "--preset", "quadratic", "--max-steps", "3",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["status"] == "max_steps"
+        # the default max-steps of 1000 is back on the next call
+        assert main(["solve", "--preset", "quadratic", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "quadratic.solve.json").read_bytes()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["solve", "--bogus"]) == 2
+        assert "unrecognized arguments: --bogus" in err.getvalue()
+        assert main(["analyze", "--preset", "quadratic", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "quadratic.analyze.json").read_bytes()
+        assert cli._build_parser() is cli._build_parser()
+
+
+STEP_KEYS = ("n", "step_norm", "envelope_center", "envelope_start",
+             "apriori_bound", "step_bound", "center_bound")
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e300)
+NUMBERS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS), st.integers())
+STEP = st.fixed_dictionaries({key: NUMBERS for key in STEP_KEYS})
+# records the row renderer must hand back to json.dumps: mixed keys,
+# strings with ", ", nested lists, booleans and null
+ODD_VALUES = st.one_of(NUMBERS, st.text(), st.booleans(), st.none(),
+                       st.lists(NUMBERS, max_size=2))
+ODD_RECORDS = st.lists(st.dictionaries(st.text(max_size=4), ODD_VALUES, max_size=3),
+                       max_size=3)
+STEPS = st.one_of(st.just([]), st.lists(STEP, min_size=1, max_size=1),
+                  st.lists(STEP, min_size=2, max_size=40), ODD_RECORDS)
+RADII = st.fixed_dictionaries({
+    "inner_radius": NUMBERS, "convergence_radius": NUMBERS,
+    "uniqueness_radius": st.one_of(st.none(), NUMBERS),
+    "uniqueness_radius_closed": st.booleans(), "degenerate": st.booleans(),
+    "contraction_radius": st.one_of(st.none(), NUMBERS), "domain_radius": NUMBERS})
+SOLVED = st.fixed_dictionaries({
+    "kind": st.sampled_from(cli.KINDS), "radii": RADII, "start_offset": NUMBERS,
+    "status": st.sampled_from(["converged", "max_steps"]), "steps": STEPS,
+    "final_bound": NUMBERS, "solution": st.lists(NUMBERS, max_size=3),
+    "certification": st.fixed_dictionaries({
+        "steps_checked": st.integers(0, 1000), "step_ok": st.booleans(),
+        "worst_step_excess": NUMBERS})})
+VIOLATED = st.fixed_dictionaries({
+    "kind": st.sampled_from(cli.KINDS), "radii": RADII, "start_offset": NUMBERS,
+    "status": st.just("bound_violated"), "steps": STEPS, "final_bound": st.none(),
+    "solution": st.none(), "certification": st.none(),
+    "diagnostic": st.fixed_dictionaries({
+        "message": st.text(), "step": STEP, "observed_step_norm": NUMBERS,
+        "certified_step_bound": NUMBERS})})
+
+
+class TestDocumentText:
+    @given(st.one_of(SOLVED, VIOLATED))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_indented_json_dumps(self, document):
+        assert cli._document_text(document) == json.dumps(document, indent=2)
+
+    @pytest.mark.parametrize("steps", [
+        [{"a%s": 1.0, "b": 2}],
+        [{"a": 1.0, "b": 2}, {"b": 2, "a": 1.0}],
+        [{"a": 1.0}, {"a": 1.0, "b": 2}],
+        [{"a": "x, y"}, {"a": 1.0}],
+        [{"a": [1.0]}],
+        [{}],
+        [{1: 1.0}],
+        [[1.0, 2.0]],
+        [{"a": np.float64(0.1), "b": True}, {"a": np.float64(np.nan), "b": 3}],
+    ])
+    def test_irregular_records(self, steps):
+        document = {"kind": "scalar_profile", "steps": steps, "final_bound": 0.0}
+        assert cli._document_text(document) == json.dumps(document, indent=2)
 
 
 class TestZonesCommand:

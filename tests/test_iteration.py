@@ -88,6 +88,23 @@ class TestIterate:
             assert rec.step_norm == pytest.approx(envelope_step, abs=1e-14)
             assert rec.envelope_start == rec.envelope_center
 
+    @pytest.mark.parametrize("profile", [
+        QUAD,
+        MajorantProfile(0.1, ConstantModulus(0.5), 1.0),
+        MajorantProfile(0.05, PowerSumModulus(((0.3, 0.5), (1.5, 2.0))), 1.0),
+    ])
+    @pytest.mark.parametrize("offset", [0.0, 0.1])
+    def test_envelopes_are_upper_applied_step_by_step(self, profile, offset):
+        op = build_self_majorizing(profile)
+        _, trace = iterate(op, np.array([offset]),
+                           StoppingRule(bound_tol=1e-12, max_steps=200))
+        assert trace.steps
+        r, rho = 0.0, offset
+        for rec in trace.steps:
+            assert rec.envelope_center.hex() == r.hex()
+            assert rec.envelope_start.hex() == rho.hex()
+            r, rho = profile.upper(r), profile.upper(rho)
+
     def test_decreasing_branch_from_above(self):
         op = build_self_majorizing(QUAD)
         x, trace = iterate(op, np.array([0.5]),

@@ -238,10 +238,17 @@ def _hammerstein_lp(config: dict, radius: float):
     return handle, {"grid": {"rule": grid.rule, "n": grid.n}}
 
 
+def _declared_shape(*parts: dict) -> str:
+    """convex when every named registry part declares it, else monotone."""
+    return ("convex" if all(part.get("shape") == "convex" for part in parts)
+            else "monotone")
+
+
 def _urysohn(config: dict, radius: float):
     grid = _build_grid(config)
     demo = _lookup(URYSOHN_KERNELS, config.get("kernel"), "Urysohn kernel")
-    spec = UrysohnSpec(demo["kernel"], demo["u_modulus"], demo["v_modulus"])
+    spec = UrysohnSpec(demo["kernel"], demo["u_modulus"], demo["v_modulus"],
+                       _declared_shape(demo))
     handle = build_urysohn(spec, grid, radius, center=config.get("x0"))
     return handle, {"grid": {"rule": grid.rule, "n": grid.n}}
 
@@ -251,7 +258,8 @@ def _composition(config: dict, radius: float):
     outer = _lookup(COMPOSITION_OUTER, config.get("outer"), "outer map")
     inner = _lookup(COMPOSITION_INNER, config.get("inner"), "inner kernel")
     spec = CompositionSpec(outer["outer"], outer["u_modulus"], outer["v_modulus"],
-                           inner["kernel"], inner["bound"], inner["modulus"])
+                           inner["kernel"], inner["bound"], inner["modulus"],
+                           _declared_shape(outer, inner))
     handle = build_composition(spec, grid, radius, center=config.get("x0"))
     return handle, {"grid": {"rule": grid.rule, "n": grid.n}}
 

@@ -7,6 +7,9 @@ library reports is a root of a +- K(r) - r, so K is never approximated:
 * constant and power-sum moduli evaluate K in closed form;
 * a tabulated modulus is a linear interpolant and K is its exact
   piecewise-quadratic integral;
+* a sampled modulus is a sound upper envelope of its samples for a declared
+  shape (the right-endpoint step envelope of a nondecreasing k, the chord of
+  a convex one) and K is the envelope's exact integral;
 * scaled, combined and recentered moduli are one shifted weighted sum
   k(r) = sum_i w_i k_i(offset + r) with
   K(r) = sum_i w_i (K_i(offset + r) - K_i(offset)), built from the inputs'
@@ -35,7 +38,9 @@ __all__ = [
 ]
 
 _DOMAIN_SLACK = 1e-12
-_MONOTONE_TOL = 1e-9
+# float noise a sampled modulus may show against its declared shape,
+# relative to the larger of 1 and its largest sample
+_SAMPLE_NOISE = 1e-9
 
 
 class LipschitzModulus:
@@ -138,12 +143,15 @@ class TabulatedModulus(LipschitzModulus):
         xs.setflags(write=False)
         ys.setflags(write=False)
         # exact primitive of the interpolant at every node
-        segments = np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0
-        cumulative = np.concatenate(([0.0], np.cumsum(segments)))
+        cumulative = np.concatenate(([0.0], np.cumsum(self._segment_integrals(xs, ys))))
         cumulative.setflags(write=False)
         object.__setattr__(self, "abscissae", xs)
         object.__setattr__(self, "ordinates", ys)
         object.__setattr__(self, "_cumulative", cumulative)
+
+    @staticmethod
+    def _segment_integrals(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0
 
     def domain_end(self) -> float:
         return float(self.abscissae[-1])
@@ -160,6 +168,39 @@ class TabulatedModulus(LipschitzModulus):
         dr = r - xs[j]
         slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
         return float(self._cumulative[j] + ys[j] * dr + 0.5 * slope * dr * dr)
+
+
+class _StepEnvelope(TabulatedModulus):
+    """Right-endpoint step envelope of nondecreasing samples: k(r) = k(r_j)
+    on (r_{j-1}, r_j], above every nondecreasing k through the samples.
+    The primitive is piecewise linear, the running sum of the steps."""
+
+    @staticmethod
+    def _segment_integrals(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return np.diff(xs) * ys[1:]
+
+    def __call__(self, r: float) -> float:
+        r = self._check_radius(r)
+        return float(self.ordinates[np.searchsorted(self.abscissae, r)])
+
+    def primitive(self, r: float) -> float:
+        r = self._check_radius(r)
+        j = max(int(np.searchsorted(self.abscissae, r)), 1)
+        return float(self._cumulative[j - 1]
+                     + self.ordinates[j] * (r - self.abscissae[j - 1]))
+
+
+# declared shape of a sampled modulus -> its sound upper envelope, and the
+# radii a builder samples it at: the step envelope's error is first order in
+# the spacing, the chord's second order
+_ENVELOPES = {"monotone": _StepEnvelope, "convex": TabulatedModulus}
+_SHAPE_RADII = {"monotone": 257, "convex": 33}
+
+
+def _check_shape(shape: str) -> None:
+    if shape not in _ENVELOPES:
+        raise ValueError(f"unknown modulus shape {shape!r}; expected one of "
+                         f"{sorted(_ENVELOPES)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,19 +312,34 @@ def recenter_modulus(modulus: LipschitzModulus, offset: float) -> LipschitzModul
     return _ShiftedSum(((1.0, modulus),), offset)
 
 
-def modulus_from_samples(abscissae, ordinates) -> TabulatedModulus:
-    """Build a tabulated modulus, tolerating float-level monotonicity noise.
+def modulus_from_samples(radii, samples, shape: str = "monotone") -> TabulatedModulus:
+    """Sound upper envelope of a modulus k sampled at radii, for its shape.
 
-    Dips no deeper than _MONOTONE_TOL relative to the sample scale are
-    clamped; anything larger is a genuine non-monotone input and rejected.
+    * monotone (k nondecreasing): the right-endpoint step envelope, whose
+      error is first order in the spacing;
+    * convex (k convex and nondecreasing): the chord through the samples,
+      whose error is second order.
+
+    The shape is checked on the samples against one float-noise band,
+    _SAMPLE_NOISE relative to the sample scale: dips within it are clamped
+    and deeper ones rejected, and under convex a second difference below
+    minus the band is rejected too.
     """
-    xs = np.asarray(abscissae, dtype=float)
-    ys = np.asarray(ordinates, dtype=float)
-    scale = float(np.max(np.abs(ys))) if ys.size else 0.0
+    _check_shape(shape)
+    ys = np.asarray(samples, dtype=float)
+    band = _SAMPLE_NOISE * max(float(np.max(np.abs(ys))) if ys.size else 0.0, 1.0)
     running = np.maximum.accumulate(ys)
     worst_dip = float(np.max(running - ys)) if ys.size else 0.0
-    if worst_dip > _MONOTONE_TOL * max(scale, 1.0):
+    if worst_dip > band:
         raise ValueError(
             f"sampled modulus is not nondecreasing (worst dip {worst_dip:.3g})"
         )
-    return TabulatedModulus(xs, running)
+    # the envelope checks the radii before they divide anything
+    envelope = _ENVELOPES[shape](radii, running)
+    if shape == "convex" and ys.size > 2:
+        xs = envelope.abscissae
+        second = np.diff(np.diff(ys) / np.diff(xs)) * (xs[2:] - xs[:-2]) / 2.0
+        if float(np.min(second)) < -band:
+            raise ValueError("sampled modulus is not convex (worst second "
+                             f"difference {float(np.min(second)):.3g})")
+    return envelope

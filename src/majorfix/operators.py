@@ -5,8 +5,11 @@ norm, a center, and the majorant profile assembled from the family's
 Lipschitz modulus.  The multilinear norm is the smallest mode-unfolding
 spectral norm, a certified upper bound; superposition envelopes carry their
 exact piecewise primitive.  Moduli that need quadrature (Urysohn,
-composition) are sampled on a radius grid and wrapped as tabulated moduli
-so the scalar core keeps its exact-primitive contract.
+composition) are sampled on a radius grid and wrapped in the sound upper
+envelope of their declared shape (see modulus_from_samples), so the scalar
+core keeps its exact-primitive contract: a monotone modulus, the default,
+is sampled at 257 radii under its first-order step envelope, and a convex
+one at 33 radii under its second-order chord.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .moduli import (
     LipschitzModulus,
     PowerSumModulus,
     _PowerEnvelope,
+    _SHAPE_RADII,
+    _check_shape,
     combine_moduli,
     modulus_from_samples,
     recenter_modulus,
@@ -46,8 +51,6 @@ __all__ = [
     "build_composition",
     "build_self_majorizing",
 ]
-
-_RADIUS_SAMPLES = 257
 
 
 def _sup_norm(v: np.ndarray) -> float:
@@ -324,26 +327,29 @@ def build_superposition_modulus(pair_set: LipschitzPairSet, p: float, q: float,
 # ---------------------------------------------------------------------------
 
 def _tabulated_sup_handle(apply, chunk_modulus, grid: Grid, radius: float,
-                          center) -> OperatorHandle:
-    """Sup-norm handle whose modulus k(r + |x0|) is tabulated on
-    _RADIUS_SAMPLES radii r in [0, radius]; chunk_modulus maps a (c, 1, 1)
-    chunk of radii to k."""
+                          center, shape: str) -> OperatorHandle:
+    """Sup-norm handle whose modulus k(r + |x0|) is sampled on the shape's
+    count of radii r in [0, radius] (_SHAPE_RADII) under the shape's
+    envelope; chunk_modulus maps a (c, 1, 1) chunk of radii to k."""
     x0 = _resolve_center(center, grid)
-    rs = np.linspace(0.0, radius, _RADIUS_SAMPLES)
+    rs = np.linspace(0.0, radius, _SHAPE_RADII[shape])
     r = (rs + _sup_norm(x0))[:, None, None]
     chunk = max(1, _BLOCK_ELEMENTS // grid.n**2)
     ks = np.concatenate([chunk_modulus(r[i:i + chunk])
                          for i in range(0, rs.size, chunk)])
     if np.any(~np.isfinite(ks)) or np.any(ks < 0.0):
         raise ValueError("sampled modulus values must be finite and nonnegative")
-    return make_operator(apply, x0, _sup_norm, modulus_from_samples(rs, ks), radius)
+    return make_operator(apply, x0, _sup_norm, modulus_from_samples(rs, ks, shape),
+                         radius)
 
 
 @dataclass(frozen=True, eq=False)
 class UrysohnSpec:
     """Kernel K(t,s,u,v) with its partial moduli l(t,s,r) (in u) and
     m(t,s,r) (in v), both nonnegative and nondecreasing in r; the interval
-    is the build grid's.
+    is the build grid's.  shape declares what more l and m are in r:
+    "monotone" claims nothing more, "convex" that both are convex in r, so
+    the build samples the combined modulus at 33 radii instead of 257.
 
     Callbacks must be pointwise numpy functions of broadcastable open-mesh
     arrays: K(t, s, u, v) gets t = nodes[:, None], s = nodes[None, :],
@@ -354,6 +360,10 @@ class UrysohnSpec:
     kernel: Callable
     u_modulus: Callable
     v_modulus: Callable
+    shape: str = "monotone"
+
+    def __post_init__(self):
+        _check_shape(self.shape)
 
 
 def build_urysohn(spec: UrysohnSpec, grid: Grid, radius: float,
@@ -362,8 +372,9 @@ def build_urysohn(spec: UrysohnSpec, grid: Grid, radius: float,
 
     The modulus k(r) = max_t sum_l w_l (l(t, s_l, r) + m(t, s_l, r)) is
     sampled on a radius grid, a chunk of radii per call of the pointwise
-    moduli (see UrysohnSpec), and tabulated; a non-monotone sample set is a
-    construction error.  Scalar-only callbacks take a per-element loop.
+    moduli (see UrysohnSpec), and wrapped in the upper envelope of the
+    spec's shape; a sample set that breaks the shape is a construction
+    error.  Scalar-only callbacks take a per-element loop.
     """
     t, s, weights = grid.nodes[:, None], grid.nodes[None, :], grid.weights
     kernel = _mesh_callback(spec.kernel)
@@ -377,7 +388,8 @@ def build_urysohn(spec: UrysohnSpec, grid: Grid, radius: float,
         block = l_mod(t[None], s[None], r) + m_mod(t[None], s[None], r)
         return np.max(np.ascontiguousarray(block) @ weights, axis=1)
 
-    return _tabulated_sup_handle(apply, chunk_modulus, grid, radius, center)
+    return _tabulated_sup_handle(apply, chunk_modulus, grid, radius, center,
+                                 spec.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +400,11 @@ def build_urysohn(spec: UrysohnSpec, grid: Grid, radius: float,
 class CompositionSpec:
     """Outer map F(t,u,v) with moduli l(t,r,rho), m(t,r,rho); inner kernel
     K(t,s,u) with envelope n0(t,s,r) and modulus n(t,s,r); the interval is
-    the build grid's.
+    the build grid's.  shape declares what the moduli are in their radius
+    arguments: "monotone" that all are nondecreasing, "convex" that all
+    are convex and nondecreasing (l and m in r and rho jointly), which makes
+    the combined modulus convex, so the build samples it at 33 radii
+    instead of 257.
 
     Callbacks must be pointwise numpy functions of broadcastable open-mesh
     arrays: K gets t = nodes[:, None], s = nodes[None, :], u = x[None, :]; F
@@ -403,6 +419,10 @@ class CompositionSpec:
     inner_kernel: Callable
     inner_bound: Callable
     inner_modulus: Callable
+    shape: str = "monotone"
+
+    def __post_init__(self):
+        _check_shape(self.shape)
 
 
 def build_composition(spec: CompositionSpec, grid: Grid, radius: float,
@@ -412,8 +432,8 @@ def build_composition(spec: CompositionSpec, grid: Grid, radius: float,
     The combined modulus k(r) = max_t [ l(t, r, rho(t,r)) +
     m(t, r, rho(t,r)) * int n(t,s,r) ds ] with rho(t,r) = int n0(t,s,r) ds
     is sampled over a radius grid, a chunk of radii per call of the pointwise
-    moduli (see CompositionSpec), and tabulated.  Scalar-only callbacks take
-    a per-element loop.
+    moduli (see CompositionSpec), and wrapped in the upper envelope of the
+    spec's shape.  Scalar-only callbacks take a per-element loop.
     """
     t, s, weights = grid.nodes[:, None], grid.nodes[None, :], grid.weights
     inner_kernel, outer = _mesh_callback(spec.inner_kernel), _mesh_callback(spec.outer)
@@ -430,7 +450,8 @@ def build_composition(spec: CompositionSpec, grid: Grid, radius: float,
         tr = (grid.nodes[None, :], r[:, :, 0])
         return np.max(l_mod(*tr, rho) + m_mod(*tr, rho) * n_int, axis=1)
 
-    return _tabulated_sup_handle(apply, chunk_modulus, grid, radius, center)
+    return _tabulated_sup_handle(apply, chunk_modulus, grid, radius, center,
+                                 spec.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -50,29 +50,34 @@ FORCINGS = {
 }
 
 # Urysohn kernel demos: K(t,s,u,v) with partial moduli l(t,s,r), m(t,s,r)
+# and their shape in r (see UrysohnSpec)
 URYSOHN_KERNELS = {
     "mixed_quadratic": {
         "kernel": lambda t, s, u, v: 0.2 * t + 0.1 * s * u**2 + 0.05 * v,
         "u_modulus": lambda t, s, r: 0.2 * s * r + 0.0 * t,
         "v_modulus": lambda t, s, r: 0.05 + 0.0 * (t + s),
+        "shape": "convex",
     },
 }
 
-# composition outer maps F(t,u,v) with moduli l(t,r,rho), m(t,r,rho)
+# composition outer maps F(t,u,v) with moduli l(t,r,rho), m(t,r,rho), and
+# inner kernels K(t,s,u) with envelope n0 and modulus n; a build is convex
+# when both of its parts declare it (see CompositionSpec)
 COMPOSITION_OUTER = {
     "affine_mix": {
         "outer": lambda t, u, v: 0.1 * t + 0.5 * u + 0.25 * v,
         "u_modulus": lambda t, r, rho: 0.5 + 0.0 * np.asarray(t, dtype=float),
         "v_modulus": lambda t, r, rho: 0.25 + 0.0 * np.asarray(t, dtype=float),
+        "shape": "convex",
     },
 }
 
-# composition inner kernels K(t,s,u) with envelope n0 and modulus n
 COMPOSITION_INNER = {
     "weighted_square": {
         "kernel": lambda t, s, u: s * u**2 + 0.0 * t,
         "bound": lambda t, s, r: s * r**2 + 0.0 * t,
         "modulus": lambda t, s, r: 2.0 * s * r + 0.0 * t,
+        "shape": "convex",
     },
 }
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,6 +100,94 @@ class TestValidation:
         assert k(xs[2]) >= k(xs[1])
         with pytest.raises(ValueError):
             modulus_from_samples(xs, np.array([0.0, 0.5, 0.2, 0.7, 1.0]))
+
+
+# nondecreasing k with its exact primitive; the first two are concave, the
+# step function is neither concave nor convex
+NONDECREASING = {
+    "sqrt": (math.sqrt, lambda r: (2.0 / 3.0) * r**1.5),
+    "r^0.3": (lambda r: r**0.3, lambda r: r**1.3 / 1.3),
+    "r^2": (lambda r: r * r, lambda r: r**3 / 3.0),
+    "step": (lambda r: float(r > 0.4), lambda r: max(0.0, r - 0.4)),
+}
+CONVEX = ("r^2",)
+# radii between and on the nodes of linspace(0, 1, 9), whose spacing is 1/8
+PROBES = [j / 64.0 for j in range(65)] + [0.3, 0.41, 0.999]
+
+
+class TestSampledModulus:
+    @pytest.mark.parametrize("name", sorted(NONDECREASING))
+    def test_step_envelope_covers_every_nondecreasing_k(self, name):
+        k, primitive = NONDECREASING[name]
+        xs = np.linspace(0.0, 1.0, 9)
+        env = modulus_from_samples(xs, [k(x) for x in xs])
+        for r in PROBES:
+            assert env(r) >= k(r)
+            assert env.primitive(r) >= primitive(r)
+
+    @pytest.mark.parametrize("name", sorted(NONDECREASING))
+    def test_step_primitive_is_exact(self, name):
+        # the steps' exact running sum, in Fractions, at and between nodes
+        k = NONDECREASING[name][0]
+        xs = np.linspace(0.0, 1.0, 9)
+        ys = [k(x) for x in xs]
+        env = modulus_from_samples(xs, ys, "monotone")
+        for r in PROBES:
+            j = max(int(np.searchsorted(xs, r)), 1)
+            exact = (sum(Fraction(ys[i]) / 8 for i in range(1, j))
+                     + Fraction(ys[j]) * (Fraction(r) - Fraction(xs[j - 1])))
+            assert env(r) == ys[j] or r == 0.0
+            assert env.primitive(r) == pytest.approx(float(exact), abs=1e-15)
+
+    @pytest.mark.parametrize("name", CONVEX)
+    def test_chord_covers_a_convex_k(self, name):
+        k, primitive = NONDECREASING[name]
+        xs = np.linspace(0.0, 1.0, 9)
+        env = modulus_from_samples(xs, [k(x) for x in xs], "convex")
+        for r in PROBES:
+            assert env(r) >= k(r)
+            assert env.primitive(r) >= primitive(r)
+            j = max(int(np.searchsorted(xs, r)), 1)
+            x0, x1 = Fraction(xs[j - 1]), Fraction(xs[j])
+            y0, y1 = Fraction(k(xs[j - 1])), Fraction(k(xs[j]))
+            dr = Fraction(r) - x0
+            exact = (sum((Fraction(k(xs[i - 1])) + Fraction(k(xs[i]))) / 16
+                         for i in range(1, j))
+                     + y0 * dr + (y1 - y0) / (x1 - x0) * dr * dr / 2)
+            assert env.primitive(r) == pytest.approx(float(exact), abs=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(set(NONDECREASING) - set(CONVEX)))
+    def test_convex_declaration_checked_on_the_samples(self, name):
+        k = NONDECREASING[name][0]
+        xs = np.linspace(0.0, 1.0, 9)
+        with pytest.raises(ValueError, match="not convex"):
+            modulus_from_samples(xs, [k(x) for x in xs], "convex")
+
+    def test_one_noise_band_for_dips_and_second_differences(self):
+        xs = np.linspace(0.0, 1.0, 5)
+        line = 0.5 + xs
+        bent = line.copy()
+        bent[2] += 1e-10       # a second difference of -2e-10, in the band
+        env = modulus_from_samples(xs, bent, "convex")
+        assert np.array_equal(env.ordinates, bent)
+        bent[2] += 1e-8        # beyond it
+        with pytest.raises(ValueError, match="not convex"):
+            modulus_from_samples(xs, bent, "convex")
+        flat = np.full(5, 0.5)
+        flat[3] -= 1e-10       # a dip in the band is clamped under both shapes
+        for shape in ("monotone", "convex"):
+            assert np.array_equal(modulus_from_samples(xs, flat, shape).ordinates,
+                                  np.full(5, 0.5))
+
+    @pytest.mark.parametrize("shape", ["monotone", "convex"])
+    def test_decreasing_samples_rejected_under_every_shape(self, shape):
+        xs = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="not nondecreasing"):
+            modulus_from_samples(xs, np.maximum(0.0, 0.5 - xs), shape)
+
+    def test_unknown_shape_rejected(self):
+        with pytest.raises(ValueError, match="unknown modulus shape"):
+            modulus_from_samples([0.0, 1.0], [1.0, 1.0], "concave")
 
 
 def sqrt_primitive(offset, r):

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +29,6 @@ from majorfix import (
     iterate,
     multilinear_critical_shift,
 )
-from majorfix import operators
 from majorfix.discretize import _absolute
 from majorfix.presets import (COMPOSITION_INNER, COMPOSITION_OUTER, FORCINGS,
                               KERNELS, URYSOHN_KERNELS)
@@ -544,6 +545,7 @@ class TestUrysohn:
             lambda t, s, u, v: 0.2 * t + 0.1 * s * u**2 + 0.05 * v,
             lambda t, s, r: 0.2 * s * r + 0.0 * t,
             lambda t, s, r: 0.05 + 0.0 * (t + s),
+            shape="convex",
         )
         grid = Grid.simpson(0.0, 1.0, 101)
         op = build_urysohn(spec, grid, 1.0)
@@ -554,15 +556,57 @@ class TestUrysohn:
         root = bisect_root(lambda r: 0.2 + 0.05 * r**2 + 0.05 * r - r, 0.0, 0.5)
         assert report.convergence_radius == pytest.approx(root, abs=1e-9)
 
-    def test_non_monotone_modulus_rejected(self):
+    @pytest.mark.parametrize("shape", ["monotone", "convex"])
+    def test_non_monotone_modulus_rejected(self, shape):
         spec = UrysohnSpec(
             lambda t, s, u, v: 0.0 * (t + s + u + v),
             lambda t, s, r: max(0.0, 0.5 - r) + 0.0 * (t + s),
             lambda t, s, r: 0.0 * (t + s),
+            shape=shape,
         )
         grid = Grid.simpson(0.0, 1.0, 11)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not nondecreasing"):
             build_urysohn(spec, grid, 1.0)
+
+    @staticmethod
+    def _sqrt_spec(shape="monotone"):
+        # K(u) = 1/4 + (2/3)|u|^1.5 has u-slope sqrt|u| <= sqrt(r) on the
+        # ball of radius r, so k(r) = W sqrt(r) with W the weight sum
+        return UrysohnSpec(
+            lambda t, s, u, v: 0.25 + (2.0 / 3.0) * np.abs(u) ** 1.5 + 0.0 * (t + v),
+            lambda t, s, r: np.sqrt(r) + 0.0 * (t + s),
+            lambda t, s, r: 0.0 * (t + s),
+            shape=shape,
+        )
+
+    def test_undeclared_concave_modulus_is_sound(self):
+        grid = Grid.simpson(0.0, 1.0, 101)
+        op = build_urysohn(self._sqrt_spec(), grid, 1.0)
+        r_conv = analyze(op.profile).convergence_radius
+        # the smallest root of W/4 + (2/3) W r^1.5 = r in 60 digits; the gap
+        # falls until W sqrt(r) = 1, near r = 1, so [0, 1/2] holds one root
+        with localcontext() as ctx:
+            ctx.prec = 60
+            W = sum(Decimal(w) for w in grid.weights)
+            lo, hi = Decimal(0), Decimal("0.5")
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if W / 4 + Decimal(2) / 3 * W * mid * mid.sqrt() - mid > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            assert Decimal(r_conv) >= hi
+            # the step envelope over 257 radii adds at most (1/256) k(1) to
+            # K, which moves the root by less than 1/64 where k < 0.7
+            assert Decimal(r_conv) - hi < Decimal(1) / 64
+
+    def test_convex_declaration_on_a_concave_modulus_rejected(self):
+        with pytest.raises(ValueError, match="not convex"):
+            build_urysohn(self._sqrt_spec("convex"), Grid.simpson(0.0, 1.0, 101), 1.0)
+
+    def test_unknown_shape_rejected(self):
+        with pytest.raises(ValueError, match="unknown modulus shape"):
+            self._sqrt_spec("concave")
 
 
 class TestComposition:
@@ -611,6 +655,7 @@ class TestComposition:
             lambda t, s, u: s * u**2 + 0.0 * t,
             lambda t, s, r: s * r**2 + 0.0 * t,
             lambda t, s, r: 2.0 * s * r + 0.0 * t,
+            shape="convex",
         )
         grid = Grid.simpson(0.0, 1.0, 101)
         op = build_composition(spec, grid, 1.0)
@@ -619,24 +664,27 @@ class TestComposition:
 
 
 
-def _tabulation_spec(kind: str):
+def _tabulation_spec(kind: str, shape: str = "monotone"):
+    # every modulus here is convex and nondecreasing in its radius arguments
     if kind == "urysohn":
         demo = URYSOHN_KERNELS["mixed_quadratic"]
-        return UrysohnSpec(demo["kernel"], demo["u_modulus"], demo["v_modulus"])
+        return UrysohnSpec(demo["kernel"], demo["u_modulus"], demo["v_modulus"],
+                           shape)
     outer = COMPOSITION_OUTER["affine_mix"]
     inner = COMPOSITION_INNER["weighted_square"]
     if kind == "composition":
         return CompositionSpec(outer["outer"], outer["u_modulus"],
                                outer["v_modulus"], inner["kernel"],
-                               inner["bound"], inner["modulus"])
+                               inner["bound"], inner["modulus"], shape)
     # outer moduli that read rho, so the inner envelope reaches the samples
     return CompositionSpec(
         outer["outer"],
         lambda t, r, rho: 0.3 + 0.1 * rho + 0.0 * t,
-        lambda t, r, rho: 0.2 + 0.05 * r * rho,
+        lambda t, r, rho: 0.2 + 0.05 * (r + rho) ** 2,
         inner["kernel"],
         lambda t, s, r: s * r * r + 0.0 * t,
         inner["modulus"],
+        shape,
     )
 
 
@@ -647,14 +695,15 @@ def _build(spec, *args, **kwargs):
 
 class TestRadiusTabulation:
     # The radius axis is evaluated in chunks of 2**17 // n**2 radii: 12 at
-    # n = 101, 3 at n = 201 and 1 at n = 401; 257 and 25 samples leave a
-    # partial last chunk.
-    @pytest.mark.parametrize("n,samples", [(101, 257), (101, 25), (201, 257), (401, 40)])
+    # n = 101, 3 at n = 201 and 1 at n = 401; 33 and 257 radii leave a
+    # partial last chunk at n = 101 and 201.
+    @pytest.mark.parametrize("n,shape,samples", [
+        (101, "convex", 33), (101, "monotone", 257),
+        (201, "monotone", 257), (401, "convex", 33)])
     @pytest.mark.parametrize("x0", [None, 0.15])
     @pytest.mark.parametrize("kind", ["urysohn", "composition", "composition-rho"])
-    def test_moduli_match_per_radius_reference(self, monkeypatch, kind, n, samples, x0):
-        monkeypatch.setattr(operators, "_RADIUS_SAMPLES", samples)
-        spec = _tabulation_spec(kind)
+    def test_moduli_match_per_radius_reference(self, kind, n, shape, samples, x0):
+        spec = _tabulation_spec(kind, shape)
         grid = Grid.simpson(0.3, 1.4, n)
         op = _build(spec, grid, 1.5, center=x0)
         rs, ks = per_radius_modulus(spec, grid, 1.5, shift=x0 or 0.0,
@@ -662,9 +711,29 @@ class TestRadiusTabulation:
         assert np.array_equal(op.profile.modulus.abscissae, rs)
         assert np.array_equal(op.profile.modulus.ordinates, ks)
 
+    @pytest.mark.parametrize("shape,samples", [("convex", 33), ("monotone", 257)])
+    @pytest.mark.parametrize("kind", ["urysohn", "composition"])
+    def test_radius_count_follows_the_shape(self, kind, shape, samples):
+        radii = []
+
+        def counted(fn):
+            def wrapped(t, s, r):
+                radii.extend(np.ravel(r))
+                return fn(t, s, r)
+            return wrapped
+
+        spec = _tabulation_spec(kind, shape)
+        if kind == "urysohn":
+            spec = dataclasses.replace(spec, u_modulus=counted(spec.u_modulus))
+        else:
+            spec = dataclasses.replace(spec, inner_bound=counted(spec.inner_bound))
+        op = _build(spec, Grid.simpson(0.0, 1.0, 401), 1.0)
+        # one callback round per radius at n = 401, over the table's nodes
+        assert radii == list(op.profile.modulus.abscissae)
+        assert len(radii) == samples
+
     @pytest.mark.parametrize("x0", [None, 0.15])
-    def test_scalar_only_callbacks_match_numpy_twins(self, monkeypatch, x0):
-        monkeypatch.setattr(operators, "_RADIUS_SAMPLES", 65)
+    def test_scalar_only_callbacks_match_numpy_twins(self, x0):
         array_calls = []
 
         def scalar_only(fn):
@@ -711,8 +780,7 @@ class TestRadiusTabulation:
         # each callback saw arrays once, on its first call
         assert len(array_calls) == len(set(array_calls)) == 9
 
-    def test_scalar_fallback_decided_once_per_callback(self, monkeypatch):
-        monkeypatch.setattr(operators, "_RADIUS_SAMPLES", 30)
+    def test_scalar_fallback_decided_once_per_callback(self):
         array_calls = []
 
         def u_modulus(t, s, r):
@@ -721,7 +789,7 @@ class TestRadiusTabulation:
             return math.sqrt(s) * r
 
         spec = UrysohnSpec(lambda t, s, u, v: 0.0 * (t + s + u + v),
-                           u_modulus, lambda t, s, r: 0.05 + 0.0 * (t + s))
+                           u_modulus, lambda t, s, r: 0.05 + 0.0 * (t + s), "convex")
         op = build_urysohn(spec, Grid.simpson(0.0, 1.0, 101), 1.0)
         assert array_calls == [(12, 1, 1)]
         assert op.profile.slope(1.0) == pytest.approx(1.0 / 1.5 + 0.05, abs=1e-3)

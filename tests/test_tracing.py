@@ -50,11 +50,17 @@ def _scaled_config(tmp_path):
     return ["analyze", "--config", str(path)]
 
 
-@pytest.mark.parametrize("make_args", [
-    lambda tmp_path: ["solve", "--preset", "hammerstein-separable"],
-    _scaled_config,   # scale_modulus of the tracer's wrapped modulus
-], ids=["solve-preset", "analyze-modulus-scale"])
-def test_traced_run_writes_the_untraced_document(tmp_path, make_args):
+# (arguments, combine_moduli spans, tabulated-modulus nodes) of one traced run;
+# the urysohn and composition presets declare convex moduli, sampled at 33 radii
+@pytest.mark.parametrize("make_args,combines,table_nodes", [
+    (lambda tmp_path: ["solve", "--preset", "hammerstein-separable"], 1, 0),
+    (_scaled_config, 1, 0),   # scale_modulus of the tracer's wrapped modulus
+    (lambda tmp_path: ["analyze", "--preset", "urysohn"], 0, 33),
+    (lambda tmp_path: ["analyze", "--preset", "composition"], 0, 33),
+], ids=["solve-preset", "analyze-modulus-scale", "analyze-urysohn",
+        "analyze-composition"])
+def test_traced_run_writes_the_untraced_document(tmp_path, make_args, combines,
+                                                 table_nodes):
     tracing = _load_tracing()
     plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
     args = make_args(tmp_path) + ["--out"]
@@ -73,6 +79,7 @@ def test_traced_run_writes_the_untraced_document(tmp_path, make_args):
     after = _snapshot(tracing.CALLBACK_TABLES)
 
     assert traced.read_bytes() == plain.read_bytes()
-    assert tracer.analyse()["count"]["moduli.tabulate.combine_moduli"] == 1
+    assert tracer.analyse()["count"]["moduli.tabulate.combine_moduli"] == combines
+    assert tracer.counts["moduli.table_nodes"] == table_nodes
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []

@@ -258,6 +258,11 @@ def zaanen_sweep_objectives(kernel: KernelTable, alpha: float, beta: float,
     Maximizes the bilinear form of |z| over the product of weighted L_alpha
     and L_beta unit balls; each half-step is an exact block maximization via
     the closed-form Hoelder-extremal vector, so the trail is nondecreasing.
+
+    A sweep is a function of its start vector alone, so once that vector
+    recurs bit for bit the trail is periodic: computation stops there and
+    the rest of the iters entries repeat the period, the same values the
+    remaining sweeps would give.
     """
     alpha, beta = float(alpha), float(beta)
     if alpha <= 1.0 or beta <= 1.0:
@@ -269,13 +274,21 @@ def zaanen_sweep_objectives(kernel: KernelTable, alpha: float, beta: float,
     # constant start keeps the iteration inside the nonnegative cone
     y = np.ones(kernel.grid_t.n)
     y /= float((wt @ y**beta) ** (1.0 / beta))
-    objectives = []
-    for _ in range(iters):
+    objectives: list[float] = []
+    seen = {y.tobytes(): 0}  # each state's bytes -> the sweep that produced it
+    for sweep in range(1, iters + 1):
         phi = Z.T @ (wt * y)
         x, _ = _holder_extremal(phi, alpha, ws)
         psi = Z @ (ws * x)
         y, value = _holder_extremal(psi, beta, wt)
         objectives.append(value)
+        first = seen.setdefault(y.tobytes(), sweep)
+        if first != sweep:
+            # a sweep depends on y alone, so the trail repeats from here
+            period = sweep - first
+            for _ in range(iters - sweep):
+                objectives.append(objectives[-period])
+            break
     return objectives
 
 
@@ -283,8 +296,9 @@ def zaanen_norm_estimate(kernel: KernelTable, alpha: float, beta: float) -> floa
     """Estimate the bilinear sup-norm of |z| over the two unit balls.
 
     _ZAANEN_SWEEPS sweeps of alternating maximization yield a certified lower
-    bound of the discrete norm; it is reported as an estimate.  Consumers
-    needing a safe bound may inflate it (over-estimating a modulus only
-    shrinks certified zones).
+    bound of the discrete norm; it is reported as an estimate.  Sweeps stop
+    being computed once their state recurs (see zaanen_sweep_objectives),
+    which does not change the value.  Consumers needing a safe bound may
+    inflate it (over-estimating a modulus only shrinks certified zones).
     """
     return zaanen_sweep_objectives(kernel, alpha, beta, _ZAANEN_SWEEPS)[-1]

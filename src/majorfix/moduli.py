@@ -39,7 +39,7 @@ __all__ = [
 
 _DOMAIN_SLACK = 1e-12
 # float noise a sampled modulus may show against its declared shape,
-# relative to the larger of 1 and its largest sample
+# relative to its largest sample
 _SAMPLE_NOISE = 1e-9
 
 
@@ -320,17 +320,18 @@ def modulus_from_samples(radii, samples, shape: str = "monotone") -> TabulatedMo
     * convex (k convex and nondecreasing): the chord through the samples,
       whose error is second order.
 
-    The shape is checked on the samples against one float-noise band,
-    _SAMPLE_NOISE relative to the sample scale: dips within it are clamped
-    and deeper ones rejected, and under convex a second difference below
-    minus the band is rejected too.
+    The shape is checked on the samples against _SAMPLE_NOISE relative to
+    the largest sample: under convex a second difference below minus that
+    band is rejected.  Dips within the band, floored at _SAMPLE_NOISE, are
+    clamped up and deeper ones rejected.
     """
     _check_shape(shape)
     ys = np.asarray(samples, dtype=float)
-    band = _SAMPLE_NOISE * max(float(np.max(np.abs(ys))) if ys.size else 0.0, 1.0)
+    scale = float(np.max(np.abs(ys))) if ys.size else 0.0
     running = np.maximum.accumulate(ys)
     worst_dip = float(np.max(running - ys)) if ys.size else 0.0
-    if worst_dip > band:
+    # clamping a dip up errs on the safe side, so its band keeps a floor of 1
+    if worst_dip > _SAMPLE_NOISE * max(scale, 1.0):
         raise ValueError(
             f"sampled modulus is not nondecreasing (worst dip {worst_dip:.3g})"
         )
@@ -339,7 +340,7 @@ def modulus_from_samples(radii, samples, shape: str = "monotone") -> TabulatedMo
     if shape == "convex" and ys.size > 2:
         xs = envelope.abscissae
         second = np.diff(np.diff(ys) / np.diff(xs)) * (xs[2:] - xs[:-2]) / 2.0
-        if float(np.min(second)) < -band:
+        if float(np.min(second)) < -_SAMPLE_NOISE * scale:
             raise ValueError("sampled modulus is not convex (worst second "
                              f"difference {float(np.min(second)):.3g})")
     return envelope

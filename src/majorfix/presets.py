@@ -25,7 +25,7 @@ __all__ = [
 
 KERNELS = {
     "product": lambda t, s: t * s,
-    "one": lambda t, s: np.ones_like(np.asarray(t, dtype=float) * np.asarray(s, dtype=float)),
+    "one": lambda t, s: np.ones(np.broadcast_shapes(np.shape(t), np.shape(s))),
     "exp_product": lambda t, s: np.exp(t * s),
 }
 
@@ -44,8 +44,8 @@ LP_NONLINEARITIES = {
 
 FORCINGS = {
     "identity": lambda t: np.asarray(t, dtype=float),
-    "zero": lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-    "one": lambda t: np.ones_like(np.asarray(t, dtype=float)),
+    "zero": lambda t: np.zeros(np.shape(t)),
+    "one": lambda t: np.ones(np.shape(t)),
     "sin_pi": lambda t: np.sin(np.pi * np.asarray(t, dtype=float)),
 }
 

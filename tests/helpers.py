@@ -149,3 +149,28 @@ def meshgrid_kernel(fn, grid_t, grid_s) -> np.ndarray:
         pass
     return np.array([[float(fn(t, s)) for s in grid_s.nodes]
                      for t in grid_t.nodes])
+
+
+def plain_zaanen_sweeps(kernel, alpha: float, beta: float,
+                        iters: int) -> list[float]:
+    """The alternating-maximization trail, every one of its iters sweeps
+    computed: the same float operations, in the same order, as the
+    estimator, with no early stop."""
+    Z = np.abs(kernel.values)
+    wt, ws = kernel.grid_t.weights, kernel.grid_s.weights
+
+    def extremal(v, p, w):
+        q = p / (p - 1.0)
+        dual = float((w @ v**q) ** (1.0 / q))
+        if dual == 0.0:
+            return np.zeros_like(v), 0.0
+        return (v / dual) ** (q - 1.0), dual
+
+    y = np.ones(kernel.grid_t.n)
+    y /= float((wt @ y**beta) ** (1.0 / beta))
+    objectives = []
+    for _ in range(iters):
+        x, _ = extremal(Z.T @ (wt * y), alpha, ws)
+        y, value = extremal(Z @ (ws * x), beta, wt)
+        objectives.append(value)
+    return objectives

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from majorfix import (
 )
 from majorfix import discretize
 from majorfix.presets import KERNELS
-from helpers import meshgrid_kernel
+from helpers import meshgrid_kernel, plain_zaanen_sweeps
 
 
 class TestGrid:
@@ -130,6 +134,71 @@ class TestZaanen:
         table = KernelTable.from_function(self.grid, self.grid, lambda t, s: t * s)
         with pytest.raises(ValueError):
             zaanen_norm_estimate(table, 1.0, 2.0)
+
+
+def _sparse_table(grid):
+    rng = np.random.default_rng(5)
+    shape = (grid.n, grid.n)
+    return rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) < 0.1)
+
+
+ZAANEN_TABLES = {
+    "constant": lambda grid: KernelTable.from_function(grid, grid, KERNELS["one"]),
+    "product": lambda grid: KernelTable.from_function(grid, grid, KERNELS["product"]),
+    "exp_product": lambda grid: KernelTable.from_function(grid, grid,
+                                                          KERNELS["exp_product"]),
+    "signed": lambda grid: KernelTable.from_function(
+        grid, grid, lambda t, s: np.cos(3.0 * t * s)),
+    "sparse": lambda grid: KernelTable(grid, grid, _sparse_table(grid)),
+}
+
+
+class TestZaanenRecurrence:
+    """The trail stops being computed once its state recurs, and is still
+    the full trail of the plain loop."""
+
+    @pytest.mark.parametrize("iters", [1, 2, 3, 50, 200])
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (1.2, 4.0), (3.0, 1.5)])
+    @pytest.mark.parametrize("name", sorted(ZAANEN_TABLES))
+    def test_trail_matches_the_plain_loop(self, name, alpha, beta, iters):
+        table = ZAANEN_TABLES[name](Grid.simpson(0.0, 1.0, 101))
+        trail = zaanen_sweep_objectives(table, alpha, beta, iters)
+        assert len(trail) == iters
+        assert trail == plain_zaanen_sweeps(table, alpha, beta, iters)
+
+    def test_constant_kernel_stops_within_two_sweeps(self, monkeypatch):
+        calls = []
+        extremal = discretize._holder_extremal
+
+        def counted(*args):
+            calls.append(1)
+            return extremal(*args)
+
+        monkeypatch.setattr(discretize, "_holder_extremal", counted)
+        table = ZAANEN_TABLES["constant"](Grid.simpson(0.0, 1.0, 101))
+        assert len(zaanen_sweep_objectives(table, 2.0, 2.0, 50)) == 50
+        assert len(calls) <= 4
+
+    def test_trail_independent_of_the_blas_thread_count(self):
+        # the stop assumes a sweep gives the same bits each time within a
+        # process; check it against the plain loop under 1 and 2 threads
+        script = (
+            "from majorfix import Grid, KernelTable, zaanen_sweep_objectives\n"
+            "from majorfix.presets import KERNELS\n"
+            "from helpers import plain_zaanen_sweeps\n"
+            "grid = Grid.simpson(0.0, 1.0, 1001)\n"
+            "table = KernelTable.from_function(grid, grid, KERNELS['product'])\n"
+            "trail = zaanen_sweep_objectives(table, 2.0, 2.0, 50)\n"
+            "assert len(trail) == 50\n"
+            "assert trail == plain_zaanen_sweeps(table, 2.0, 2.0, 50)\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True)
+            assert result.returncode == 0, (threads, result.stderr)
 
 
 class TestKernelTable:

@@ -179,6 +179,20 @@ class TestSampledModulus:
             assert np.array_equal(modulus_from_samples(xs, flat, shape).ordinates,
                                   np.full(5, 0.5))
 
+    def test_convex_band_scales_with_the_samples(self):
+        # second differences are held to the samples' own scale, with no
+        # floor of 1; a dip is clamped up within a band floored at 1e-9
+        xs = np.linspace(0.0, 1.0, 33)
+        small = 9.5e-9 * np.sqrt(xs)
+        with pytest.raises(ValueError, match="not convex"):
+            modulus_from_samples(xs, small, "convex")
+        assert np.array_equal(modulus_from_samples(xs, 1e-3 * xs * xs, "convex").ordinates,
+                              1e-3 * xs * xs)
+        dipped = np.full(33, 1e-6)
+        dipped[5] -= 5e-10
+        assert np.array_equal(modulus_from_samples(xs, dipped).ordinates,
+                              np.full(33, 1e-6))
+
     @pytest.mark.parametrize("shape", ["monotone", "convex"])
     def test_decreasing_samples_rejected_under_every_shape(self, shape):
         xs = np.linspace(0.0, 1.0, 5)

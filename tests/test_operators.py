@@ -569,12 +569,14 @@ class TestUrysohn:
             build_urysohn(spec, grid, 1.0)
 
     @staticmethod
-    def _sqrt_spec(shape="monotone"):
-        # K(u) = 1/4 + (2/3)|u|^1.5 has u-slope sqrt|u| <= sqrt(r) on the
-        # ball of radius r, so k(r) = W sqrt(r) with W the weight sum
+    def _sqrt_spec(shape="monotone", scale=1.0):
+        # K(u) = 1/4 + scale (2/3)|u|^1.5 has u-slope scale sqrt|u| <=
+        # scale sqrt(r) on the ball of radius r, so k(r) = scale W sqrt(r)
+        # with W the weight sum
         return UrysohnSpec(
-            lambda t, s, u, v: 0.25 + (2.0 / 3.0) * np.abs(u) ** 1.5 + 0.0 * (t + v),
-            lambda t, s, r: np.sqrt(r) + 0.0 * (t + s),
+            lambda t, s, u, v: 0.25 + scale * (2.0 / 3.0) * np.abs(u) ** 1.5
+            + 0.0 * (t + v),
+            lambda t, s, r: scale * np.sqrt(r) + 0.0 * (t + s),
             lambda t, s, r: 0.0 * (t + s),
             shape=shape,
         )
@@ -603,6 +605,12 @@ class TestUrysohn:
     def test_convex_declaration_on_a_concave_modulus_rejected(self):
         with pytest.raises(ValueError, match="not convex"):
             build_urysohn(self._sqrt_spec("convex"), Grid.simpson(0.0, 1.0, 101), 1.0)
+
+    def test_convex_declaration_on_a_small_concave_modulus_rejected(self):
+        # second differences are held to the modulus's own scale, not to 1
+        with pytest.raises(ValueError, match="not convex"):
+            build_urysohn(self._sqrt_spec("convex", 9.5e-9),
+                          Grid.simpson(0.0, 1.0, 101), 1.0)
 
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError, match="unknown modulus shape"):

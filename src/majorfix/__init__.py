@@ -15,7 +15,6 @@ from .moduli import (
     combine_moduli,
     modulus_from_samples,
     recenter_modulus,
-    scale_modulus,
 )
 from .majorant import (
     Interval,

@@ -27,12 +27,7 @@ from .errors import (
 )
 from .iteration import OperatorHandle, StoppingRule, certify_trace, iterate
 from .majorant import MajorantProfile, ZoneReport, analyze, eval_majorants
-from .moduli import (
-    ConstantModulus,
-    PowerSumModulus,
-    TabulatedModulus,
-    scale_modulus,
-)
+from .moduli import ConstantModulus, PowerSumModulus, TabulatedModulus, combine_moduli
 from .operators import (
     CompositionSpec,
     HammersteinSpec,
@@ -65,6 +60,12 @@ __all__ = ["main", "entrypoint", "run_analyze", "run_solve", "run_zones", "run_c
 
 _FAMILY_FACTORS = (0.5, 0.9, 1.0, 1.25)
 _ZAANEN_INFLATION = 1.05
+# the keys each nested config object may hold
+_GRID_KEYS = ("rule", "n")
+_MODULUS_KEYS = {"constant": ("type", "value"), "power_sum": ("type", "terms"),
+                 "tabulated": ("type", "abscissae", "ordinates")}
+_TERM_KEYS = ("kernel", "kernel_csv", "nonlinearity")
+_LP_TERM_KEYS = _TERM_KEYS + ("q", "pairs", "zaanen_norm")
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +80,12 @@ def _lookup(table: dict, name, what: str):
     if not isinstance(name, str) or name not in table:
         _fail(f"unknown {what} {name!r}; available: {sorted(table)}")
     return table[name]
+
+
+def _check_keys(doc: dict, allowed, what: str) -> None:
+    for key in doc:
+        if key not in allowed:
+            _fail(f"unknown key {key!r} in {what}; allowed: {sorted(allowed)}")
 
 
 def _number(config: dict, key: str, *, positive=False, nonnegative=False):
@@ -104,6 +111,7 @@ def _build_modulus(doc) -> ConstantModulus | PowerSumModulus | TabulatedModulus:
     if not isinstance(doc, dict) or "type" not in doc:
         _fail("modulus must be an object with a 'type' field")
     kind = doc["type"]
+    _check_keys(doc, _lookup(_MODULUS_KEYS, kind, "modulus type"), f"{kind} modulus")
     if kind == "constant":
         return ConstantModulus(_number(doc, "value", nonnegative=True))
     if kind == "power_sum":
@@ -111,16 +119,15 @@ def _build_modulus(doc) -> ConstantModulus | PowerSumModulus | TabulatedModulus:
         if not isinstance(terms, list) or not terms:
             _fail("power_sum modulus needs a nonempty 'terms' list")
         return PowerSumModulus(tuple((float(c), float(p)) for c, p in terms))
-    if kind == "tabulated":
-        return TabulatedModulus(np.asarray(doc.get("abscissae"), dtype=float),
-                                np.asarray(doc.get("ordinates"), dtype=float))
-    _fail(f"unknown modulus type {kind!r}")
+    return TabulatedModulus(np.asarray(doc.get("abscissae"), dtype=float),
+                            np.asarray(doc.get("ordinates"), dtype=float))
 
 
 def _build_grid(config: dict) -> Grid:
     doc = config.get("grid", {"rule": "simpson", "n": 101})
     if not isinstance(doc, dict):
         _fail("'grid' must be an object")
+    _check_keys(doc, _GRID_KEYS, "grid")
     rule = doc.get("rule", "simpson")
     n = doc.get("n", 101)
     if not isinstance(n, int) or isinstance(n, bool):
@@ -139,12 +146,12 @@ def _resolve_kernel(term: dict, grid: Grid):
         path = Path(term["kernel_csv"])
         if not path.exists():
             _fail(f"kernel CSV {path} does not exist")
-        return KernelTable.from_csv(path, grid, grid)
+        return KernelTable.from_csv(path, grid)
     kernel = term.get("kernel")
     if isinstance(kernel, str):
         return _lookup(KERNELS, kernel, "kernel")
     if isinstance(kernel, list):
-        return KernelTable(grid, grid, kernel)
+        return KernelTable(grid, kernel)
     _fail("each term needs a 'kernel' (name or matrix) or 'kernel_csv'")
 
 
@@ -194,6 +201,7 @@ def _hammerstein_c(config: dict, radius: float):
     grid = _build_grid(config)
 
     def make_term(term: dict) -> HammersteinTerm:
+        _check_keys(term, _TERM_KEYS, "term")
         fn, modulus = _lookup(NONLINEARITIES, term.get("nonlinearity"), "nonlinearity")
         return HammersteinTerm(_resolve_kernel(term, grid), fn, modulus)
 
@@ -205,20 +213,17 @@ def _hammerstein_c(config: dict, radius: float):
 def _hammerstein_lp(config: dict, radius: float):
     grid = _build_grid(config)
     p = _number(config, "p")
-    if p <= 1.0:
-        _fail("'p' must be > 1 for the L_p variant")
-    moduli, norms = [], []
+    norms = []
 
     def make_term(term: dict) -> HammersteinTerm:
-        name = term.get("nonlinearity")
-        fn, default_pairs, q_rule = _lookup(LP_NONLINEARITIES, name, "L_p nonlinearity")
-        q = term.get("q", p if q_rule == "same_as_p" else None)
-        if q is None:
-            _fail(f"term with nonlinearity {name!r} needs 'q'")
-        q = float(q)
+        _check_keys(term, _LP_TERM_KEYS, "term")
+        fn, default_pairs = _lookup(LP_NONLINEARITIES, term.get("nonlinearity"),
+                                    "L_p nonlinearity")
+        q = float(term.get("q", p))
         pairs = LipschitzPairSet(tuple(
             (float(a), float(b)) for a, b in term.get("pairs", default_pairs)))
-        moduli.append(build_superposition_modulus(pairs, p, q, grid.upper - grid.lower))
+        # build_superposition_modulus rejects p <= 1 before anything divides by p - 1
+        modulus = build_superposition_modulus(pairs, p, q, grid.upper - grid.lower)
         kernel = _resolve_kernel(term, grid)
         if "zaanen_norm" in term:
             norms.append(float(term["zaanen_norm"]))
@@ -227,14 +232,13 @@ def _hammerstein_lp(config: dict, radius: float):
         else:
             # sampled once: the table feeds the build too
             if callable(kernel):
-                kernel = KernelTable.from_function(grid, grid, kernel)
+                kernel = KernelTable.from_function(grid, kernel)
             norms.append(_ZAANEN_INFLATION
                          * zaanen_norm_estimate(kernel, q, p / (p - 1.0)))
-        return HammersteinTerm(kernel, fn, None)
+        return HammersteinTerm(kernel, fn, modulus)
 
     spec = _hammerstein_spec(config, grid, make_term)
-    handle = build_hammerstein_lp(spec, moduli, norms, p, grid, radius,
-                                  center=config.get("x0"))
+    handle = build_hammerstein_lp(spec, norms, p, grid, radius, center=config.get("x0"))
     return handle, {"grid": {"rule": grid.rule, "n": grid.n}}
 
 
@@ -287,7 +291,7 @@ def _build_problem(config: dict) -> dict:
             scale = _number(config, "modulus_scale", positive=True)
             old = handle.profile
             profile = MajorantProfile(old.center_shift,
-                                      scale_modulus(old.modulus, scale), old.radius)
+                                      combine_moduli([old.modulus], [scale]), old.radius)
             handle = OperatorHandle(handle.apply, handle.center, handle.norm, profile)
     except (TypeError, ValueError, OverflowError) as exc:
         _fail(f"invalid {kind} config: {exc}")

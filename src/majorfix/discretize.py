@@ -162,59 +162,56 @@ def _node_indices(coords: np.ndarray, grid: Grid, path: Path) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KernelTable:
-    """Kernel samples z(t_i, s_l) on a product of two grids, held in a
+    """Kernel samples z(t_i, s_l) on the square of one grid, held in a
     read-only C-contiguous array that the table alone owns: the values given
     are copied, and the sampling constructors fill an array of their own."""
 
-    grid_t: Grid
-    grid_s: Grid
+    grid: Grid
     values: np.ndarray
 
     def __post_init__(self, copy: bool = True):
         values = (np.array if copy else np.asarray)(self.values, dtype=float, order="C")
-        if values.shape != (self.grid_t.n, self.grid_s.n):
-            raise ValueError(
-                f"kernel values shape {values.shape} does not match grids "
-                f"({self.grid_t.n}, {self.grid_s.n})"
-            )
+        if values.shape != (self.grid.n, self.grid.n):
+            raise ValueError(f"kernel values shape {values.shape} does not match "
+                             f"grid ({self.grid.n}, {self.grid.n})")
         if not np.all(np.isfinite(values)):
             raise ValueError("kernel values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def _adopt(cls, grid_t: Grid, grid_s: Grid, values: np.ndarray) -> "KernelTable":
+    def _adopt(cls, grid: Grid, values: np.ndarray) -> "KernelTable":
         """A table around values, uncopied: only for arrays that this module
         made and nothing else holds."""
         table = object.__new__(cls)
-        table.__dict__.update(grid_t=grid_t, grid_s=grid_s, values=values)
+        table.__dict__.update(grid=grid, values=values)
         table.__post_init__(copy=False)
         return table
 
     @classmethod
-    def from_function(cls, grid_t: Grid, grid_s: Grid, fn) -> "KernelTable":
+    def from_function(cls, grid: Grid, fn) -> "KernelTable":
         """Sample fn into the table's own array, a block of rows per call:
-        t = grid_t.nodes[i:j, None], s = grid_s.nodes[None, :], with
+        t = grid.nodes[i:j, None], s = grid.nodes[None, :], with
         _BLOCK_ELEMENTS values per block; each result must broadcast to the
         block's shape.  fn must be pointwise, so every sample is what one
         call on the whole open mesh would give.  A scalar-only fn (TypeError
         or ValueError on the first block) is called per node pair, slowly;
         its later errors propagate (see _mesh_callback)."""
-        t, s = grid_t.nodes[:, None], grid_s.nodes[None, :]
-        values = np.empty((grid_t.n, grid_s.n))
-        rows = max(1, _BLOCK_ELEMENTS // grid_s.n)
+        t, s = grid.nodes[:, None], grid.nodes[None, :]
+        values = np.empty((grid.n, grid.n))
+        rows = max(1, _BLOCK_ELEMENTS // grid.n)
         sample = _mesh_callback(fn)
-        for i in range(0, grid_t.n, rows):
+        for i in range(0, grid.n, rows):
             values[i:i + rows] = sample(t[i:i + rows], s)
-        return cls._adopt(grid_t, grid_s, values)
+        return cls._adopt(grid, values)
 
     @classmethod
-    def from_csv(cls, path, grid_t: Grid, grid_s: Grid) -> "KernelTable":
-        """Load a kernel from CSV onto grid_t x grid_s.
+    def from_csv(cls, path, grid: Grid) -> "KernelTable":
+        """Load a kernel from CSV onto grid x grid.
 
         Two layouts are accepted: a header row "t,s,value" followed by
-        triples, whose unique t and s coordinates must be the grids' nodes
-        (to within 1e-9 of each grid's length), one triple per node pair; or
+        triples, whose unique t and s coordinates must be the grid's nodes
+        (to within 1e-9 of the grid's length), one triple per node pair; or
         a headerless dense matrix whose rows are the t nodes and whose
         columns are the s nodes.
         """
@@ -225,16 +222,16 @@ class KernelTable:
             raise ValueError(f"{path}: empty kernel CSV")
         if [cell.strip().lower() for cell in rows[0]] != ["t", "s", "value"]:
             values = np.array([[float(cell) for cell in row] for row in rows])
-            return cls._adopt(grid_t, grid_s, values)
+            return cls._adopt(grid, values)
         triples = np.array([[float(cell) for cell in row] for row in rows[1:]])
         if triples.ndim != 2 or triples.shape[1] != 3:
             raise ValueError(f"{path}: each row after the header needs t, s and value")
-        values = np.full((grid_t.n, grid_s.n), np.nan)
-        values[_node_indices(triples[:, 0], grid_t, path),
-               _node_indices(triples[:, 1], grid_s, path)] = triples[:, 2]
+        values = np.full((grid.n, grid.n), np.nan)
+        values[_node_indices(triples[:, 0], grid, path),
+               _node_indices(triples[:, 1], grid, path)] = triples[:, 2]
         if len(triples) != values.size or np.any(np.isnan(values)):
             raise ValueError(f"{path}: triples do not name each (t, s) node pair once")
-        return cls._adopt(grid_t, grid_s, values)
+        return cls._adopt(grid, values)
 
 
 def _holder_extremal(v: np.ndarray, p: float, w: np.ndarray
@@ -255,8 +252,8 @@ def zaanen_sweep_objectives(kernel: KernelTable, alpha: float, beta: float,
                             iters: int) -> list[float]:
     """Objective value after each alternating-maximization sweep.
 
-    Maximizes the bilinear form of |z| over the product of weighted L_alpha
-    and L_beta unit balls; each half-step is an exact block maximization via
+    Maximizes the bilinear form of |z| over the product of the L_alpha and
+    L_beta unit balls weighted by the grid's weights w; each half-step is an exact block maximization via
     the closed-form Hoelder-extremal vector, so the trail is nondecreasing.
 
     A sweep is a function of its start vector alone, so once that vector
@@ -269,18 +266,17 @@ def zaanen_sweep_objectives(kernel: KernelTable, alpha: float, beta: float,
         raise ValueError("alpha and beta must both be > 1")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    Z = _absolute(kernel.values)
-    wt, ws = kernel.grid_t.weights, kernel.grid_s.weights
+    Z, w = _absolute(kernel.values), kernel.grid.weights
     # constant start keeps the iteration inside the nonnegative cone
-    y = np.ones(kernel.grid_t.n)
-    y /= float((wt @ y**beta) ** (1.0 / beta))
+    y = np.ones(kernel.grid.n)
+    y /= float((w @ y**beta) ** (1.0 / beta))
     objectives: list[float] = []
     seen = {y.tobytes(): 0}  # each state's bytes -> the sweep that produced it
     for sweep in range(1, iters + 1):
-        phi = Z.T @ (wt * y)
-        x, _ = _holder_extremal(phi, alpha, ws)
-        psi = Z @ (ws * x)
-        y, value = _holder_extremal(psi, beta, wt)
+        phi = Z.T @ (w * y)
+        x, _ = _holder_extremal(phi, alpha, w)
+        psi = Z @ (w * x)
+        y, value = _holder_extremal(psi, beta, w)
         objectives.append(value)
         first = seen.setdefault(y.tobytes(), sweep)
         if first != sweep:

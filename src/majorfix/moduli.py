@@ -10,7 +10,7 @@ library reports is a root of a +- K(r) - r, so K is never approximated:
 * a sampled modulus is a sound upper envelope of its samples for a declared
   shape (the right-endpoint step envelope of a nondecreasing k, the chord of
   a convex one) and K is the envelope's exact integral;
-* scaled, combined and recentered moduli are one shifted weighted sum
+* weighted sums and recentered moduli are one shifted weighted sum
   k(r) = sum_i w_i k_i(offset + r) with
   K(r) = sum_i w_i (K_i(offset + r) - K_i(offset)), built from the inputs'
   own exact primitives and never resampled;
@@ -31,7 +31,6 @@ __all__ = [
     "ConstantModulus",
     "PowerSumModulus",
     "TabulatedModulus",
-    "scale_modulus",
     "combine_moduli",
     "recenter_modulus",
     "modulus_from_samples",
@@ -276,11 +275,6 @@ class _PowerEnvelope(LipschitzModulus):
         return base + a * (r - start) + b * (r**e1 - power) / e1
 
 
-def scale_modulus(modulus: LipschitzModulus, factor: float) -> LipschitzModulus:
-    """Return factor * k (factor >= 0), with its exact primitive."""
-    return combine_moduli([modulus], [factor])
-
-
 def combine_moduli(moduli, weights=None) -> LipschitzModulus:
     """Weighted sum of moduli (weights >= 0, default 1), with the exact
     primitive sum_i w_i K_i, on the smallest of the inputs' domains."""
@@ -320,13 +314,15 @@ def modulus_from_samples(radii, samples, shape: str = "monotone") -> TabulatedMo
     * convex (k convex and nondecreasing): the chord through the samples,
       whose error is second order.
 
-    The shape is checked on the samples against _SAMPLE_NOISE relative to
-    the largest sample: under convex a second difference below minus that
-    band is rejected.  Dips within the band, floored at _SAMPLE_NOISE, are
-    clamped up and deeper ones rejected.
+    The samples must be finite and nonnegative.  The shape is checked on
+    them against _SAMPLE_NOISE relative to the largest sample: under convex
+    a second difference below minus that band is rejected.  Dips within the
+    band, floored at _SAMPLE_NOISE, are clamped up and deeper ones rejected.
     """
     _check_shape(shape)
     ys = np.asarray(samples, dtype=float)
+    if not np.all(np.isfinite(ys)) or np.any(ys < 0.0):
+        raise ValueError("sampled modulus values must be finite and nonnegative")
     scale = float(np.max(np.abs(ys))) if ys.size else 0.0
     running = np.maximum.accumulate(ys)
     worst_dip = float(np.max(running - ys)) if ys.size else 0.0

@@ -155,11 +155,13 @@ def multilinear_critical_shift(norm_c: float, degree: int) -> float:
 @dataclass(frozen=True, eq=False)
 class HammersteinTerm:
     """One summand: kernel k_j (a callable, an (n, n) sample array or a
-    KernelTable), nonlinearity h_j, and h_j's scalar modulus."""
+    KernelTable), nonlinearity h_j, and the modulus of u -> h_j(u) in the
+    build's norms: the scalar modulus for the sup build, the superposition
+    modulus (see build_superposition_modulus) for the L_p build."""
 
     kernel: Callable[[float, float], float] | np.ndarray | KernelTable
     nonlinearity: Callable
-    modulus: LipschitzModulus | None = None
+    modulus: LipschitzModulus
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,13 +190,12 @@ def _sample_kernel(kernel, grid: Grid) -> np.ndarray:
     table: a callable is sampled and an array copied, so the caller cannot
     change the operator after its modulus was built."""
     if callable(kernel):
-        return KernelTable.from_function(grid, grid, kernel).values
+        return KernelTable.from_function(grid, kernel).values
     if not hasattr(kernel, "values"):
-        return KernelTable(grid, grid, kernel).values
+        return KernelTable(grid, kernel).values
     # a table must be sampled on the build grid (or an equal one)
-    if not all(g is grid or (np.array_equal(g.nodes, grid.nodes)
-                             and np.array_equal(g.weights, grid.weights))
-               for g in (kernel.grid_t, kernel.grid_s)):
+    if not (kernel.grid is grid or (np.array_equal(kernel.grid.nodes, grid.nodes)
+                                    and np.array_equal(kernel.grid.weights, grid.weights))):
         raise ValueError("kernel table is not sampled on the build grid")
     return kernel.values
 
@@ -210,11 +211,13 @@ def _resolve_center(center, grid: Grid) -> np.ndarray:
     return arr
 
 
-def _nystrom_handle(spec: HammersteinSpec, grid: Grid, mats, moduli, knorms,
+def _nystrom_handle(spec: HammersteinSpec, grid: Grid, mats, knorms,
                     norm, radius: float, center) -> OperatorHandle:
     """x -> f + lambda * sum_j K_j (w * h_j(x)) with modulus
-    |lambda| * sum_j knorms_j * moduli_j(r), recentered on x0."""
-    modulus = combine_moduli(moduli, [abs(spec.lam) * kn for kn in knorms])
+    |lambda| * sum_j knorms_j * h_j(r), h_j the terms' moduli, recentered
+    on x0."""
+    modulus = combine_moduli([term.modulus for term in spec.terms],
+                             [abs(spec.lam) * kn for kn in knorms])
     x0 = _resolve_center(center, grid)
     shift = norm(x0)
     if shift > 0.0:
@@ -242,38 +245,34 @@ def build_hammerstein_sup(spec: HammersteinSpec, grid: Grid, radius: float,
     """Nystrom discretization in the sup norm.
 
     Kernel norms are row sums max_i sum_l w_l |k_j(t_i, s_l)| and the
-    modulus is |lambda| * sum_j ||K_j|| * w_j(r).
+    modulus is |lambda| * sum_j ||K_j|| * h_j(r), with h_j each term's
+    scalar modulus.
     """
     mats = [_sample_kernel(term.kernel, grid) for term in spec.terms]
-    if any(term.modulus is None for term in spec.terms):
-        raise ValueError("every term needs a scalar modulus for the sup-norm build")
     knorms = [float(np.max(_absolute(mat) @ grid.weights)) for mat in mats]
-    return _nystrom_handle(spec, grid, mats, [term.modulus for term in spec.terms],
-                           knorms, _sup_norm, radius, center)
+    return _nystrom_handle(spec, grid, mats, knorms, _sup_norm, radius, center)
 
 
-def build_hammerstein_lp(spec: HammersteinSpec, moduli, zaanen_norms,
-                         p: float, grid: Grid, radius: float,
-                         center=None) -> OperatorHandle:
+def build_hammerstein_lp(spec: HammersteinSpec, zaanen_norms, p: float,
+                         grid: Grid, radius: float, center=None) -> OperatorHandle:
     """Nystrom discretization in the discrete L_p norm.
 
-    moduli are the superposition moduli of the nonlinearities (see
-    build_superposition_modulus) and zaanen_norms the kernel norms pairing
-    L_{q_j} against L_{p'}; the modulus is |lambda| * sum_j norm_j * h_j(r).
+    Each term's modulus is the superposition modulus of its nonlinearity
+    (see build_superposition_modulus) and zaanen_norms are the kernel norms
+    pairing L_{q_j} against L_{p'}; the modulus is
+    |lambda| * sum_j norm_j * h_j(r).
     """
     p = float(p)
     if p <= 1.0:
         raise ValueError("p must be > 1")
-    moduli = list(moduli)
     zaanen_norms = [float(z) for z in zaanen_norms]
-    if len(moduli) != len(spec.terms) or len(zaanen_norms) != len(spec.terms):
-        raise ValueError("moduli and zaanen_norms must match the term count")
+    if len(zaanen_norms) != len(spec.terms):
+        raise ValueError("zaanen_norms must match the term count")
     if any(z < 0.0 for z in zaanen_norms):
         raise ValueError("Zaanen norms must be >= 0")
     mats = [_sample_kernel(term.kernel, grid) for term in spec.terms]
     norm = lambda v: lp_norm(grid, v, p)
-    return _nystrom_handle(spec, grid, mats, moduli, zaanen_norms, norm,
-                           radius, center)
+    return _nystrom_handle(spec, grid, mats, zaanen_norms, norm, radius, center)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +336,6 @@ def _tabulated_sup_handle(apply, chunk_modulus, grid: Grid, radius: float,
     chunk = max(1, _BLOCK_ELEMENTS // grid.n**2)
     ks = np.concatenate([chunk_modulus(r[i:i + chunk])
                          for i in range(0, rs.size, chunk)])
-    if np.any(~np.isfinite(ks)) or np.any(ks < 0.0):
-        raise ValueError("sampled modulus values must be finite and nonnegative")
     return make_operator(apply, x0, _sup_norm, modulus_from_samples(rs, ks, shape),
                          radius)
 

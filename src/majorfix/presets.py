@@ -37,9 +37,10 @@ NONLINEARITIES = {
     "sin": (lambda u: np.sin(u), ConstantModulus(1.0)),
 }
 
-# L_p nonlinearity name -> (h, default pair set [(weight, slope)], q rule)
+# L_p nonlinearity name -> (h, default pair set [(weight, slope)]); a term's
+# q defaults to p
 LP_NONLINEARITIES = {
-    "linear": (lambda u: u, ((1.0, 0.0),), "same_as_p"),
+    "linear": (lambda u: u, ((1.0, 0.0),)),
 }
 
 FORCINGS = {

@@ -6,8 +6,7 @@ import math
 
 import numpy as np
 
-from majorfix import (MajorantProfile, PowerSumModulus, UrysohnSpec,
-                      scale_modulus)
+from majorfix import MajorantProfile, PowerSumModulus, UrysohnSpec, combine_moduli
 
 
 def quadratic_radii(a: float, c: float, radius: float) -> dict:
@@ -50,7 +49,7 @@ def random_existence_profile(rng) -> tuple[MajorantProfile, float]:
     rho = float(rng.uniform(0.1, 2.0))
     rate = float(rng.uniform(0.05, 0.95))
     raw = PowerSumModulus(tuple(zip(coefficients.tolist(), exponents.tolist())))
-    modulus = scale_modulus(raw, rate / raw(rho))
+    modulus = combine_moduli([raw], [rate / raw(rho)])
     a = rho - modulus.primitive(rho)
     radius = rho * float(rng.uniform(1.3, 3.0))
     return MajorantProfile(a, modulus, radius), rho
@@ -133,22 +132,21 @@ def per_radius_modulus(spec, grid, radius: float, shift: float = 0.0,
     return rs, np.maximum.accumulate(ks)
 
 
-def meshgrid_kernel(fn, grid_t, grid_s) -> np.ndarray:
+def meshgrid_kernel(fn, grid) -> np.ndarray:
     """Kernel samples, the way a full-meshgrid sampler takes them.
 
     fn is called on the whole (t, s) meshgrid; if that raises TypeError or
     ValueError, or gives a result of another shape, fn is called once per
-    node pair with scalars instead.  Returns a fresh (n, m) array.
+    node pair with scalars instead.  Returns a fresh (n, n) array.
     """
-    tt, ss = np.meshgrid(grid_t.nodes, grid_s.nodes, indexing="ij")
+    tt, ss = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
     try:
         values = np.asarray(fn(tt, ss), dtype=float)
         if values.shape == tt.shape:
             return values.copy()
     except (TypeError, ValueError):
         pass
-    return np.array([[float(fn(t, s)) for s in grid_s.nodes]
-                     for t in grid_t.nodes])
+    return np.array([[float(fn(t, s)) for s in grid.nodes] for t in grid.nodes])
 
 
 def plain_zaanen_sweeps(kernel, alpha: float, beta: float,
@@ -157,7 +155,7 @@ def plain_zaanen_sweeps(kernel, alpha: float, beta: float,
     computed: the same float operations, in the same order, as the
     estimator, with no early stop."""
     Z = np.abs(kernel.values)
-    wt, ws = kernel.grid_t.weights, kernel.grid_s.weights
+    w = kernel.grid.weights
 
     def extremal(v, p, w):
         q = p / (p - 1.0)
@@ -166,11 +164,11 @@ def plain_zaanen_sweeps(kernel, alpha: float, beta: float,
             return np.zeros_like(v), 0.0
         return (v / dual) ** (q - 1.0), dual
 
-    y = np.ones(kernel.grid_t.n)
-    y /= float((wt @ y**beta) ** (1.0 / beta))
+    y = np.ones(kernel.grid.n)
+    y /= float((w @ y**beta) ** (1.0 / beta))
     objectives = []
     for _ in range(iters):
-        x, _ = extremal(Z.T @ (wt * y), alpha, ws)
-        y, value = extremal(Z @ (ws * x), beta, wt)
+        x, _ = extremal(Z.T @ (w * y), alpha, w)
+        y, value = extremal(Z @ (w * x), beta, w)
         objectives.append(value)
     return objectives

@@ -25,6 +25,7 @@ from majorfix import (
     analyze,
     build_self_majorizing,
     certify_trace,
+    combine_moduli,
     eval_majorants,
     find_contraction_radius,
     find_convergence_radius,
@@ -32,7 +33,6 @@ from majorfix import (
     find_uniqueness_radius,
     iterate,
     multilinear_critical_shift,
-    scale_modulus,
     zaanen_norm_estimate,
     zaanen_sweep_objectives,
 )
@@ -216,7 +216,7 @@ def test_criterion_5_bound_certification():
     good = build_self_majorizing(base)
     corrupt = OperatorHandle(
         good.apply, good.center, good.norm,
-        MajorantProfile(0.1875, scale_modulus(base.modulus, 0.5), 1.0))
+        MajorantProfile(0.1875, combine_moduli([base.modulus], [0.5]), 1.0))
     try:
         iterate(corrupt, np.zeros(1), rule)
         problems.append("halved modulus not detected")
@@ -322,8 +322,8 @@ def test_criterion_8_monotone_sequences():
 def test_criterion_9_zaanen_estimator():
     problems = []
     grid = Grid.simpson(0.0, 1.0, 101)
-    constant = KernelTable.from_function(grid, grid, lambda t, s: np.ones_like(t))
-    product = KernelTable.from_function(grid, grid, lambda t, s: t * s)
+    constant = KernelTable.from_function(grid, lambda t, s: np.ones_like(t))
+    product = KernelTable.from_function(grid, lambda t, s: t * s)
     est_constant = zaanen_norm_estimate(constant, 2.0, 2.0)
     est_product = zaanen_norm_estimate(product, 2.0, 2.0)
     _check(problems, abs(est_constant - 1.0) <= 0.01,

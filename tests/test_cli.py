@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from majorfix import KernelTable, MajorantProfile, PowerSumModulus, cli, eval_majorants
+from majorfix import (Grid, KernelTable, MajorantProfile, PowerSumModulus, cli,
+                      eval_majorants)
 from majorfix.cli import main
 from majorfix.errors import ConfigError
 from majorfix.presets import URYSOHN_KERNELS, get_preset, preset_names
@@ -106,7 +107,6 @@ class TestAnalyzeCommand:
         # a CSV (dense or triples) or inline kernel reaches the Zaanen
         # estimate and the build as one table, and certifies exactly as the
         # named kernel it tabulates
-        from majorfix import Grid, cli
         config = {"kind": "hammerstein_lp", "interval": [0.0, 1.0],
                   "lambda": 0.3, "p": 2.0, "grid": {"rule": "simpson", "n": 21},
                   "radius": 2.0, "forcing": "identity",
@@ -114,7 +114,7 @@ class TestAnalyzeCommand:
         named = tmp_path / "named.json"
         named.write_text(json.dumps(config))
         grid = Grid.simpson(0.0, 1.0, 21)
-        values = KernelTable.from_function(grid, grid, lambda t, s: t * s).values
+        values = KernelTable.from_function(grid, lambda t, s: t * s).values
         term = config["terms"][0]
         del term["kernel"]
         if source == "kernel_csv":
@@ -167,6 +167,13 @@ class TestAnalyzeCommand:
         bad.write_text(json.dumps(config))
         assert run_cli(["analyze", "--config", str(bad)])[0] == 0
 
+    def test_lp_q_defaults_to_p(self):
+        config = get_preset("hammerstein-lp")
+        assert config["terms"][0]["q"] == config["p"]
+        explicit = cli.run_analyze(config)
+        del config["terms"][0]["q"]
+        assert cli.run_analyze(config) == explicit
+
     def test_inline_kernel_rows_stay_the_callers(self):
         from majorfix.cli import run_analyze
         rows = [np.full(5, 0.2) for _ in range(5)]
@@ -218,6 +225,34 @@ class TestSolveCommand:
         assert code == 0
         assert doc["steps"] == []
         assert doc["final_bound"] == 0.0
+
+
+class TestForcingSamples:
+    # the named forcing "identity" is t itself, so its node values are the
+    # grid's nodes
+    @pytest.mark.parametrize("command", ["analyze", "solve"])
+    @pytest.mark.parametrize("preset", ["hammerstein-separable", "hammerstein-lp"])
+    def test_node_values_match_the_named_forcing(self, tmp_path, preset, command):
+        config = get_preset(preset)
+        assert config["forcing"] == "identity"
+        named, sampled = tmp_path / "named.json", tmp_path / "sampled.json"
+        named.write_text(json.dumps(config))
+        config["forcing"] = Grid.simpson(0.0, 1.0, config["grid"]["n"]).nodes.tolist()
+        sampled.write_text(json.dumps(config))
+        documents = []
+        for path in (named, sampled):
+            out = tmp_path / f"{path.stem}.out.json"
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+            documents.append(out.read_bytes())
+        assert documents[0] == documents[1]
+
+    def test_wrong_length_is_config_error(self, tmp_path, capsys):
+        config = get_preset("hammerstein-separable")
+        config["forcing"] = [0.0] * (config["grid"]["n"] - 1)
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["analyze", "--config", str(path)]) == (2, "")
+        assert "forcing array length" in capsys.readouterr().err
 
 
 class TestReentrantMain:
@@ -490,6 +525,41 @@ class TestExitCodes:
         code, out = run_cli(["analyze", "--config", str(path)])
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("config error: ")
+
+    # a key that nothing reads, in the grid, a modulus of each type, a sup
+    # term (an L_p term's key) and an L_p term
+    @pytest.mark.parametrize("preset,where,key", [
+        ("urysohn", "grid", "nn"),
+        ("quadratic", "modulus", "value"),
+        ("contraction", "modulus", "terms"),
+        ("tabulated", "modulus", "shape"),
+        ("hammerstein-separable", "terms", "q"),
+        ("hammerstein-lp", "terms", "kernal"),
+    ])
+    def test_config_error_unknown_nested_key(self, tmp_path, capsys, preset, where,
+                                             key):
+        if preset == "tabulated":
+            config = get_preset("quadratic")
+            config["modulus"] = {"type": "tabulated", "abscissae": [0.0, 1.0],
+                                 "ordinates": [0.0, 2.0]}
+        else:
+            config = get_preset(preset)
+        target = config["terms"][0] if where == "terms" else config[where]
+        target[key] = 1001
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["analyze", "--config", str(path)]) == (2, "")
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        del target[key]
+        path.write_text(json.dumps(config))
+        assert run_cli(["analyze", "--config", str(path)])[0] == 0
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, -2.0])
+    def test_config_error_lp_exponent_at_most_one(self, tmp_path, capsys, p):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**get_preset("hammerstein-lp"), "p": p}))
+        assert run_cli(["analyze", "--config", str(path)]) == (2, "")
+        assert "p must be > 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("preset,term,key", [
         ("hammerstein-separable", True, "nonlinearity"),

@@ -88,9 +88,8 @@ class TestLpNorm:
 def weighted_operator_norm(table: KernelTable) -> float:
     """Independent oracle: top singular value of the weighted kernel matrix,
     which is the discrete L2 -> L2 norm of the |z| integral operator."""
-    dt = np.sqrt(table.grid_t.weights)
-    ds = np.sqrt(table.grid_s.weights)
-    scaled = dt[:, None] * np.abs(table.values) * ds[None, :]
+    root = np.sqrt(table.grid.weights)
+    scaled = root[:, None] * np.abs(table.values) * root[None, :]
     # power iteration on scaled^T scaled
     v = np.ones(scaled.shape[1])
     v /= np.linalg.norm(v)
@@ -105,33 +104,31 @@ class TestZaanen:
         self.grid = Grid.simpson(0.0, 1.0, 101)
 
     def test_rank_one_constant(self):
-        table = KernelTable.from_function(self.grid, self.grid,
-                                          lambda t, s: np.ones_like(t))
+        table = KernelTable.from_function(self.grid, lambda t, s: np.ones_like(t))
         assert zaanen_norm_estimate(table, 2.0, 2.0) == pytest.approx(1.0, rel=0.01)
 
     def test_zero_kernel(self):
-        table = KernelTable(self.grid, self.grid,
-                            np.zeros((self.grid.n, self.grid.n)))
+        table = KernelTable(self.grid, np.zeros((self.grid.n, self.grid.n)))
         assert zaanen_norm_estimate(table, 2.0, 2.0) == 0.0
 
     def test_rank_one_product(self):
-        table = KernelTable.from_function(self.grid, self.grid, lambda t, s: t * s)
+        table = KernelTable.from_function(self.grid, lambda t, s: t * s)
         assert zaanen_norm_estimate(table, 2.0, 2.0) == pytest.approx(1.0 / 3.0, rel=0.01)
 
     def test_sweeps_nondecreasing(self):
-        table = KernelTable.from_function(self.grid, self.grid,
+        table = KernelTable.from_function(self.grid,
                                           lambda t, s: np.exp(-t * s) + 0.3 * t)
         sweeps = zaanen_sweep_objectives(table, 2.0, 2.0, 30)
         assert all(b >= a - 1e-13 for a, b in zip(sweeps, sweeps[1:]))
 
     def test_matches_weighted_operator_norm(self):
-        table = KernelTable.from_function(self.grid, self.grid,
+        table = KernelTable.from_function(self.grid,
                                           lambda t, s: np.exp(-t * s) + 0.3 * t)
         estimate = zaanen_sweep_objectives(table, 2.0, 2.0, 200)[-1]
         assert estimate == pytest.approx(weighted_operator_norm(table), rel=1e-6)
 
     def test_alpha_must_exceed_one(self):
-        table = KernelTable.from_function(self.grid, self.grid, lambda t, s: t * s)
+        table = KernelTable.from_function(self.grid, lambda t, s: t * s)
         with pytest.raises(ValueError):
             zaanen_norm_estimate(table, 1.0, 2.0)
 
@@ -143,13 +140,12 @@ def _sparse_table(grid):
 
 
 ZAANEN_TABLES = {
-    "constant": lambda grid: KernelTable.from_function(grid, grid, KERNELS["one"]),
-    "product": lambda grid: KernelTable.from_function(grid, grid, KERNELS["product"]),
-    "exp_product": lambda grid: KernelTable.from_function(grid, grid,
-                                                          KERNELS["exp_product"]),
+    "constant": lambda grid: KernelTable.from_function(grid, KERNELS["one"]),
+    "product": lambda grid: KernelTable.from_function(grid, KERNELS["product"]),
+    "exp_product": lambda grid: KernelTable.from_function(grid, KERNELS["exp_product"]),
     "signed": lambda grid: KernelTable.from_function(
-        grid, grid, lambda t, s: np.cos(3.0 * t * s)),
-    "sparse": lambda grid: KernelTable(grid, grid, _sparse_table(grid)),
+        grid, lambda t, s: np.cos(3.0 * t * s)),
+    "sparse": lambda grid: KernelTable(grid, _sparse_table(grid)),
 }
 
 
@@ -187,7 +183,7 @@ class TestZaanenRecurrence:
             "from majorfix.presets import KERNELS\n"
             "from helpers import plain_zaanen_sweeps\n"
             "grid = Grid.simpson(0.0, 1.0, 1001)\n"
-            "table = KernelTable.from_function(grid, grid, KERNELS['product'])\n"
+            "table = KernelTable.from_function(grid, KERNELS['product'])\n"
             "trail = zaanen_sweep_objectives(table, 2.0, 2.0, 50)\n"
             "assert len(trail) == 50\n"
             "assert trail == plain_zaanen_sweeps(table, 2.0, 2.0, 50)\n"
@@ -205,30 +201,31 @@ class TestKernelTable:
     def test_shape_validation(self):
         grid = Grid.trapezoid(0.0, 1.0, 4)
         with pytest.raises(ValueError):
-            KernelTable(grid, grid, np.zeros((3, 4)))
+            KernelTable(grid, np.zeros((3, 4)))
 
     def test_from_csv_triples(self, tmp_path):
         path = tmp_path / "kernel.csv"
         lines = ["t,s,value"]
         for t in (1.0, 0.0, 0.5):
-            for s in (1.0, 0.0):
+            for s in (0.5, 1.0, 0.0):
                 lines.append(f"{t},{s},{t * s}")
         path.write_text("\n".join(lines) + "\n")
-        grid_t, grid_s = Grid.simpson(0.0, 1.0, 3), Grid.trapezoid(0.0, 1.0, 2)
-        table = KernelTable.from_csv(path, grid_t, grid_s)
-        assert table.grid_t is grid_t and table.grid_s is grid_s
-        assert np.array_equal(table.values, [[0.0, 0.0], [0.0, 0.5], [0.0, 1.0]])
+        grid = Grid.simpson(0.0, 1.0, 3)
+        table = KernelTable.from_csv(path, grid)
+        assert table.grid is grid
+        assert np.array_equal(table.values, [[0.0, 0.0, 0.0], [0.0, 0.25, 0.5],
+                                             [0.0, 0.5, 1.0]])
 
     def test_from_csv_dense(self, tmp_path):
         path = tmp_path / "dense.csv"
-        path.write_text("0.0,0.1\n0.2,0.3\n0.4,0.5\n")
-        grid_t, grid_s = Grid.simpson(-1.0, 1.0, 3), Grid.trapezoid(0.0, 2.0, 2)
-        table = KernelTable.from_csv(path, grid_t, grid_s)
-        assert table.grid_t is grid_t and table.grid_s is grid_s
-        assert np.array_equal(table.values, [[0.0, 0.1], [0.2, 0.3], [0.4, 0.5]])
+        path.write_text("0.0,0.1,0.2\n0.3,0.4,0.5\n0.6,0.7,0.8\n")
+        grid = Grid.simpson(-1.0, 1.0, 3)
+        table = KernelTable.from_csv(path, grid)
+        assert table.grid is grid
+        assert np.array_equal(table.values, np.arange(9).reshape(3, 3) / 10.0)
         assert not table.values.flags.writeable
-        with pytest.raises(ValueError, match="does not match grids"):
-            KernelTable.from_csv(path, grid_s, grid_t)
+        with pytest.raises(ValueError, match="does not match grid"):
+            KernelTable.from_csv(path, Grid.trapezoid(0.0, 2.0, 2))
 
     # the grid [0, 2] with 5 nodes; the tolerance is 1e-9 * 2
     @pytest.mark.parametrize("ts,ok", [
@@ -248,9 +245,9 @@ class TestKernelTable:
             for j, s in enumerate(grid.nodes.tolist())))
         if not ok:
             with pytest.raises(ValueError, match="not the 5 nodes"):
-                KernelTable.from_csv(path, grid, grid)
+                KernelTable.from_csv(path, grid)
             return
-        table = KernelTable.from_csv(path, grid, grid)
+        table = KernelTable.from_csv(path, grid)
         assert np.array_equal(table.values,
                               np.arange(5.0)[:, None] + 0.25 * np.arange(5.0))
 
@@ -265,7 +262,7 @@ class TestKernelTable:
         path.write_text(text)
         grid = Grid.trapezoid(0.0, 1.0, 2)
         with pytest.raises(ValueError, match=match):
-            KernelTable.from_csv(path, grid, grid)
+            KernelTable.from_csv(path, grid)
 
 
 SAMPLED_KERNELS = {
@@ -273,7 +270,7 @@ SAMPLED_KERNELS = {
     "scalar_only_exp": lambda t, s: math.exp(t * s),
     "constant": lambda t, s: 2.0,
 }
-_OWNED = np.arange(35.0).reshape(7, 5)
+_OWNED = np.arange(49.0).reshape(7, 7)
 
 
 @pytest.fixture(params=[None, 3], ids=["default-block", "3-row-block"])
@@ -287,20 +284,20 @@ def block_rows(request, monkeypatch):
 
 
 class TestKernelSampling:
-    # a block is 2**17 // n_s rows by default: all 101 rows at n = 101, and
+    # a block is 2**17 // n rows by default: all 101 rows at n = 101, and
     # 130 rows at n = 1001, so 8 blocks with a partial last one
     @pytest.mark.parametrize("name", sorted(SAMPLED_KERNELS))
-    @pytest.mark.parametrize("grids", [
-        (Grid.simpson(0.0, 1.0, 101),) * 2,
-        (Grid.simpson(-0.5, 1.5, 1001),) * 2,
-        (Grid.trapezoid(0.0, 1.0, 7), Grid.trapezoid(0.2, 2.0, 5)),
-    ], ids=["simpson101", "simpson1001", "trapezoid7x5"])
-    def test_open_mesh_matches_meshgrid_reference(self, name, grids, block_rows):
-        block_rows(grids[1].n)
+    @pytest.mark.parametrize("grid", [
+        Grid.simpson(0.0, 1.0, 101),
+        Grid.simpson(-0.5, 1.5, 1001),
+        Grid.trapezoid(0.2, 2.0, 7),
+    ], ids=["simpson101", "simpson1001", "trapezoid7"])
+    def test_open_mesh_matches_meshgrid_reference(self, name, grid, block_rows):
+        block_rows(grid.n)
         fn = SAMPLED_KERNELS[name]
-        table = KernelTable.from_function(*grids, fn)
-        reference = meshgrid_kernel(fn, *grids)
-        assert table.values.shape == (grids[0].n, grids[1].n)
+        table = KernelTable.from_function(grid, fn)
+        reference = meshgrid_kernel(fn, grid)
+        assert table.values.shape == (grid.n, grid.n)
         assert np.array_equal(table.values, reference)
         assert not table.values.flags.writeable
 
@@ -316,7 +313,7 @@ class TestKernelSampling:
 
         grid = Grid.simpson(0.0, 1.0, 11)
         with pytest.raises(RuntimeError, match="bug in the kernel"):
-            KernelTable.from_function(grid, grid, kernel)
+            KernelTable.from_function(grid, kernel)
         assert calls == [2]
 
     def test_type_error_after_an_array_block_names_the_kernel(self, monkeypatch):
@@ -332,7 +329,7 @@ class TestKernelSampling:
         grid = Grid.simpson(0.0, 1.0, 11)
         with pytest.raises(RuntimeError, match="kernel raised TypeError: fails on "
                                                "the second block") as info:
-            KernelTable.from_function(grid, grid, kernel)
+            KernelTable.from_function(grid, kernel)
         assert isinstance(info.value.__cause__, TypeError)
         assert calls == [(3, 1), (3, 1)]
 
@@ -344,14 +341,14 @@ class TestKernelSampling:
             return held[-1]
 
         grid = Grid.simpson(0.0, 1.0, 11)
-        table = KernelTable.from_function(grid, grid, kernel)
+        table = KernelTable.from_function(grid, kernel)
         assert held[0].flags.writeable
         held[0][:] = -1.0
         assert np.array_equal(table.values, grid.nodes[:, None] * grid.nodes)
 
     def test_module_array_is_copied(self):
-        grid_t, grid_s = Grid.trapezoid(0.0, 1.0, 7), Grid.trapezoid(0.0, 1.0, 5)
-        table = KernelTable.from_function(grid_t, grid_s, lambda t, s: _OWNED)
+        grid = Grid.trapezoid(0.0, 1.0, 7)
+        table = KernelTable.from_function(grid, lambda t, s: _OWNED)
         assert _OWNED.flags.writeable
         before = _OWNED.copy()
         _OWNED[0, 0] = 99.0
@@ -363,21 +360,21 @@ class TestKernelSampling:
     def test_passed_array_is_copied(self):
         grid = Grid.trapezoid(0.0, 1.0, 4)
         values = np.ones((4, 4))
-        table = KernelTable(grid, grid, values)
+        table = KernelTable(grid, values)
         values[0, 0] = 5.0
         assert values.flags.writeable and table.values[0, 0] == 1.0
 
     def test_fortran_result_is_stored_c_contiguous(self):
         grid = Grid.trapezoid(0.0, 1.0, 6)
         table = KernelTable.from_function(
-            grid, grid, lambda t, s: np.asfortranarray(t * s + 1.0))
+            grid, lambda t, s: np.asfortranarray(t * s + 1.0))
         assert table.values.flags.c_contiguous
 
     def test_non_finite_samples_rejected(self):
         grid = Grid.trapezoid(0.0, 1.0, 4)
         with pytest.raises(ValueError, match="finite"):
             KernelTable.from_function(
-                grid, grid, lambda t, s: np.where(t > 0.5, np.inf, s))
+                grid, lambda t, s: np.where(t > 0.5, np.inf, s))
 
     @pytest.mark.parametrize("kernel", [
         lambda t, s: np.cos(3.0 * t * s),
@@ -387,8 +384,8 @@ class TestKernelSampling:
         # a table with a sign bit set is reduced through |z|; one without
         # is read directly
         grid = Grid.simpson(0.0, 1.0, 41)
-        table = KernelTable.from_function(grid, grid, kernel)
+        table = KernelTable.from_function(grid, kernel)
         assert np.any(np.signbit(table.values))
-        absolute = KernelTable(grid, grid, np.abs(table.values))
+        absolute = KernelTable(grid, np.abs(table.values))
         assert (zaanen_sweep_objectives(table, 2.0, 3.0, 20)
                 == zaanen_sweep_objectives(absolute, 2.0, 3.0, 20))

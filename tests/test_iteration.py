@@ -17,9 +17,9 @@ from majorfix import (
     build_self_majorizing,
     certify_trace,
     check_admissible_start,
+    combine_moduli,
     iterate,
     make_operator,
-    scale_modulus,
 )
 
 QUAD = MajorantProfile(0.1875, PowerSumModulus(((2.0, 1.0),)), 1.0)
@@ -146,10 +146,24 @@ class TestIterate:
         with pytest.raises(NoExistenceError):
             iterate(op, np.zeros(1), StoppingRule())
 
+    def test_iterate_leaving_its_envelope_is_a_violation(self):
+        # a = 0.1, k = 0.5: from 0.1 off the center, rho_1 = 0.15 and the
+        # step bound is 0.25; a step of 0.1 keeps within the bound but lands
+        # 0.2 from the center
+        profile = MajorantProfile(0.1, ConstantModulus(0.5), 10.0)
+        good = build_self_majorizing(profile)
+        drifting = OperatorHandle(lambda x: x + 0.1, good.center, good.norm, profile)
+        with pytest.raises(BoundViolationError, match="drifted to distance") as excinfo:
+            iterate(drifting, np.array([0.1]),
+                    StoppingRule(bound_tol=1e-10, max_steps=100))
+        record = excinfo.value.record
+        assert record.index == 0 and record.step_norm <= record.step_bound
+        assert excinfo.value.trace.status == "bound_violated"
+
     def test_corrupted_modulus_violates_at_first_biting_step(self):
         good = build_self_majorizing(QUAD)
         corrupted = MajorantProfile(QUAD.center_shift,
-                                    scale_modulus(QUAD.modulus, 0.5), QUAD.radius)
+                                    combine_moduli([QUAD.modulus], [0.5]), QUAD.radius)
         bad = OperatorHandle(good.apply, good.center, good.norm, corrupted)
         with pytest.raises(BoundViolationError) as excinfo:
             iterate(bad, np.zeros(1), StoppingRule(bound_tol=1e-10, max_steps=100))

@@ -305,6 +305,15 @@ class TestContractionRadius:
         profile = MajorantProfile(0.05, modulus, 1.0)
         assert find_contraction_radius(profile) == pytest.approx(0.5, abs=1e-10)
 
+    def test_slope_at_least_one_from_the_center(self):
+        # k(0) >= 1: no ball contracts, and the gap a + 1.5 r - r is least at 0
+        profile = MajorantProfile(0.3, ConstantModulus(1.5), 1.0)
+        assert find_contraction_radius(profile) == 0.0
+        report = analyze(profile)
+        assert report.contraction_radius == 0.0
+        assert not report.existence_certified
+        assert report.gap == 0.3 and report.gap_argmin == 0.0
+
 
 class TestAnalyze:
     def test_quadratic_zones(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,6 @@ from majorfix import (
     combine_moduli,
     modulus_from_samples,
     recenter_modulus,
-    scale_modulus,
 )
 
 
@@ -203,6 +203,17 @@ class TestSampledModulus:
         with pytest.raises(ValueError, match="unknown modulus shape"):
             modulus_from_samples([0.0, 1.0], [1.0, 1.0], "concave")
 
+    # checked before any arithmetic on the samples, so numpy warns of nothing
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5],
+                             ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("shape", ["monotone", "convex"])
+    def test_non_finite_or_negative_samples_rejected(self, shape, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                modulus_from_samples(np.linspace(0.0, 1.0, 5),
+                                     [0.0, 1.0, bad, 3.0, 4.0], shape)
+
 
 def sqrt_primitive(offset, r):
     """Exact primitive of k(r) = sqrt(offset + r) from 0 to r."""
@@ -211,7 +222,7 @@ def sqrt_primitive(offset, r):
 
 class TestAlgebra:
     def test_scale(self):
-        k = scale_modulus(PowerSumModulus(((2.0, 1.0),)), 0.5)
+        k = combine_moduli([PowerSumModulus(((2.0, 1.0),))], [0.5])
         assert k(1.0) == 1.0
 
     def test_combine_power_sums_exact(self):

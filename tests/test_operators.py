@@ -253,12 +253,9 @@ class TestHammersteinSup:
         assert 3.0 <= errors[1] / errors[2] <= 5.0
 
     def test_missing_term_modulus_rejected(self):
-        spec = HammersteinSpec(
-            (HammersteinTerm(lambda t, s: t * s, lambda u: u),),
-            1.0, lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-        grid = Grid.simpson(0.0, 1.0, 11)
-        with pytest.raises(ValueError):
-            build_hammerstein_sup(spec, grid, 1.0)
+        # the modulus is a required field of every term
+        with pytest.raises(TypeError, match="modulus"):
+            HammersteinTerm(lambda t, s: t * s, lambda u: u)
 
 
 def _square_spec(kernel, nonlinearity=lambda u: u**2, forcing=FORCINGS["identity"]):
@@ -281,14 +278,13 @@ class TestHammersteinSampling:
     def test_table_on_another_grid_is_rejected(self):
         grid = Grid.simpson(0.0, 1.0, 11)
         other = Grid.trapezoid(0.0, 1.0, 11)
-        spec = _square_spec(KernelTable.from_function(other, other, KERNELS["product"]))
+        spec = _square_spec(KernelTable.from_function(other, KERNELS["product"]))
         with pytest.raises(ValueError, match="build grid"):
             build_hammerstein_sup(spec, grid, 1.0)
 
     def test_table_on_an_equal_grid_is_used_as_is(self):
         grid = Grid.simpson(0.0, 1.0, 11)
-        table = KernelTable.from_function(Grid.simpson(0.0, 1.0, 11),
-                                          Grid.simpson(0.0, 1.0, 11), KERNELS["product"])
+        table = KernelTable.from_function(Grid.simpson(0.0, 1.0, 11), KERNELS["product"])
         op = build_hammerstein_sup(_square_spec(table), grid, 1.0)
         twin = build_hammerstein_sup(_square_spec(KERNELS["product"]), grid, 1.0)
         x = np.linspace(0.1, 0.3, grid.n)
@@ -302,7 +298,7 @@ class TestHammersteinSampling:
         mat[:] = 5.0
         x = np.linspace(0.1, 0.3, grid.n)
         assert np.array_equal(op.apply(x), twin.apply(x))
-        with pytest.raises(ValueError, match="does not match grids"):
+        with pytest.raises(ValueError, match="does not match grid"):
             build_hammerstein_sup(_square_spec(mat[:, :-1]), grid, 1.0)
 
     # exp_product makes a temporary t * s before np.exp: sampled whole, the
@@ -409,9 +405,9 @@ class TestSuperpositionModulus:
         envelope = build_superposition_modulus(pairs, 2.0, 1.5, 1.0)
         grid = Grid.simpson(0.0, 1.0, 51)
         spec = HammersteinSpec(
-            (HammersteinTerm(lambda t, s: t * s, lambda u: u),),
+            (HammersteinTerm(lambda t, s: t * s, lambda u: u, envelope),),
             0.1, lambda t: np.asarray(t, dtype=float))
-        op = build_hammerstein_lp(spec, [envelope], [1.0 / 3.0], 2.0, grid, 10.0)
+        op = build_hammerstein_lp(spec, [1.0 / 3.0], 2.0, grid, 10.0)
         assert op.profile.modulus_integral(10.0) == pytest.approx(
             0.1 / 3.0 * 9.75, abs=1e-14)
         assert analyze(op.profile).existence_certified
@@ -486,29 +482,28 @@ class TestHammersteinLp:
         envelope = build_superposition_modulus(pairs, 2.0, 1.0, 1.0)
         grid = Grid.simpson(0.0, 1.0, 101)
         spec = HammersteinSpec(
-            (HammersteinTerm(lambda t, s: t * s, lambda u: u**2),),
+            (HammersteinTerm(lambda t, s: t * s, lambda u: u**2, envelope),),
             1.0,
             lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         )
-        op = build_hammerstein_lp(spec, [envelope], [1.0 / 3.0], 2.0, grid, 2.0)
+        op = build_hammerstein_lp(spec, [1.0 / 3.0], 2.0, grid, 2.0)
         for r in (0.5, 1.0, 2.0):
             assert op.profile.slope(r) == pytest.approx(min(1.0, r) / 3.0, abs=1e-9)
 
     def test_zero_norms_zero_modulus(self):
         grid = Grid.simpson(0.0, 1.0, 51)
         spec = HammersteinSpec(
-            (HammersteinTerm(lambda t, s: t * s, lambda u: u),),
+            (HammersteinTerm(lambda t, s: t * s, lambda u: u, ConstantModulus(1.0)),),
             1.0, lambda t: np.asarray(t, dtype=float))
-        op = build_hammerstein_lp(spec, [ConstantModulus(1.0)], [0.0], 2.0, grid, 2.0)
+        op = build_hammerstein_lp(spec, [0.0], 2.0, grid, 2.0)
         assert op.profile.slope(1.3) == 0.0
 
     def test_linear_instance_converges(self):
         grid = Grid.simpson(0.0, 1.0, 101)
         spec = HammersteinSpec(
-            (HammersteinTerm(lambda t, s: t * s, lambda u: u),),
+            (HammersteinTerm(lambda t, s: t * s, lambda u: u, ConstantModulus(1.0)),),
             0.3, lambda t: np.asarray(t, dtype=float))
-        op = build_hammerstein_lp(spec, [ConstantModulus(1.0)], [1.0 / 3.0],
-                                  2.0, grid, 2.0)
+        op = build_hammerstein_lp(spec, [1.0 / 3.0], 2.0, grid, 2.0)
         assert op.profile.center_shift == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-10)
         x, trace = iterate(op, op.center, StoppingRule(bound_tol=1e-10, max_steps=200))
         assert trace.status == "converged"
@@ -615,6 +610,17 @@ class TestUrysohn:
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError, match="unknown modulus shape"):
             self._sqrt_spec("concave")
+
+    @pytest.mark.parametrize("shape", ["monotone", "convex"])
+    def test_nan_modulus_callback_rejected(self, shape):
+        spec = UrysohnSpec(
+            lambda t, s, u, v: 0.1 * (u + v),
+            lambda t, s, r: np.where(r > 0.5, np.nan, 0.1) + 0.0 * (t + s),
+            lambda t, s, r: 0.1 + 0.0 * (t + s),
+            shape=shape,
+        )
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            build_urysohn(spec, Grid.simpson(0.0, 1.0, 11), 1.0)
 
 
 class TestComposition:

@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -88,23 +89,38 @@ def _check_keys(doc: dict, allowed, what: str) -> None:
             _fail(f"unknown key {key!r} in {what}; allowed: {sorted(allowed)}")
 
 
-def _number(config: dict, key: str, *, positive=False, nonnegative=False):
+def _numbers(config: dict, key: str) -> np.ndarray:
+    """A number or nested list of numbers as floats; no strings, booleans or nulls."""
     if key not in config:
         _fail(f"missing required field {key!r}")
     value = config[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"field {key!r} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        _fail(f"field {key!r} must be finite, got {value!r}")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in np.asarray(value, dtype=object).ravel()):
+        _fail(f"field {key!r} must be a number or a list of numbers")
+    return np.asarray(value, dtype=float)
+
+
+def _number(config: dict, key: str, *, positive=False, nonnegative=False) -> float:
+    value = _numbers(config, key)
+    if value.ndim or not math.isfinite(value):
+        _fail(f"field {key!r} must be a finite number, got {config[key]!r}")
+    value = float(value)
     if positive and value <= 0.0:
         _fail(f"field {key!r} must be > 0, got {value!r}")
     if nonnegative and value < 0.0:
         _fail(f"field {key!r} must be >= 0, got {value!r}")
     return value
+
+
+def _pairs(config: dict, key: str) -> tuple[tuple[float, float], ...]:
+    pairs = _numbers(config, key)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or not len(pairs):
+        _fail(f"field {key!r} must be a nonempty list of number pairs")
+    return tuple(map(tuple, pairs.tolist()))
+
+
+def _center(config: dict):
+    return None if config.get("x0") is None else _numbers(config, "x0")
 
 
 def _build_modulus(doc) -> ConstantModulus | PowerSumModulus | TabulatedModulus:
@@ -115,12 +131,8 @@ def _build_modulus(doc) -> ConstantModulus | PowerSumModulus | TabulatedModulus:
     if kind == "constant":
         return ConstantModulus(_number(doc, "value", nonnegative=True))
     if kind == "power_sum":
-        terms = doc.get("terms")
-        if not isinstance(terms, list) or not terms:
-            _fail("power_sum modulus needs a nonempty 'terms' list")
-        return PowerSumModulus(tuple((float(c), float(p)) for c, p in terms))
-    return TabulatedModulus(np.asarray(doc.get("abscissae"), dtype=float),
-                            np.asarray(doc.get("ordinates"), dtype=float))
+        return PowerSumModulus(_pairs(doc, "terms"))
+    return TabulatedModulus(_numbers(doc, "abscissae"), _numbers(doc, "ordinates"))
 
 
 def _build_grid(config: dict) -> Grid:
@@ -132,9 +144,8 @@ def _build_grid(config: dict) -> Grid:
     n = doc.get("n", 101)
     if not isinstance(n, int) or isinstance(n, bool):
         _fail(f"grid node count must be an integer, got {n!r}")
-    interval = config.get("interval", [0.0, 1.0])
-    if (not isinstance(interval, list) or len(interval) != 2
-            or not all(isinstance(v, (int, float)) for v in interval)):
+    interval = _numbers(config, "interval") if "interval" in config else [0.0, 1.0]
+    if np.shape(interval) != (2,):
         _fail("'interval' must be a pair of numbers")
     if rule not in ("simpson", "trapezoid"):
         _fail(f"unknown quadrature rule {rule!r}")
@@ -151,7 +162,7 @@ def _resolve_kernel(term: dict, grid: Grid):
     if isinstance(kernel, str):
         return _lookup(KERNELS, kernel, "kernel")
     if isinstance(kernel, list):
-        return KernelTable(grid, kernel)
+        return KernelTable(grid, _numbers(term, "kernel"))
     _fail("each term needs a 'kernel' (name or matrix) or 'kernel_csv'")
 
 
@@ -164,14 +175,15 @@ def _scalar_profile(config: dict, radius: float):
 def _multilinear(config: dict, radius: float):
     dimension = config.get("dimension", 1)
     degree = config.get("degree")
-    if not isinstance(dimension, int) or not isinstance(degree, int):
+    if not all(type(v) is int for v in (dimension, degree)):
         _fail("multilinear needs integer 'dimension' and 'degree'")
     tensor = (_number(config, "coefficient") if dimension == 1
-              else np.asarray(config.get("tensor"), dtype=float))
+              else _numbers(config, "tensor"))
+    operator_norm = (None if config.get("operator_norm") is None
+                     else _number(config, "operator_norm"))
     spec = MultilinearSpec(
         dimension=dimension, degree=degree, tensor=tensor,
-        constant=np.asarray(config.get("constant"), dtype=float),
-        operator_norm=config.get("operator_norm"))
+        constant=_numbers(config, "constant"), operator_norm=operator_norm)
     handle = build_multilinear(spec, radius)
     shift = handle.profile.center_shift
     critical = multilinear_critical_shift(
@@ -188,12 +200,8 @@ def _hammerstein_spec(config: dict, grid: Grid, make_term) -> HammersteinSpec:
             or not all(isinstance(term, dict) for term in terms)):
         _fail("'terms' must be a nonempty list of objects")
     forcing = config.get("forcing", "zero")
-    if isinstance(forcing, str):
-        forcing = _lookup(FORCINGS, forcing, "forcing")
-    elif isinstance(forcing, list):
-        forcing = np.asarray(forcing, dtype=float)
-    else:
-        _fail("'forcing' must be a name or a sample list")
+    forcing = (_lookup(FORCINGS, forcing, "forcing") if isinstance(forcing, str)
+               else _numbers(config, "forcing"))
     return HammersteinSpec(tuple(make_term(term) for term in terms), lam, forcing)
 
 
@@ -206,7 +214,7 @@ def _hammerstein_c(config: dict, radius: float):
         return HammersteinTerm(_resolve_kernel(term, grid), fn, modulus)
 
     spec = _hammerstein_spec(config, grid, make_term)
-    handle = build_hammerstein_sup(spec, grid, radius, center=config.get("x0"))
+    handle = build_hammerstein_sup(spec, grid, radius, center=_center(config))
     return handle, {"grid": {"rule": grid.rule, "n": grid.n}}
 
 
@@ -219,14 +227,14 @@ def _hammerstein_lp(config: dict, radius: float):
         _check_keys(term, _LP_TERM_KEYS, "term")
         fn, default_pairs = _lookup(LP_NONLINEARITIES, term.get("nonlinearity"),
                                     "L_p nonlinearity")
-        q = float(term.get("q", p))
-        pairs = LipschitzPairSet(tuple(
-            (float(a), float(b)) for a, b in term.get("pairs", default_pairs)))
+        q = _number(term, "q") if "q" in term else p
+        pairs = LipschitzPairSet(_pairs(term, "pairs") if "pairs" in term
+                                 else default_pairs)
         # build_superposition_modulus rejects p <= 1 before anything divides by p - 1
         modulus = build_superposition_modulus(pairs, p, q, grid.upper - grid.lower)
         kernel = _resolve_kernel(term, grid)
         if "zaanen_norm" in term:
-            norms.append(float(term["zaanen_norm"]))
+            norms.append(_number(term, "zaanen_norm"))
         elif q <= 1.0:
             _fail("Zaanen estimation needs q > 1; supply 'zaanen_norm' for this term")
         else:
@@ -238,7 +246,7 @@ def _hammerstein_lp(config: dict, radius: float):
         return HammersteinTerm(kernel, fn, modulus)
 
     spec = _hammerstein_spec(config, grid, make_term)
-    handle = build_hammerstein_lp(spec, norms, p, grid, radius, center=config.get("x0"))
+    handle = build_hammerstein_lp(spec, norms, p, grid, radius, center=_center(config))
     return handle, {"grid": {"rule": grid.rule, "n": grid.n}}
 
 
@@ -253,7 +261,7 @@ def _urysohn(config: dict, radius: float):
     demo = _lookup(URYSOHN_KERNELS, config.get("kernel"), "Urysohn kernel")
     spec = UrysohnSpec(demo["kernel"], demo["u_modulus"], demo["v_modulus"],
                        _declared_shape(demo))
-    handle = build_urysohn(spec, grid, radius, center=config.get("x0"))
+    handle = build_urysohn(spec, grid, radius, center=_center(config))
     return handle, {"grid": {"rule": grid.rule, "n": grid.n}}
 
 
@@ -264,7 +272,7 @@ def _composition(config: dict, radius: float):
     spec = CompositionSpec(outer["outer"], outer["u_modulus"], outer["v_modulus"],
                            inner["kernel"], inner["bound"], inner["modulus"],
                            _declared_shape(outer, inner))
-    handle = build_composition(spec, grid, radius, center=config.get("x0"))
+    handle = build_composition(spec, grid, radius, center=_center(config))
     return handle, {"grid": {"rule": grid.rule, "n": grid.n}}
 
 
@@ -393,16 +401,7 @@ def run_solve(config: dict, bound_tol: float = 1e-10, max_steps: int = 1000,
     document["steps"] = [rec.to_dict() for rec in trace.steps]
     document["final_bound"] = trace.final_bound
     document["solution"] = [float(v) for v in np.atleast_1d(solution)]
-    if trace.steps:
-        cert = certify_trace(trace)
-        document["certification"] = {
-            "steps_checked": cert.steps_checked,
-            "step_ok": cert.step_ok,
-            "worst_step_excess": cert.worst_step_excess,
-        }
-    else:
-        document["certification"] = {"steps_checked": 0, "step_ok": True,
-                                     "worst_step_excess": 0.0}
+    document["certification"] = asdict(certify_trace(trace))
     return document
 
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from majorfix import MajorantProfile, PowerSumModulus, UrysohnSpec, combine_moduli
+from majorfix.iteration import BOUND_SLACK_ABS, BOUND_SLACK_REL
 
 
 def quadratic_radii(a: float, c: float, radius: float) -> dict:
@@ -96,6 +97,24 @@ def picard_reference(op, steps: int = 3000) -> np.ndarray:
     for _ in range(steps):
         x = np.asarray(op.apply(x), dtype=float)
     return x
+
+
+def reference_check(trace, x_ref, norm) -> tuple[float, list]:
+    """Check ||x_ref - xi_n|| <= apriori_bound at every recorded step, with
+    the slack the iteration allows its own step check.
+
+    Returns the worst excess (observed minus bound) and the failing steps
+    as (n, observed, bound).
+    """
+    x_ref = np.asarray(x_ref, dtype=float)
+    worst, failures = -math.inf, []
+    for rec in trace.steps:
+        observed = float(norm(x_ref - rec.state))
+        excess = observed - rec.apriori_bound
+        worst = max(worst, excess)
+        if excess > BOUND_SLACK_ABS + BOUND_SLACK_REL * abs(rec.apriori_bound):
+            failures.append((rec.index, observed, rec.apriori_bound))
+    return worst, failures
 
 
 def per_radius_modulus(spec, grid, radius: float, shift: float = 0.0,

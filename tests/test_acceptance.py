@@ -44,6 +44,7 @@ from helpers import (
     picard_reference,
     quadratic_radii,
     random_existence_profile,
+    reference_check,
 )
 
 ZOO_PRESETS = ("multilinear-quadratic", "multilinear-cubic", "multilinear-2d",
@@ -185,11 +186,12 @@ def test_criterion_5_bound_certification():
         local_rule = rule if rate < 0.9 else StoppingRule(bound_tol=1e-9,
                                                           max_steps=300)
         _, trace = iterate(handle, handle.center, local_rule, report=report)
-        x_ref = picard_reference(handle, _steps_for_rate(rate)) if rate < 0.9 else None
-        record = certify_trace(trace, x_ref=x_ref,
-                               norm=handle.norm if x_ref is not None else None)
-        _check(problems, record.passed,
-               f"{name}: certification failed ({record.failures[:2]})")
+        _check(problems, certify_trace(trace).step_ok, f"{name}: step check failed")
+        if rate < 0.9:
+            x_ref = picard_reference(handle, _steps_for_rate(rate))
+            _, failures = reference_check(trace, x_ref, handle.norm)
+            _check(problems, not failures,
+                   f"{name}: reference check failed ({failures[:2]})")
 
     rng = np.random.default_rng(5)
     for i in range(1000):
@@ -205,9 +207,9 @@ def test_criterion_5_bound_certification():
         _, trace = iterate(handle, start, rule, report=report)
         rate = profile.slope(report.convergence_radius)
         x_ref = picard_reference(handle, _steps_for_rate(rate))
-        record = certify_trace(trace, x_ref=x_ref, norm=handle.norm)
-        _check(problems, record.passed,
-               f"profile #{i}: certification failed ({record.failures[:2]})")
+        _, failures = reference_check(trace, x_ref, handle.norm)
+        _check(problems, certify_trace(trace).step_ok and not failures,
+               f"profile #{i}: certification failed ({failures[:2]})")
         if problems and len(problems) > 5:
             break
 

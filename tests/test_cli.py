@@ -225,6 +225,8 @@ class TestSolveCommand:
         assert code == 0
         assert doc["steps"] == []
         assert doc["final_bound"] == 0.0
+        assert doc["certification"] == {"steps_checked": 0, "step_ok": True,
+                                         "worst_step_excess": 0.0}
 
 
 class TestForcingSamples:
@@ -509,6 +511,23 @@ class TestExitCodes:
         ("urysohn", False, {"kernel": ["a"]}),
         ("quadratic", False, {"modulus": {"type": "tabulated", "abscissae": [0, 1],
                                           "ordinates": [1, "x"]}}),
+        # numeric fields given as strings or booleans
+        ("hammerstein-lp", True, {"q": "2"}),
+        ("hammerstein-lp", True, {"q": True}),
+        ("hammerstein-lp", True, {"zaanen_norm": "0.5"}),
+        ("hammerstein-lp", True, {"pairs": [["1", "0"]]}),
+        ("quadratic", False, {"modulus": {"type": "power_sum", "terms": [["2", "1"]]}}),
+        ("quadratic", False, {"modulus": {"type": "tabulated", "abscissae": ["0", "1"],
+                                          "ordinates": [0, 2]}}),
+        ("quadratic", False, {"modulus": {"type": "tabulated", "abscissae": [0, 1],
+                                          "ordinates": ["0", "2"]}}),
+        ("hammerstein-separable", False, {"x0": "0.5"}),
+        ("hammerstein-separable", False, {"forcing": ["0.5"] * 201}),
+        ("hammerstein-separable", True, {"kernel": [["1"] * 201] * 201}),
+        ("multilinear-2d", False, {"constant": ["0.05", "0.08"]}),
+        ("multilinear-2d", False, {"operator_norm": True}),
+        ("multilinear-quadratic", False, {"dimension": True}),
+        ("urysohn", False, {"interval": [False, True]}),
     ])
     def test_config_error_malformed_field(self, tmp_path, capsys, preset, term,
                                           changes):
@@ -553,6 +572,13 @@ class TestExitCodes:
         del target[key]
         path.write_text(json.dumps(config))
         assert run_cli(["analyze", "--config", str(path)])[0] == 0
+
+    # a boolean exponent is named as such, not read as q = 1.0
+    def test_config_error_boolean_q(self):
+        config = get_preset("hammerstein-lp")
+        config["terms"][0]["q"] = True
+        with pytest.raises(ConfigError, match="field 'q' must be a number"):
+            cli.run_analyze(config)
 
     @pytest.mark.parametrize("p", [1.0, 0.5, -2.0])
     def test_config_error_lp_exponent_at_most_one(self, tmp_path, capsys, p):

@@ -5,6 +5,7 @@ import pytest
 
 from majorfix import (
     BoundViolationError,
+    CertificationRecord,
     ConstantModulus,
     InadmissibleStartError,
     MajorantProfile,
@@ -21,6 +22,8 @@ from majorfix import (
     iterate,
     make_operator,
 )
+
+from helpers import reference_check
 
 QUAD = MajorantProfile(0.1875, PowerSumModulus(((2.0, 1.0),)), 1.0)
 
@@ -189,10 +192,12 @@ class TestCertifyTrace:
     def test_reference_certification_tight(self):
         op = build_self_majorizing(QUAD)
         _, trace = iterate(op, np.zeros(1), StoppingRule(bound_tol=1e-9, max_steps=500))
-        record = certify_trace(trace, x_ref=np.array([0.25]), norm=op.norm)
-        assert record.passed
+        record = certify_trace(trace)
+        assert record.step_ok
         assert record.worst_step_excess <= 1e-12
-        assert record.worst_ref_excess <= 1e-12
+        worst_ref, failures = reference_check(trace, np.array([0.25]), op.norm)
+        assert failures == []
+        assert worst_ref <= 1e-12
 
     def test_single_step_trace(self):
         op = build_self_majorizing(QUAD)
@@ -202,20 +207,27 @@ class TestCertifyTrace:
         assert first.step_norm == pytest.approx(QUAD.center_shift, abs=1e-15)
         assert first.step_bound == pytest.approx(
             QUAD.upper(0.0) + 0.0 - 0.0, abs=1e-15)
-        assert certify_trace(trace).passed
+        assert certify_trace(trace).step_ok
 
-    def test_empty_trace_rejected(self):
+    def test_empty_trace_passes(self):
         from majorfix import IterationTrace
-        with pytest.raises(ValueError):
-            certify_trace(IterationTrace([], "converged", 0.0, None, 0.0))
+        record = certify_trace(IterationTrace([], "converged", None, 0.0))
+        assert record == CertificationRecord(0, True, 0.0)
+
+    # iterate compares with ">", which a NaN step norm never satisfies
+    def test_nan_step_norm_fails_certification(self):
+        norm = lambda v: float(np.max(np.abs(v)))
+        op = make_operator(lambda x: 0.1 + 0.5 * x if x[0] < 0.15 else np.full(1, np.nan),
+                           np.zeros(1), norm, ConstantModulus(0.5), 1.0)
+        solution, trace = iterate(op, np.zeros(1), StoppingRule())
+        assert np.isnan(solution[0])
+        assert not certify_trace(trace).step_ok
 
     def test_corrupted_bounds_fail_certification(self):
         op = build_self_majorizing(QUAD)
         _, trace = iterate(op, np.zeros(1), StoppingRule(bound_tol=1e-9, max_steps=500))
-        record = certify_trace(trace, x_ref=np.array([0.75]), norm=op.norm)
-        assert record.ref_ok is False
-        assert not record.passed
-        assert any(kind == "reference" for kind, *_ in record.failures)
+        _, failures = reference_check(trace, np.array([0.75]), op.norm)
+        assert failures
 
 
 class TestMakeOperator:

@@ -54,7 +54,7 @@ def _scaled_config(tmp_path):
 # the urysohn and composition presets declare convex moduli, sampled at 33 radii
 @pytest.mark.parametrize("make_args,combines,table_nodes", [
     (lambda tmp_path: ["solve", "--preset", "hammerstein-separable"], 1, 0),
-    (_scaled_config, 1, 0),   # scale_modulus of the tracer's wrapped modulus
+    (_scaled_config, 1, 0),   # combine_moduli([m], [scale]) of the wrapped modulus
     (lambda tmp_path: ["analyze", "--preset", "urysohn"], 0, 33),
     (lambda tmp_path: ["analyze", "--preset", "composition"], 0, 33),
 ], ids=["solve-preset", "analyze-modulus-scale", "analyze-urysohn",

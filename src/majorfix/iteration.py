@@ -182,7 +182,7 @@ def iterate(op: OperatorHandle, xi0, rule: StoppingRule, *,
         record = StepRecord(n, xi.copy(), step_norm, r_n, rho_n,
                             apriori, step_bound, r_star - r_n)
         steps.append(record)
-        if step_norm > step_bound + _slack(step_bound):
+        if not step_norm <= step_bound + _slack(step_bound):  # NaN fails too
             trace = IterationTrace(steps, "bound_violated", nxt, apriori)
             raise BoundViolationError(
                 f"step {n}: observed norm {step_norm!r} exceeds the certified "
@@ -190,7 +190,7 @@ def iterate(op: OperatorHandle, xi0, rule: StoppingRule, *,
                 trace=trace, record=record,
             )
         drift = float(op.norm(nxt - op.center))
-        if drift > rho_next + _slack(rho_next):
+        if not drift <= rho_next + _slack(rho_next):
             trace = IterationTrace(steps, "bound_violated", nxt, apriori)
             raise BoundViolationError(
                 f"step {n}: iterate drifted to distance {drift!r} from the "
@@ -215,8 +215,8 @@ class CertificationRecord:
 
 def certify_trace(trace: IterationTrace) -> CertificationRecord:
     """Re-check step_norm <= step_bound + slack on every step of a finished
-    trace.  A NaN step norm, which iterate lets through, fails it; an empty
-    trace passes with zero excess."""
+    trace.  A NaN step norm fails it, as it fails iterate's own check; an
+    empty trace passes with zero excess."""
     steps = trace.steps
     return CertificationRecord(
         len(steps),

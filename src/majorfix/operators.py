@@ -14,6 +14,8 @@ one at 33 radii under its second-order chord.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,6 +57,39 @@ __all__ = [
 
 def _sup_norm(v: np.ndarray) -> float:
     return float(np.abs(v).max())
+
+
+# a split loses below about 8 MiB (n ~ 1030), where the hand-off to the
+# worker costs more than half a read; 16 MiB leaves that margin twice over
+_SPLIT_BYTES = 16 * 2**20
+
+
+# one pool per process: one made before fork has no thread in the child
+# (an at-fork hook to drop it would pin every re-import of this module)
+@functools.cache
+def _worker(pid: int):
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1)
+
+
+def _matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """mat @ v.  A table of _SPLIT_BYTES or more is cut once, at a multiple
+    of 64 rows, and a worker thread reads the second block while the
+    calling thread reads the first, or reads it too if the worker has not
+    started it by then.  One-thread gemv takes rows four at a time, so
+    every row keeps the bits of the whole product; a threaded BLAS may
+    round differently."""
+    if mat.nbytes < _SPLIT_BYTES or v.shape != mat.shape[1:]:
+        return mat @ v
+    cut = mat.shape[0] // 128 * 64
+    out = np.empty(mat.shape[0], np.result_type(mat, v))
+    rest = _worker(os.getpid()).submit(np.matmul, mat[cut:], v, out=out[cut:])
+    np.matmul(mat[:cut], v, out=out[:cut])
+    if rest.cancel():
+        np.matmul(mat[cut:], v, out=out[cut:])
+    else:
+        rest.result()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +269,7 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, mats, knorms,
     def apply(x: np.ndarray) -> np.ndarray:
         out = fvec.copy()
         for mat, h in zip(mats, hs):
-            out += lam * (mat @ (weights * h(x)))
+            out += lam * _matvec(mat, weights * h(x))
         return out
 
     return make_operator(apply, x0, norm, modulus, radius)
@@ -249,7 +284,7 @@ def build_hammerstein_sup(spec: HammersteinSpec, grid: Grid, radius: float,
     scalar modulus.
     """
     mats = [_sample_kernel(term.kernel, grid) for term in spec.terms]
-    knorms = [float(np.max(_absolute(mat) @ grid.weights)) for mat in mats]
+    knorms = [float(np.max(_matvec(_absolute(mat), grid.weights))) for mat in mats]
     return _nystrom_handle(spec, grid, mats, knorms, _sup_norm, radius, center)
 
 

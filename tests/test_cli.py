@@ -15,7 +15,7 @@ from majorfix import (Grid, KernelTable, MajorantProfile, PowerSumModulus, cli,
                       eval_majorants)
 from majorfix.cli import main
 from majorfix.errors import ConfigError
-from majorfix.presets import URYSOHN_KERNELS, get_preset, preset_names
+from majorfix.presets import NONLINEARITIES, URYSOHN_KERNELS, get_preset, preset_names
 
 BETA = (1.0 - math.sqrt(0.9)) / 0.05
 DATA = Path(__file__).parent / "data"
@@ -708,6 +708,18 @@ class TestExitCodes:
         assert doc["diagnostic"]["step"]["n"] == 1
         assert (doc["diagnostic"]["observed_step_norm"]
                 > doc["diagnostic"]["certified_step_bound"])
+
+    def test_nan_iterate_is_a_bound_violation(self, monkeypatch, tmp_path):
+        # the iterate reaches t > 0.5 after one step, where h turns NaN
+        _, modulus = NONLINEARITIES["square"]
+        monkeypatch.setitem(NONLINEARITIES, "square",
+                            (lambda u: np.where(u < 0.5, u**2, np.nan), modulus))
+        out = tmp_path / "trace.json"
+        code, _ = run_cli(["solve", "--preset", "hammerstein-separable", "--out", str(out)])
+        assert code == 4
+        doc = json.loads(out.read_text())
+        assert doc["status"] == "bound_violated" and doc["diagnostic"]["step"]["n"] == 1
+        assert math.isnan(doc["diagnostic"]["observed_step_norm"])
 
 
 class TestStartOffset:

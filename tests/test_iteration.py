@@ -8,10 +8,12 @@ from majorfix import (
     CertificationRecord,
     ConstantModulus,
     InadmissibleStartError,
+    IterationTrace,
     MajorantProfile,
     NoExistenceError,
     OperatorHandle,
     PowerSumModulus,
+    StepRecord,
     StoppingRule,
     ZoneReport,
     analyze,
@@ -163,6 +165,16 @@ class TestIterate:
         assert record.index == 0 and record.step_norm <= record.step_bound
         assert excinfo.value.trace.status == "bound_violated"
 
+    def test_nan_iterate_is_a_violation(self):
+        # NaN fails every comparison, so the checks read "not (norm <= bound)"
+        norm = lambda v: float(np.max(np.abs(v)))
+        op = make_operator(lambda x: 0.1 + 0.5 * x if x[0] < 0.15 else np.full(1, np.nan),
+                           np.zeros(1), norm, ConstantModulus(0.5), 1.0)
+        with pytest.raises(BoundViolationError, match="observed norm nan") as excinfo:
+            iterate(op, np.zeros(1), StoppingRule())
+        assert excinfo.value.record.index == 2
+        assert excinfo.value.trace.status == "bound_violated"
+
     def test_corrupted_modulus_violates_at_first_biting_step(self):
         good = build_self_majorizing(QUAD)
         corrupted = MajorantProfile(QUAD.center_shift,
@@ -210,18 +222,12 @@ class TestCertifyTrace:
         assert certify_trace(trace).step_ok
 
     def test_empty_trace_passes(self):
-        from majorfix import IterationTrace
         record = certify_trace(IterationTrace([], "converged", None, 0.0))
         assert record == CertificationRecord(0, True, 0.0)
 
-    # iterate compares with ">", which a NaN step norm never satisfies
     def test_nan_step_norm_fails_certification(self):
-        norm = lambda v: float(np.max(np.abs(v)))
-        op = make_operator(lambda x: 0.1 + 0.5 * x if x[0] < 0.15 else np.full(1, np.nan),
-                           np.zeros(1), norm, ConstantModulus(0.5), 1.0)
-        solution, trace = iterate(op, np.zeros(1), StoppingRule())
-        assert np.isnan(solution[0])
-        assert not certify_trace(trace).step_ok
+        record = StepRecord(0, np.zeros(1), math.nan, 0.0, 0.0, 0.2, 0.1, 0.2)
+        assert not certify_trace(IterationTrace([record])).step_ok
 
     def test_corrupted_bounds_fail_certification(self):
         op = build_self_majorizing(QUAD)

@@ -160,7 +160,7 @@ def _resolve_kernel(term: dict, grid: Grid):
         return KernelTable.from_csv(path, grid)
     kernel = term.get("kernel")
     if isinstance(kernel, str):
-        return _lookup(KERNELS, kernel, "kernel")
+        return KernelTable.from_function(grid, _lookup(KERNELS, kernel, "kernel"))
     if isinstance(kernel, list):
         return KernelTable(grid, _numbers(term, "kernel"))
     _fail("each term needs a 'kernel' (name or matrix) or 'kernel_csv'")
@@ -238,9 +238,6 @@ def _hammerstein_lp(config: dict, radius: float):
         elif q <= 1.0:
             _fail("Zaanen estimation needs q > 1; supply 'zaanen_norm' for this term")
         else:
-            # sampled once: the table feeds the build too
-            if callable(kernel):
-                kernel = KernelTable.from_function(grid, kernel)
             norms.append(_ZAANEN_INFLATION
                          * zaanen_norm_estimate(kernel, q, p / (p - 1.0)))
         return HammersteinTerm(kernel, fn, modulus)

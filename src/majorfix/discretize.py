@@ -104,37 +104,17 @@ def lp_norm(grid: Grid, samples, p: float) -> float:
     return float((grid.weights @ np.abs(samples) ** p) ** (1.0 / p))
 
 
-def _shaped(values, shape) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    return values if values.shape == shape else np.broadcast_to(values, shape)
-
-
 def _mesh_callback(fn):
     """Evaluate fn on broadcastable arrays as a float array of their shape
-    (fn's own result, or a read-only broadcast view of it).  If fn rejects
-    arrays on its first call (TypeError or ValueError), it is called per
-    element with scalars from then on.  Once that is settled, a TypeError or
+    (fn's own result, or a read-only broadcast view of it).  A TypeError or
     ValueError from fn is a fault of the callback, not of its arguments: it
     is raised as a RuntimeError naming fn, chained from the original.  Other
     exceptions propagate."""
-    vectorised = None
-
     def evaluate(*args):
-        nonlocal vectorised
         shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-        if vectorised is None:
-            try:
-                values = _shaped(fn(*args), shape)
-            except (TypeError, ValueError):
-                vectorised = False
-            else:
-                vectorised = True
-                return values
         try:
-            if vectorised:
-                return _shaped(fn(*args), shape)
-            points = zip(*(np.broadcast_to(a, shape).flat for a in args))
-            return np.array([float(fn(*p)) for p in points]).reshape(shape)
+            values = np.asarray(fn(*args), dtype=float)
+            return values if values.shape == shape else np.broadcast_to(values, shape)
         except (TypeError, ValueError) as exc:
             name = getattr(fn, "__qualname__", repr(fn))
             raise RuntimeError(f"callback {name} raised {type(exc).__name__}: "
@@ -193,10 +173,10 @@ class KernelTable:
         """Sample fn into the table's own array, a block of rows per call:
         t = grid.nodes[i:j, None], s = grid.nodes[None, :], with
         _BLOCK_ELEMENTS values per block; each result must broadcast to the
-        block's shape.  fn must be pointwise, so every sample is what one
-        call on the whole open mesh would give.  A scalar-only fn (TypeError
-        or ValueError on the first block) is called per node pair, slowly;
-        its later errors propagate (see _mesh_callback)."""
+        block's shape.  fn must be pointwise on numpy arrays, so every sample
+        is what one call on the whole open mesh would give; a scalar-only fn
+        is passed as np.vectorize(fn, otypes=[float]).  A TypeError or
+        ValueError from fn is raised as a RuntimeError naming it."""
         t, s = grid.nodes[:, None], grid.nodes[None, :]
         values = np.empty((grid.n, grid.n))
         rows = max(1, _BLOCK_ELEMENTS // grid.n)

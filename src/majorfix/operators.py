@@ -202,12 +202,12 @@ class HammersteinTerm:
 @dataclass(frozen=True, eq=False)
 class HammersteinSpec:
     """Terms, lambda and forcing of a Hammerstein sum; the interval is the
-    build grid's.  Callbacks must be pointwise numpy functions: a kernel
-    k(t, s) is sampled once, a block of rows per call, on the open mesh
-    t = nodes[i:j, None], s = nodes[None, :] (see KernelTable.from_function);
-    f(t) gets the nodes and h(u) the iterate.  Scalar-only callbacks work,
-    but slowly.  Once a callback's first call has settled array or scalar
-    calls, a TypeError or ValueError from it is raised as a RuntimeError
+    build grid's.  Callbacks are pointwise functions of numpy arrays: a
+    kernel k(t, s) is sampled once, a block of rows per call, on the open
+    mesh t = nodes[i:j, None], s = nodes[None, :] (see
+    KernelTable.from_function); f(t) gets the nodes and h(u) the iterate.
+    A scalar-only callback is passed as np.vectorize(fn, otypes=[float]).
+    A TypeError or ValueError from a callback is raised as a RuntimeError
     naming it.
     """
 
@@ -383,10 +383,10 @@ class UrysohnSpec:
     "monotone" claims nothing more, "convex" that both are convex in r, so
     the build samples the combined modulus at 33 radii instead of 257.
 
-    Callbacks must be pointwise numpy functions of broadcastable open-mesh
-    arrays: K(t, s, u, v) gets t = nodes[:, None], s = nodes[None, :],
+    Callbacks are pointwise on broadcastable open-mesh numpy arrays, as in
+    HammersteinSpec: K(t, s, u, v) gets t = nodes[:, None], s = nodes[None, :],
     u = x[None, :], v = x[:, None]; l and m get t[None], s[None] and a leading
-    radius axis r[:, None, None].  Scalar-only callbacks work, but slowly.
+    radius axis r[:, None, None].
     """
 
     kernel: Callable
@@ -406,7 +406,7 @@ def build_urysohn(spec: UrysohnSpec, grid: Grid, radius: float,
     sampled on a radius grid, a chunk of radii per call of the pointwise
     moduli (see UrysohnSpec), and wrapped in the upper envelope of the
     spec's shape; a sample set that breaks the shape is a construction
-    error.  Scalar-only callbacks take a per-element loop.
+    error.
     """
     t, s, weights = grid.nodes[:, None], grid.nodes[None, :], grid.weights
     kernel = _mesh_callback(spec.kernel)
@@ -438,11 +438,11 @@ class CompositionSpec:
     the combined modulus convex, so the build samples it at 33 radii
     instead of 257.
 
-    Callbacks must be pointwise numpy functions of broadcastable open-mesh
-    arrays: K gets t = nodes[:, None], s = nodes[None, :], u = x[None, :]; F
-    gets nodes, x and the inner integrals; n0 and n get t[None], s[None] and
+    Callbacks are pointwise on broadcastable open-mesh numpy arrays, as in
+    HammersteinSpec: K gets t = nodes[:, None], s = nodes[None, :], u = x[None, :];
+    F gets nodes, x and the inner integrals; n0 and n get t[None], s[None] and
     a leading radius axis r[:, None, None]; l and m get nodes[None, :],
-    r[:, None] and rho[r, t].  Scalar-only callbacks work, but slowly.
+    r[:, None] and rho[r, t].
     """
 
     outer: Callable
@@ -465,7 +465,7 @@ def build_composition(spec: CompositionSpec, grid: Grid, radius: float,
     m(t, r, rho(t,r)) * int n(t,s,r) ds ] with rho(t,r) = int n0(t,s,r) ds
     is sampled over a radius grid, a chunk of radii per call of the pointwise
     moduli (see CompositionSpec), and wrapped in the upper envelope of the
-    spec's shape.  Scalar-only callbacks take a per-element loop.
+    spec's shape.
     """
     t, s, weights = grid.nodes[:, None], grid.nodes[None, :], grid.weights
     inner_kernel, outer = _mesh_callback(spec.inner_kernel), _mesh_callback(spec.outer)

@@ -154,18 +154,11 @@ def per_radius_modulus(spec, grid, radius: float, shift: float = 0.0,
 def meshgrid_kernel(fn, grid) -> np.ndarray:
     """Kernel samples, the way a full-meshgrid sampler takes them.
 
-    fn is called on the whole (t, s) meshgrid; if that raises TypeError or
-    ValueError, or gives a result of another shape, fn is called once per
-    node pair with scalars instead.  Returns a fresh (n, n) array.
+    fn is called once on the whole (t, s) meshgrid and its result broadcast
+    to the meshgrid's shape.  Returns a fresh (n, n) array.
     """
     tt, ss = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
-    try:
-        values = np.asarray(fn(tt, ss), dtype=float)
-        if values.shape == tt.shape:
-            return values.copy()
-    except (TypeError, ValueError):
-        pass
-    return np.array([[float(fn(t, s)) for s in grid.nodes] for t in grid.nodes])
+    return np.broadcast_to(np.asarray(fn(tt, ss), dtype=float), tt.shape).copy()
 
 
 def plain_zaanen_sweeps(kernel, alpha: float, beta: float,

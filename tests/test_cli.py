@@ -15,7 +15,8 @@ from majorfix import (Grid, KernelTable, MajorantProfile, PowerSumModulus, cli,
                       eval_majorants)
 from majorfix.cli import main
 from majorfix.errors import ConfigError
-from majorfix.presets import NONLINEARITIES, URYSOHN_KERNELS, get_preset, preset_names
+from majorfix.presets import (FORCINGS, KERNELS, LP_NONLINEARITIES, NONLINEARITIES,
+                              URYSOHN_KERNELS, get_preset, preset_names)
 
 BETA = (1.0 - math.sqrt(0.9)) / 0.05
 DATA = Path(__file__).parent / "data"
@@ -192,6 +193,32 @@ class TestAnalyzeCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         assert run_cli(["analyze", "--config", str(path)])[0] == 2
+
+
+class TestRegistrySweep:
+    """Every named kernel, nonlinearity and forcing builds and analyzes:
+    each is called on arrays, so one that only takes scalars fails here."""
+
+    @staticmethod
+    def analyze(tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"interval": [0.0, 1.0], "lambda": 0.1,
+                                    "grid": {"rule": "simpson", "n": 21},
+                                    "radius": 1.0, **config}))
+        code, doc = run_json(["analyze", "--config", str(path)])
+        assert code == 0 and doc["grid"] == {"rule": "simpson", "n": 21}
+
+    @pytest.mark.parametrize("forcing", sorted(FORCINGS))
+    @pytest.mark.parametrize("nonlinearity", sorted(NONLINEARITIES))
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_hammerstein_c(self, tmp_path, kernel, nonlinearity, forcing):
+        self.analyze(tmp_path, {"kind": "hammerstein_c", "forcing": forcing, "terms": [
+            {"kernel": kernel, "nonlinearity": nonlinearity}]})
+
+    @pytest.mark.parametrize("nonlinearity", sorted(LP_NONLINEARITIES))
+    def test_hammerstein_lp(self, tmp_path, nonlinearity):
+        self.analyze(tmp_path, {"kind": "hammerstein_lp", "p": 2.0, "terms": [
+            {"kernel": "product", "nonlinearity": nonlinearity}]})
 
 
 class TestSolveCommand:
@@ -688,8 +715,7 @@ class TestExitCodes:
             raise TypeError("bug on every call")
 
         monkeypatch.setitem(URYSOHN_KERNELS["mixed_quadratic"], "u_modulus", u_modulus)
-        # the first, array call falls back to scalars; the first scalar call
-        # then fails
+        # the first call, on arrays, fails; it is not retried on scalars
         with pytest.raises(RuntimeError, match="u_modulus raised TypeError") as info:
             main(["analyze", "--preset", "urysohn"])
         assert isinstance(info.value.__cause__, TypeError)

@@ -267,7 +267,7 @@ class TestKernelTable:
 
 SAMPLED_KERNELS = {
     **KERNELS,
-    "scalar_only_exp": lambda t, s: math.exp(t * s),
+    "scalar_only_exp": np.vectorize(lambda t, s: math.exp(t * s), otypes=[float]),
     "constant": lambda t, s: 2.0,
 }
 _OWNED = np.arange(49.0).reshape(7, 7)

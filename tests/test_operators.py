@@ -330,29 +330,25 @@ class TestHammersteinSampling:
             build_hammerstein_sup(_square_spec(kernel), Grid.simpson(0.0, 1.0, 11), 1.0)
         assert calls == [2]
 
-    def test_nonlinearity_decided_once(self):
-        array_calls = []
+    def test_misshaped_nonlinearity_fails_build(self):
+        calls = []
 
         def h(u):
-            if np.ndim(u):
-                array_calls.append(np.shape(u))
-                return u[:-1] ** 2  # not the shape of u: scalars from now on
-            return u**2
+            calls.append(np.shape(u))
+            return u[:-1] ** 2  # does not broadcast to the shape of u
 
         grid = Grid.simpson(0.0, 1.0, 11)
-        op = build_hammerstein_sup(_square_spec(KERNELS["product"], h), grid, 1.0)
-        twin = build_hammerstein_sup(_square_spec(KERNELS["product"]), grid, 1.0)
-        assert array_calls == [(11,)]  # the build's one apply, at the center
-        x = np.linspace(0.1, 0.3, grid.n)
-        assert np.array_equal(op.apply(x), twin.apply(x))
-        assert np.array_equal(op.apply(x), twin.apply(x))
-        assert array_calls == [(11,)]
+        with pytest.raises(RuntimeError, match=r"\.h raised ValueError") as info:
+            build_hammerstein_sup(_square_spec(KERNELS["product"], h), grid, 1.0)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert calls == [(11,)]  # the build's one apply, at the center
 
     def test_scalar_only_callbacks_match_numpy_twins(self):
         # sqrt, fabs and products round alike in math and numpy
         grid = Grid.simpson(0.0, 1.0, 21)
-        scalar = _square_spec(lambda t, s: math.sqrt(t * s),
-                              lambda u: math.fabs(u) * u, lambda t: math.sqrt(t))
+        scalar = _square_spec(*(np.vectorize(fn, otypes=[float]) for fn in (
+            lambda t, s: math.sqrt(t * s), lambda u: math.fabs(u) * u,
+            lambda t: math.sqrt(t))))
         twin = _square_spec(lambda t, s: np.sqrt(t * s), lambda u: np.abs(u) * u,
                             np.sqrt)
         x = np.linspace(-0.2, 0.3, grid.n)
@@ -555,7 +551,7 @@ class TestUrysohn:
     def test_non_monotone_modulus_rejected(self, shape):
         spec = UrysohnSpec(
             lambda t, s, u, v: 0.0 * (t + s + u + v),
-            lambda t, s, r: max(0.0, 0.5 - r) + 0.0 * (t + s),
+            lambda t, s, r: np.maximum(0.0, 0.5 - r) + 0.0 * (t + s),
             lambda t, s, r: 0.0 * (t + s),
             shape=shape,
         )
@@ -748,14 +744,8 @@ class TestRadiusTabulation:
 
     @pytest.mark.parametrize("x0", [None, 0.15])
     def test_scalar_only_callbacks_match_numpy_twins(self, x0):
-        array_calls = []
-
         def scalar_only(fn):
-            def wrapped(*args):
-                if any(np.ndim(a) for a in args):
-                    array_calls.append(fn)
-                return fn(*args)
-            return wrapped
+            return np.vectorize(fn, otypes=[float])
 
         twins = [
             UrysohnSpec(
@@ -791,22 +781,36 @@ class TestRadiusTabulation:
             assert np.array_equal(op_scalar.profile.modulus.ordinates,
                                   op_twin.profile.modulus.ordinates)
             assert np.array_equal(op_scalar.apply(x), op_twin.apply(x))
-        # each callback saw arrays once, on its first call
-        assert len(array_calls) == len(set(array_calls)) == 9
 
-    def test_scalar_fallback_decided_once_per_callback(self):
-        array_calls = []
+    @pytest.mark.parametrize("role", ["kernel", "nonlinearity", "u_modulus"])
+    def test_scalar_only_callback_fails_build(self, role):
+        calls = []
 
-        def u_modulus(t, s, r):
-            if np.ndim(r):
-                array_calls.append(np.shape(r))
-            return math.sqrt(s) * r
+        def scalar_only(fn):
+            def wrapped(*args):
+                calls.append(tuple(map(np.shape, args)))
+                return fn(*args)
+            return wrapped
 
-        spec = UrysohnSpec(lambda t, s, u, v: 0.0 * (t + s + u + v),
-                           u_modulus, lambda t, s, r: 0.05 + 0.0 * (t + s), "convex")
-        op = build_urysohn(spec, Grid.simpson(0.0, 1.0, 101), 1.0)
-        assert array_calls == [(12, 1, 1)]
-        assert op.profile.slope(1.0) == pytest.approx(1.0 / 1.5 + 0.05, abs=1e-3)
+        grid = Grid.simpson(0.0, 1.0, 101)
+        if role == "u_modulus":
+            spec = UrysohnSpec(lambda t, s, u, v: 0.0 * (t + s + u + v),
+                               scalar_only(lambda t, s, r: math.sqrt(s) * r),
+                               lambda t, s, r: 0.05 + 0.0 * (t + s), "convex")
+            build, shapes = build_urysohn, ((1, 101, 1), (1, 1, 101), (12, 1, 1))
+        else:
+            kernel, h = KERNELS["product"], lambda u: u**2
+            if role == "kernel":
+                kernel = scalar_only(lambda t, s: math.exp(t * s))
+                shapes = ((101, 1), (1, 101))
+            else:
+                h = scalar_only(lambda u: math.fabs(u) * u)
+                shapes = ((101,),)
+            spec, build = _square_spec(kernel, h), build_hammerstein_sup
+        with pytest.raises(RuntimeError, match="wrapped raised TypeError") as info:
+            build(spec, grid, 1.0)
+        assert isinstance(info.value.__cause__, TypeError)
+        assert calls == [shapes]  # one call, on arrays; no per-element retry
 
     def test_array_error_fails_build_without_scalar_retry(self):
         calls = []

@@ -59,9 +59,32 @@ def _sup_norm(v: np.ndarray) -> float:
     return float(np.abs(v).max())
 
 
-# a split loses below about 8 MiB (n ~ 1030), where the hand-off to the
-# worker costs more than half a read; 16 MiB leaves that margin twice over
-_SPLIT_BYTES = 16 * 2**20
+# numpy's matmul keeps the GIL for a product of 500 rows or fewer, so the
+# calling thread's block has 512 rows or more and runs beside the worker's;
+# on a 2-vCPU host the split lost at 601 rows and gained 1.1-1.2x at 701-801
+_SPLIT_ROWS = 768
+
+
+@functools.cache
+def _split_pays() -> bool:
+    """Whether two CPUs are ours and numpy's BLAS reports one thread: a
+    threaded BLAS reads a large gemv on every core already.  numpy wheels
+    bundle their BLAS beside the package, and CDLL returns that copy."""
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
+        return False
+    import contextlib
+    import ctypes
+    import pathlib
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        with contextlib.suppress(OSError):
+            lib = ctypes.CDLL(str(path))
+            for symbol in ("scipy_openblas_get_num_threads64_",
+                           "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                if (count := getattr(lib, symbol, None)) is not None:
+                    count.restype = ctypes.c_int
+                    return count() == 1
+    return False
 
 
 # one pool per process: one made before fork has no thread in the child
@@ -72,23 +95,30 @@ def _worker(pid: int):
     return ThreadPoolExecutor(1)
 
 
+def _read_block(block: list) -> None:
+    np.matmul(block[0], block[1], out=block[2])
+
+
 def _matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """mat @ v.  A table of _SPLIT_BYTES or more is cut once, at a multiple
-    of 64 rows, and a worker thread reads the second block while the
-    calling thread reads the first, or reads it too if the worker has not
-    started it by then.  One-thread gemv takes rows four at a time, so
-    every row keeps the bits of the whole product; a threaded BLAS may
-    round differently."""
-    if mat.nbytes < _SPLIT_BYTES or v.shape != mat.shape[1:]:
+    """mat @ v.  Where _split_pays, a table of _SPLIT_ROWS rows or more is
+    cut once, at a multiple of 64 rows, and a worker thread reads the
+    second block while the calling thread reads the first, or reads it too
+    if the worker has not started it by then.  One-thread gemv takes rows
+    four at a time, so every row keeps the bits of the whole product."""
+    if mat.shape[0] < _SPLIT_ROWS or v.shape != mat.shape[1:] or not _split_pays():
         return mat @ v
-    cut = mat.shape[0] // 128 * 64
+    cut = max(512, mat.shape[0] // 128 * 64)
     out = np.empty(mat.shape[0], np.result_type(mat, v))
-    rest = _worker(os.getpid()).submit(np.matmul, mat[cut:], v, out=out[cut:])
+    block = [mat[cut:], v, out[cut:]]
+    rest = _worker(os.getpid()).submit(_read_block, block)
     np.matmul(mat[:cut], v, out=out[:cut])
     if rest.cancel():
-        np.matmul(mat[cut:], v, out=out[cut:])
+        _read_block(block)
     else:
         rest.result()
+    # the pool keeps a job until its worker next runs (a cancelled one, for
+    # as long as the worker is off the CPU); emptied, it holds no table
+    block.clear()
     return out
 
 

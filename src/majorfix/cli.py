@@ -53,6 +53,7 @@ from .presets import (
     LP_NONLINEARITIES,
     NONLINEARITIES,
     URYSOHN_KERNELS,
+    _KERNEL_FACTORS,
     get_preset,
     preset_names,
 )
@@ -160,7 +161,10 @@ def _resolve_kernel(term: dict, grid: Grid):
         return KernelTable.from_csv(path, grid)
     kernel = term.get("kernel")
     if isinstance(kernel, str):
-        return KernelTable.from_function(grid, _lookup(KERNELS, kernel, "kernel"))
+        table = KernelTable.from_function(grid, _lookup(KERNELS, kernel, "kernel"))
+        # a and the kernel norms read the samples; iterates may read the factors
+        factors = _KERNEL_FACTORS[kernel](grid.nodes)
+        return table if factors is None else table._with_factors(*factors)
     if isinstance(kernel, list):
         return KernelTable(grid, _numbers(term, "kernel"))
     _fail("each term needs a 'kernel' (name or matrix) or 'kernel_csv'")

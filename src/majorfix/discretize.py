@@ -168,6 +168,21 @@ class KernelTable:
         table.__post_init__(copy=False)
         return table
 
+    # (phi, psi) of a kernel with exact factors, see _with_factors
+    _factors = None
+
+    def _with_factors(self, phi, psi) -> "KernelTable":
+        """A table around these values, uncopied, that carries read-only
+        copies of phi and psi, each (n, r): only for factors whose product
+        phi @ psi.T is the sampled kernel up to rounding, as the registry
+        derives them (presets._KERNEL_FACTORS)."""
+        factors = tuple(np.array(f, dtype=float) for f in (phi, psi))
+        for f in factors:
+            f.setflags(write=False)
+        table = object.__new__(type(self))
+        table.__dict__.update(self.__dict__, _factors=factors)
+        return table
+
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "KernelTable":
         """Sample fn into the table's own array, a block of rows per call:

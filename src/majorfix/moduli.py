@@ -139,6 +139,7 @@ class TabulatedModulus(LipschitzModulus):
             raise ValueError("tabulated ordinates must be nonnegative")
         if np.any(np.diff(ys) < 0.0):
             raise ValueError("tabulated ordinates must be nondecreasing")
+        self._check_slopes(xs, ys)
         xs.setflags(write=False)
         ys.setflags(write=False)
         # exact primitive of the interpolant at every node
@@ -151,6 +152,17 @@ class TabulatedModulus(LipschitzModulus):
     @staticmethod
     def _segment_integrals(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0
+
+    @staticmethod
+    def _check_slopes(xs: np.ndarray, ys: np.ndarray) -> None:
+        # primitive reads each segment through its slope dy/dx, which
+        # overflows on a steep enough segment (a subnormal spacing, say)
+        with np.errstate(over="ignore"):
+            slopes = np.diff(ys) / np.diff(xs)
+        if not np.all(np.isfinite(slopes)):
+            lo, hi = xs[np.argmin(np.isfinite(slopes)):][:2].tolist()
+            raise ValueError(f"tabulated segment [{lo!r}, {hi!r}] is too steep: "
+                             f"its slope overflows")
 
     def domain_end(self) -> float:
         return float(self.abscissae[-1])
@@ -177,6 +189,10 @@ class _StepEnvelope(TabulatedModulus):
     @staticmethod
     def _segment_integrals(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return np.diff(xs) * ys[1:]
+
+    @staticmethod
+    def _check_slopes(xs: np.ndarray, ys: np.ndarray) -> None:
+        pass  # a step envelope is read without slopes
 
     def __call__(self, r: float) -> float:
         r = self._check_radius(r)

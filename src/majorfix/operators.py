@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -250,19 +250,19 @@ class HammersteinSpec:
             raise ValueError("need at least one Hammerstein term")
 
 
-def _sample_kernel(kernel, grid: Grid) -> np.ndarray:
-    """The kernel's samples on the build grid, in a read-only array of a
-    table: a callable is sampled and an array copied, so the caller cannot
-    change the operator after its modulus was built."""
+def _sample_kernel(kernel, grid: Grid) -> KernelTable:
+    """The kernel as a table on the build grid, with read-only samples: a
+    callable is sampled and an array copied, so the caller cannot change
+    the operator after its modulus was built."""
     if callable(kernel):
-        return KernelTable.from_function(grid, kernel).values
+        return KernelTable.from_function(grid, kernel)
     if not hasattr(kernel, "values"):
-        return KernelTable(grid, kernel).values
+        return KernelTable(grid, kernel)
     # a table must be sampled on the build grid (or an equal one)
     if not (kernel.grid is grid or (np.array_equal(kernel.grid.nodes, grid.nodes)
                                     and np.array_equal(kernel.grid.weights, grid.weights))):
         raise ValueError("kernel table is not sampled on the build grid")
-    return kernel.values
+    return kernel
 
 
 def _resolve_center(center, grid: Grid) -> np.ndarray:
@@ -276,11 +276,21 @@ def _resolve_center(center, grid: Grid) -> np.ndarray:
     return arr
 
 
-def _nystrom_handle(spec: HammersteinSpec, grid: Grid, mats, knorms,
+def _product(table: KernelTable) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> K v for the table's kernel K: phi @ (psi.T @ v) where the table
+    carries factors (phi, psi), else _matvec of its samples."""
+    if table._factors is None:
+        return functools.partial(_matvec, table.values)
+    phi, psi = table._factors
+    return lambda v: phi @ (psi.T @ v)
+
+
+def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
                     norm, radius: float, center) -> OperatorHandle:
     """x -> f + lambda * sum_j K_j (w * h_j(x)) with modulus
     |lambda| * sum_j knorms_j * h_j(r), h_j the terms' moduli, recentered
-    on x0."""
+    on x0.  a is measured with the sampled tables; the handle's apply then
+    reads each K_j through its factors where its table carries them."""
     modulus = combine_moduli([term.modulus for term in spec.terms],
                              [abs(spec.lam) * kn for kn in knorms])
     x0 = _resolve_center(center, grid)
@@ -296,13 +306,17 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, mats, knorms,
     hs = [_mesh_callback(term.nonlinearity) for term in spec.terms]
     weights, lam = grid.weights, spec.lam
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        out = fvec.copy()
-        for mat, h in zip(mats, hs):
-            out += lam * _matvec(mat, weights * h(x))
-        return out
+    def operator(products) -> Callable[[np.ndarray], np.ndarray]:
+        def apply(x: np.ndarray) -> np.ndarray:
+            out = fvec.copy()
+            for product, h in zip(products, hs):
+                out += lam * product(weights * h(x))
+            return out
+        return apply
 
-    return make_operator(apply, x0, norm, modulus, radius)
+    dense = [functools.partial(_matvec, table.values) for table in tables]
+    handle = make_operator(operator(dense), x0, norm, modulus, radius)
+    return replace(handle, apply=operator([_product(table) for table in tables]))
 
 
 def build_hammerstein_sup(spec: HammersteinSpec, grid: Grid, radius: float,
@@ -313,9 +327,10 @@ def build_hammerstein_sup(spec: HammersteinSpec, grid: Grid, radius: float,
     modulus is |lambda| * sum_j ||K_j|| * h_j(r), with h_j each term's
     scalar modulus.
     """
-    mats = [_sample_kernel(term.kernel, grid) for term in spec.terms]
-    knorms = [float(np.max(_matvec(_absolute(mat), grid.weights))) for mat in mats]
-    return _nystrom_handle(spec, grid, mats, knorms, _sup_norm, radius, center)
+    tables = [_sample_kernel(term.kernel, grid) for term in spec.terms]
+    knorms = [float(np.max(_matvec(_absolute(table.values), grid.weights)))
+              for table in tables]
+    return _nystrom_handle(spec, grid, tables, knorms, _sup_norm, radius, center)
 
 
 def build_hammerstein_lp(spec: HammersteinSpec, zaanen_norms, p: float,
@@ -335,9 +350,9 @@ def build_hammerstein_lp(spec: HammersteinSpec, zaanen_norms, p: float,
         raise ValueError("zaanen_norms must match the term count")
     if any(z < 0.0 for z in zaanen_norms):
         raise ValueError("Zaanen norms must be >= 0")
-    mats = [_sample_kernel(term.kernel, grid) for term in spec.terms]
+    tables = [_sample_kernel(term.kernel, grid) for term in spec.terms]
     norm = lambda v: lp_norm(grid, v, p)
-    return _nystrom_handle(spec, grid, mats, zaanen_norms, norm, radius, center)
+    return _nystrom_handle(spec, grid, tables, zaanen_norms, norm, radius, center)
 
 
 # ---------------------------------------------------------------------------

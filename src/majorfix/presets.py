@@ -7,6 +7,8 @@ each end-to-end scenario is reproducible from a single name.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .moduli import ConstantModulus, PowerSumModulus
@@ -27,6 +29,26 @@ KERNELS = {
     "product": lambda t, s: t * s,
     "one": lambda t, s: np.ones(np.broadcast_shapes(np.shape(t), np.shape(s))),
     "exp_product": lambda t, s: np.exp(t * s),
+}
+
+
+def _exp_product_factors(t: np.ndarray):
+    """t^j / sqrt(j!) for j < 26: exp(ts) = sum_j (ts)^j / j!, and on
+    [-1, 1]^2 the terms from j = 26 on sum to at most e/26! ~ 7e-27."""
+    if np.max(np.abs(t)) > 1.0:
+        return None
+    j = np.arange(26)
+    powers = t[:, None] ** j / np.sqrt([float(math.factorial(i)) for i in j])
+    return powers, powers
+
+
+# kernel name -> function of the grid nodes giving (phi, psi), each (n, r),
+# with phi @ psi.T the kernel's samples up to rounding, or None where the
+# kernel has no exact factors on those nodes
+_KERNEL_FACTORS = {
+    "product": lambda t: (t[:, None], t[:, None]),
+    "one": lambda t: (np.ones((t.size, 1)),) * 2,
+    "exp_product": _exp_product_factors,
 }
 
 # nonlinearity name -> (h, scalar modulus of h on |u| <= r)

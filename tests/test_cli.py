@@ -695,6 +695,41 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert capsys.readouterr().err.startswith("cannot iterate: ")
 
+    @staticmethod
+    def tabulated_config(tmp_path, abscissae, ordinates):
+        path = tmp_path / "tabulated.json"
+        path.write_text(json.dumps({
+            "kind": "scalar_profile", "center_shift": 0.1, "radius": 1,
+            "modulus": {"type": "tabulated", "abscissae": abscissae,
+                        "ordinates": ordinates}}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["analyze", "solve"])
+    @pytest.mark.parametrize("abscissae,ordinates", [
+        ([0, 5e-324, 1], [0, 0.5, 1e300]),
+        ([0, 1e-320, 1], [0, 1e-5, 0.6]),
+    ])
+    def test_config_error_tabulated_slope_overflow(self, tmp_path, capsys, command,
+                                                    abscissae, ordinates):
+        # solve once exited 0, converged in 0 steps with final_bound 0.0,
+        # though A(0) = 0.1 and the gap is positive on [0, 1]
+        path = self.tabulated_config(tmp_path, abscissae, ordinates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli([command, "--config", path])
+        assert code == 2 and out == ""
+        assert "slope overflows" in capsys.readouterr().err
+
+    def test_tabulated_subnormal_spacing_with_finite_slopes_solves(self, tmp_path):
+        path = self.tabulated_config(tmp_path, [0, 1e-320, 1], [0, 1e-320, 0.6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run_json(["solve", "--config", path])
+        # k(r) = 0.6 r on [1e-320, 1]: the fixed point of 0.1 + 0.3 r^2
+        assert code == 0 and doc["status"] == "converged" and doc["steps"]
+        assert doc["radii"]["convergence_radius"] == pytest.approx(
+            (1.0 - math.sqrt(1.0 - 0.12)) / 0.6, abs=1e-11)
+
     def test_callback_fault_after_first_call_propagates(self, monkeypatch):
         calls = []
 

@@ -86,6 +86,37 @@ class TestValidation:
         with pytest.raises(ValueError):
             TabulatedModulus(np.array([0.1, 1.0]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("xs,ys", [
+        ([0.0, 5e-324, 1.0], [0.0, 0.5, 1e300]),   # slope 0.5/5e-324
+        ([0.0, 1e-320, 1.0], [0.0, 1e-5, 0.6]),    # slope 1e315
+    ])
+    def test_tabulated_slope_overflow_rejected_without_warning(self, xs, ys):
+        # the slope that primitive reads overflowed to inf, so K(0) was
+        # 0 * inf = NaN and analyze certified a refuted profile
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="slope overflows"):
+                TabulatedModulus(np.array(xs), np.array(ys))
+
+    @pytest.mark.parametrize("xs,ys", [
+        ([0.0, 1e-320, 1.0], [0.0, 1e-320, 0.6]),  # subnormal spacing, slope 1
+        ([0.0, 1e-5, 0.6], [0.0, 1e-5, 0.6]),
+    ])
+    def test_tabulated_steep_but_finite_slopes_kept(self, xs, ys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = TabulatedModulus(np.array(xs), np.array(ys))
+            assert k.primitive(0.0) == 0.0
+            assert k.primitive(5e-324) == 0.0
+            assert k.primitive(xs[-1]) == pytest.approx(
+                0.5 * xs[-1] * ys[-1], rel=1e-12)
+
+    def test_step_envelope_reads_no_slopes(self):
+        # a monotone sampled modulus is a step envelope: its steep steps stay
+        k = modulus_from_samples(np.array([0.0, 5e-324, 1.0]),
+                                 np.array([0.0, 0.5, 1e300]))
+        assert k(5e-324) == 0.5 and k.primitive(1.0) == 1e300
+
     def test_tabulated_domain_enforced(self):
         k = TabulatedModulus(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         with pytest.raises(ValueError):

@@ -161,10 +161,12 @@ def _resolve_kernel(term: dict, grid: Grid):
         return KernelTable.from_csv(path, grid)
     kernel = term.get("kernel")
     if isinstance(kernel, str):
-        table = KernelTable.from_function(grid, _lookup(KERNELS, kernel, "kernel"))
-        # a and the kernel norms read the samples; iterates may read the factors
+        fn = _lookup(KERNELS, kernel, "kernel")
         factors = _KERNEL_FACTORS[kernel](grid.nodes)
-        return table if factors is None else table._with_factors(*factors)
+        if factors is None:
+            return KernelTable.from_function(grid, fn)
+        # builds read it a block of rows at a time, Zaanen sweeps it whole
+        return KernelTable._unsampled(grid, fn)._with_factors(*factors)
     if isinstance(kernel, list):
         return KernelTable(grid, _numbers(term, "kernel"))
     _fail("each term needs a 'kernel' (name or matrix) or 'kernel_csv'")
@@ -527,13 +529,21 @@ def _record_rows(records) -> str | None:
 
 def _document_text(document: dict) -> str:
     """json.dumps(document, indent=2), with a solve trace's steps rendered
-    by _record_rows."""
+    by _record_rows and its solution, a list of floats, through one compact
+    dump (the C encoder) split on ", " as _record_rows does."""
+    parts = {}
+    solution = document.get("solution")
+    if type(solution) is list and solution and all(type(v) is float for v in solution):
+        parts["solution"] = "[\n    " + json.dumps(solution)[1:-1].replace(", ", ",\n    ") + "\n  ]"
     rows = _record_rows(document.get("steps"))
-    if rows is None:
-        return json.dumps(document, indent=2)
-    # at indent 2, a line opening with two spaces and a quote is a top-level key
-    text = json.dumps({**document, "steps": []}, indent=2)
-    return text.replace('\n  "steps": []', '\n  "steps": [\n' + rows + "\n  ]", 1)
+    if rows is not None:
+        parts["steps"] = "[\n" + rows + "\n  ]"
+    text = json.dumps({**document, **dict.fromkeys(parts, [])}, indent=2)
+    # at indent 2, a line opening with two spaces and a quote is a top-level
+    # key; the solution goes in first, while the text is short
+    for key, part in parts.items():
+        text = text.replace(f'\n  "{key}": []', f'\n  "{key}": {part}', 1)
+    return text
 
 
 def _emit(document: dict, out: str | None) -> None:

@@ -144,7 +144,9 @@ def _node_indices(coords: np.ndarray, grid: Grid, path: Path) -> np.ndarray:
 class KernelTable:
     """Kernel samples z(t_i, s_l) on the square of one grid, held in a
     read-only C-contiguous array that the table alone owns: the values given
-    are copied, and the sampling constructors fill an array of their own."""
+    are copied, and the sampling constructors fill an array of their own.
+    An _unsampled table samples its kernel only when values is first read;
+    until then _row_pass reads it a block of rows at a time."""
 
     grid: Grid
     values: np.ndarray
@@ -170,12 +172,56 @@ class KernelTable:
 
     # (phi, psi) of a kernel with exact factors, see _with_factors
     _factors = None
+    # the kernel function of an _unsampled table
+    _kernel = None
+
+    @classmethod
+    def _unsampled(cls, grid: Grid, fn) -> "KernelTable":
+        """A table of fn on grid, sampled by from_function when read."""
+        table = object.__new__(cls)
+        table.__dict__.update(grid=grid, _kernel=fn)
+        return table
+
+    def __getattr__(self, name):
+        # called only for a missing attribute: the values of an _unsampled table
+        if name != "values" or self._kernel is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__["values"] = type(self).from_function(self.grid, self._kernel).values
+        return self.values
+
+    def _row_pass(self, u: np.ndarray, weights: np.ndarray | None = None
+                  ) -> tuple[np.ndarray | None, np.ndarray]:
+        """(|Z| weights, Z u) for the samples Z, or (None, Z u) without
+        weights, in one pass over blocks of a multiple of 64 rows and about
+        _BLOCK_ELEMENTS values, the last taking the remainder: slices of the
+        stored values, else the kernel sampled, C-contiguous and checked
+        finite.  One-thread gemv takes rows four at a time, so each row keeps
+        the bits of the whole product (a one-row block would go to dot)."""
+        n = self.grid.n
+        rows = max(64, _BLOCK_ELEMENTS // n // 64 * 64)
+        edges = [*range(0, max(n // rows, 1) * rows, rows), n]
+        stored = self.__dict__.get("values")
+        t, s = self.grid.nodes[:, None], self.grid.nodes[None, :]
+        sample = None if stored is not None else _mesh_callback(self._kernel)
+        sums = None if weights is None else np.empty(n)
+        image = np.empty(n)
+        for i, j in zip(edges, edges[1:]):
+            if sample is None:
+                block = stored[i:j]
+            else:
+                block = np.ascontiguousarray(sample(t[i:j], s))
+                if not np.all(np.isfinite(block)):
+                    raise ValueError("kernel values must be finite")
+            if sums is not None:
+                np.matmul(_absolute(block), weights, out=sums[i:j])
+            np.matmul(block, u, out=image[i:j])
+        return sums, image
 
     def _with_factors(self, phi, psi) -> "KernelTable":
-        """A table around these values, uncopied, that carries read-only
-        copies of phi and psi, each (n, r): only for factors whose product
-        phi @ psi.T is the sampled kernel up to rounding, as the registry
-        derives them (presets._KERNEL_FACTORS)."""
+        """A table around the same samples (or the same unsampled kernel),
+        uncopied, that carries read-only copies of phi and psi, each (n, r):
+        only for factors whose product phi @ psi.T is the sampled kernel up
+        to rounding, as the registry derives them (presets._KERNEL_FACTORS)."""
         factors = tuple(np.array(f, dtype=float) for f in (phi, psi))
         for f in factors:
             f.setflags(write=False)

@@ -15,14 +15,12 @@ one at 33 radii under its second-order chord.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .discretize import (_BLOCK_ELEMENTS, Grid, KernelTable, _absolute, _mesh_callback,
-                         lp_norm)
+from .discretize import _BLOCK_ELEMENTS, Grid, KernelTable, _mesh_callback, lp_norm
 from .iteration import OperatorHandle, make_operator
 from .majorant import MajorantProfile
 from .moduli import (
@@ -57,69 +55,6 @@ __all__ = [
 
 def _sup_norm(v: np.ndarray) -> float:
     return float(np.abs(v).max())
-
-
-# numpy's matmul keeps the GIL for a product of 500 rows or fewer, so the
-# calling thread's block has 512 rows or more and runs beside the worker's;
-# on a 2-vCPU host the split lost at 601 rows and gained 1.1-1.2x at 701-801
-_SPLIT_ROWS = 768
-
-
-@functools.cache
-def _split_pays() -> bool:
-    """Whether two CPUs are ours and numpy's BLAS reports one thread: a
-    threaded BLAS reads a large gemv on every core already.  numpy wheels
-    bundle their BLAS beside the package, and CDLL returns that copy."""
-    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
-        return False
-    import contextlib
-    import ctypes
-    import pathlib
-    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        with contextlib.suppress(OSError):
-            lib = ctypes.CDLL(str(path))
-            for symbol in ("scipy_openblas_get_num_threads64_",
-                           "openblas_get_num_threads64_", "openblas_get_num_threads"):
-                if (count := getattr(lib, symbol, None)) is not None:
-                    count.restype = ctypes.c_int
-                    return count() == 1
-    return False
-
-
-# one pool per process: one made before fork has no thread in the child
-# (an at-fork hook to drop it would pin every re-import of this module)
-@functools.cache
-def _worker(pid: int):
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(1)
-
-
-def _read_block(block: list) -> None:
-    np.matmul(block[0], block[1], out=block[2])
-
-
-def _matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """mat @ v.  Where _split_pays, a table of _SPLIT_ROWS rows or more is
-    cut once, at a multiple of 64 rows, and a worker thread reads the
-    second block while the calling thread reads the first, or reads it too
-    if the worker has not started it by then.  One-thread gemv takes rows
-    four at a time, so every row keeps the bits of the whole product."""
-    if mat.shape[0] < _SPLIT_ROWS or v.shape != mat.shape[1:] or not _split_pays():
-        return mat @ v
-    cut = max(512, mat.shape[0] // 128 * 64)
-    out = np.empty(mat.shape[0], np.result_type(mat, v))
-    block = [mat[cut:], v, out[cut:]]
-    rest = _worker(os.getpid()).submit(_read_block, block)
-    np.matmul(mat[:cut], v, out=out[:cut])
-    if rest.cancel():
-        _read_block(block)
-    else:
-        rest.result()
-    # the pool keeps a job until its worker next runs (a cancelled one, for
-    # as long as the worker is off the CPU); emptied, it holds no table
-    block.clear()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +191,7 @@ def _sample_kernel(kernel, grid: Grid) -> KernelTable:
     the operator after its modulus was built."""
     if callable(kernel):
         return KernelTable.from_function(grid, kernel)
-    if not hasattr(kernel, "values"):
+    if not hasattr(kernel, "grid"):
         return KernelTable(grid, kernel)
     # a table must be sampled on the build grid (or an equal one)
     if not (kernel.grid is grid or (np.array_equal(kernel.grid.nodes, grid.nodes)
@@ -278,9 +213,9 @@ def _resolve_center(center, grid: Grid) -> np.ndarray:
 
 def _product(table: KernelTable) -> Callable[[np.ndarray], np.ndarray]:
     """v -> K v for the table's kernel K: phi @ (psi.T @ v) where the table
-    carries factors (phi, psi), else _matvec of its samples."""
+    carries factors (phi, psi), else its samples @ v."""
     if table._factors is None:
-        return functools.partial(_matvec, table.values)
+        return functools.partial(np.matmul, table.values)
     phi, psi = table._factors
     return lambda v: phi @ (psi.T @ v)
 
@@ -289,14 +224,11 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
                     norm, radius: float, center) -> OperatorHandle:
     """x -> f + lambda * sum_j K_j (w * h_j(x)) with modulus
     |lambda| * sum_j knorms_j * h_j(r), h_j the terms' moduli, recentered
-    on x0.  a is measured with the sampled tables; the handle's apply then
-    reads each K_j through its factors where its table carries them."""
-    modulus = combine_moduli([term.modulus for term in spec.terms],
-                             [abs(spec.lam) * kn for kn in knorms])
+    on x0, and knorms None for the row sums max_i sum_l w_l |k_j(t_i, s_l)|.
+    One row pass over each table gives those and K_j (w * h_j(x0)), from
+    which a is measured in the apply's own order; the apply reads each K_j
+    through its factors where its table carries them, else whole."""
     x0 = _resolve_center(center, grid)
-    shift = norm(x0)
-    if shift > 0.0:
-        modulus = recenter_modulus(modulus, shift)
     if callable(spec.forcing):
         fvec = _mesh_callback(spec.forcing)(grid.nodes)
     elif np.shape(spec.forcing) == (grid.n,):
@@ -305,18 +237,30 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
         raise ValueError("forcing array length does not match the grid")
     hs = [_mesh_callback(term.nonlinearity) for term in spec.terms]
     weights, lam = grid.weights, spec.lam
+    passes = [table._row_pass(weights * h(x0), weights if knorms is None else None)
+              for table, h in zip(tables, hs)]
+    if knorms is None:
+        knorms = [float(np.max(sums)) for sums, _ in passes]
+    modulus = combine_moduli([term.modulus for term in spec.terms],
+                             [abs(lam) * kn for kn in knorms])
+    shift = norm(x0)
+    if shift > 0.0:
+        modulus = recenter_modulus(modulus, shift)
 
-    def operator(products) -> Callable[[np.ndarray], np.ndarray]:
-        def apply(x: np.ndarray) -> np.ndarray:
-            out = fvec.copy()
-            for product, h in zip(products, hs):
-                out += lam * product(weights * h(x))
-            return out
-        return apply
+    def combine(images) -> np.ndarray:
+        out = fvec.copy()
+        for y in images:
+            out += lam * y
+        return out
 
-    dense = [functools.partial(_matvec, table.values) for table in tables]
-    handle = make_operator(operator(dense), x0, norm, modulus, radius)
-    return replace(handle, apply=operator([_product(table) for table in tables]))
+    products = [_product(table) for table in tables]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return combine(product(weights * h(x)) for product, h in zip(products, hs))
+
+    handle = make_operator(lambda x: combine(image for _, image in passes), x0, norm,
+                           modulus, radius)
+    return replace(handle, apply=apply)
 
 
 def build_hammerstein_sup(spec: HammersteinSpec, grid: Grid, radius: float,
@@ -325,12 +269,11 @@ def build_hammerstein_sup(spec: HammersteinSpec, grid: Grid, radius: float,
 
     Kernel norms are row sums max_i sum_l w_l |k_j(t_i, s_l)| and the
     modulus is |lambda| * sum_j ||K_j|| * h_j(r), with h_j each term's
-    scalar modulus.
+    scalar modulus.  An unsampled table with factors is never sampled
+    whole: one row pass gives its norm and a, the iterates read the factors.
     """
     tables = [_sample_kernel(term.kernel, grid) for term in spec.terms]
-    knorms = [float(np.max(_matvec(_absolute(table.values), grid.weights)))
-              for table in tables]
-    return _nystrom_handle(spec, grid, tables, knorms, _sup_norm, radius, center)
+    return _nystrom_handle(spec, grid, tables, None, _sup_norm, radius, center)
 
 
 def build_hammerstein_lp(spec: HammersteinSpec, zaanen_norms, p: float,

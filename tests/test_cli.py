@@ -357,6 +357,15 @@ class TestDocumentText:
         document = {"kind": "scalar_profile", "steps": steps, "final_bound": 0.0}
         assert cli._document_text(document) == json.dumps(document, indent=2)
 
+    @pytest.mark.parametrize("solution", [
+        [], [1.0], list(EDGE_FLOATS) * 40, [1, 2.0], [True, 1.0], [np.float64(0.1)],
+        [[1.0]], ["x, y"], [None], (1.0, 2.0), None,
+    ])
+    def test_solutions(self, solution):
+        document = {"kind": "hammerstein_c", "steps": [], "solution": solution,
+                    "certification": None}
+        assert cli._document_text(document) == json.dumps(document, indent=2)
+
 
 class TestZonesCommand:
     def test_round_trip_reproduces_majorants(self, tmp_path):

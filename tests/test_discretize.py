@@ -346,6 +346,23 @@ class TestKernelSampling:
         held[0][:] = -1.0
         assert np.array_equal(table.values, grid.nodes[:, None] * grid.nodes)
 
+    def test_unsampled_table_samples_once_when_values_are_read(self):
+        grid = Grid.simpson(0.0, 1.0, 11)
+        calls = []
+
+        def kernel(t, s):
+            calls.append(t.shape)
+            return t * s
+
+        column = grid.nodes[:, None]
+        table = KernelTable._unsampled(grid, kernel)._with_factors(column, column)
+        assert calls == [] and table._factors is not None
+        values = table.values
+        assert values is table.values and len(calls) == 1
+        assert np.array_equal(values, column * grid.nodes) and not values.flags.writeable
+        with pytest.raises(AttributeError, match="'missing'"):
+            table.missing
+
     def test_module_array_is_copied(self):
         grid = Grid.trapezoid(0.0, 1.0, 7)
         table = KernelTable.from_function(grid, lambda t, s: _OWNED)

@@ -1,11 +1,13 @@
 """Registry kernels applied through their exact factors, phi @ (psi.T @ v).
 
-A CLI build samples each registry kernel into its table, which gives a and
-the kernel norms, and attaches the kernel's factors (presets._KERNEL_FACTORS);
-the handle's apply then reads K v through them.  The soundness gate: the
-factored product lies within the dense product's own rounding bound,
-|phi (psi^T v) - Z v| <= n u |Z| |v| elementwise with u = 2^-53, so an
-iterate is certified no less than a dense one.  The twin tests hold every
+A CLI build hands each registry kernel that has factors
+(presets._KERNEL_FACTORS) to the builder unsampled: one pass over blocks of
+its rows gives a and the sup build's kernel norms, the L_p build's Zaanen
+estimate samples it whole, and the handle's apply reads K v through the
+factors.  The soundness gate: the factored product lies within the dense
+product's own rounding bound, |phi (psi^T v) - Z v| <= n u |Z| |v|
+elementwise with u = 2^-53, so an iterate is certified no less than a
+dense one.  The twin tests hold every
 certificate of a registry build to its inline-matrix twin, bit for bit.
 """
 
@@ -36,7 +38,7 @@ def gate_case(name, rule, n, interval):
     one case is held at a time, since an n = 2001 table is 32 MiB."""
     table = registry_table(name, RULES[rule](*interval, n))
     assert table._factors is not None, f"{name} carries no factors on {interval}"
-    return (n, np.abs(table.values), functools.partial(operators._matvec, table.values),
+    return (n, np.abs(table.values), functools.partial(np.matmul, table.values),
             operators._product(table))
 
 
@@ -80,7 +82,7 @@ class TestSoundnessGate:
         table = KernelTable.from_function(grid, KERNELS["exp_product"])
         wrong = table._with_factors(*_KERNEL_FACTORS["product"](grid.nodes))
         case = (grid.n, np.abs(table.values),
-                functools.partial(operators._matvec, table.values), operators._product(wrong))
+                functools.partial(np.matmul, table.values), operators._product(wrong))
         assert len(violations(case, np.ones(grid.n))) == grid.n
 
 
@@ -120,37 +122,58 @@ class TestFactors:
         assert factored._factors[0][0, 0] == 0.0
 
 
-def count_matvecs(monkeypatch) -> list:
-    calls, matvec = [], operators._matvec
+def count_samplings(monkeypatch) -> list:
+    """The sizes of the kernel tables sampled whole, as they are sampled."""
+    sampled, sample = [], KernelTable.from_function
 
-    def counting(mat, v):
-        calls.append(mat.shape)
-        return matvec(mat, v)
+    def counting(cls, grid, fn):
+        sampled.append(grid.n)
+        return sample(grid, fn)
 
-    monkeypatch.setattr(operators, "_matvec", counting)
+    monkeypatch.setattr(KernelTable, "from_function", classmethod(counting))
+    return sampled
+
+
+def count_dense_applies(monkeypatch) -> list:
+    """The shapes of the vectors each dense apply of a table reads."""
+    calls, product = [], operators._product
+
+    def counting(table):
+        apply = product(table)
+        if table._factors is not None:
+            return apply
+
+        def dense(v):
+            calls.append(v.shape)
+            return apply(v)
+        return dense
+
+    monkeypatch.setattr(operators, "_product", counting)
     return calls
 
 
 class TestFactoredPathTaken:
-    # one dense product for a, one for the sup build's row sums; the L_p
-    # build reads its norm through Zaanen sweeps, not _matvec
-    @pytest.mark.parametrize("preset,dense", [("hammerstein-separable", 2),
-                                              ("hammerstein-lp", 1)])
+    # a factored sup build reads its kernel a block of rows at a time and
+    # iterates through the factors, so it never samples an n x n table nor
+    # makes a dense product; the L_p build samples its table once, for the
+    # Zaanen estimate, and iterates through the factors too
+    @pytest.mark.parametrize("preset,sampled", [("hammerstein-separable", 0),
+                                                ("hammerstein-lp", 1)])
     @pytest.mark.parametrize("max_steps", ["3", "1000"])
-    def test_dense_products_only_in_the_build(self, monkeypatch, tmp_path, preset,
-                                              dense, max_steps):
-        calls = count_matvecs(monkeypatch)
+    def test_no_dense_product_for_factored_kernels(self, monkeypatch, tmp_path, preset,
+                                                   sampled, max_steps):
+        tables, calls = count_samplings(monkeypatch), count_dense_applies(monkeypatch)
         out = tmp_path / "solve.json"
         assert main(["solve", "--preset", preset, "--max-steps", max_steps,
                      "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["steps"]) > 2
-        assert len(calls) == dense
+        assert len(tables) == sampled and calls == []
 
     def test_declined_factors_iterate_dense(self, monkeypatch, tmp_path):
-        calls = count_matvecs(monkeypatch)
         config = twin_configs("hammerstein_c", "exp_product", (0.0, 2.0))[0]
+        tables, calls = count_samplings(monkeypatch), count_dense_applies(monkeypatch)
         doc = solve(tmp_path, config)
-        assert len(calls) == 2 + len(doc["steps"])
+        assert tables == [101] and len(calls) == len(doc["steps"])
 
 
 # kind -> (nonlinearity, lambda on [0, 1], lambda on [0, 2]); the L_p terms

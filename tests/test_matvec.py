@@ -1,28 +1,29 @@
-"""operators._matvec: large kernel tables read on two threads, in row blocks.
+"""KernelTable._row_pass: a kernel read once, a block of rows at a time.
 
-The split runs only under a one-thread BLAS on two or more CPUs.  Bit
-checks run in subprocesses under one OpenBLAS thread, where each row of a
-gemv has one accumulation order, and turn the split on whatever the CPU
-count; the other checks run at the ambient thread count.
+The pass gives a Hammerstein build its kernel row sums |Z| w and its first
+image Z u.  Bit checks run in subprocesses under a fixed OpenBLAS thread
+count: under one thread each row of a gemv has one accumulation order, so
+every block's rows must be the rows of the whole product; under two
+threads the blocks must give the one-thread bits too.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from majorfix import (Grid, HammersteinSpec, HammersteinTerm, PowerSumModulus,
-                      build_hammerstein_sup, operators)
-from majorfix.operators import _matvec
+from majorfix import (Grid, HammersteinSpec, HammersteinTerm, KernelTable,
+                      PowerSumModulus, build_hammerstein_sup, cli)
 from majorfix.presets import FORCINGS, KERNELS
 
 ROOT = Path(__file__).resolve().parents[1]
+GATE = ROOT / "tests" / "data" / "gate"
 
 
 def run_child(script: str, *args: str, threads: str = "1") -> subprocess.CompletedProcess:
@@ -32,220 +33,165 @@ def run_child(script: str, *args: str, threads: str = "1") -> subprocess.Complet
                           capture_output=True, text=True, timeout=300)
 
 
-# argv: n, then the size floor or "default"; prints the tables whose rows
-# lost a bit
+# argv: n; prints one line per table and source: its name and the hex
+# digest of the pass's bytes.  Under one thread each pass must give the
+# bits of the whole products |Z| @ w and Z @ u.
 BITS = """
-import sys
+import hashlib, os, sys
 import numpy as np
-from majorfix import Grid, KernelTable, operators
+from majorfix import Grid, KernelTable
 from majorfix.presets import KERNELS
 
-n, floor = int(sys.argv[1]), sys.argv[2]
-operators._split_pays = lambda: True
-if floor != "default":
-    operators._SPLIT_ROWS = int(floor)
-grid = Grid.trapezoid(0.0, 1.0, n)
+n = int(sys.argv[1])
+one_thread = os.environ["OPENBLAS_NUM_THREADS"] == "1"
 rng = np.random.default_rng(n)
+# nodes 0, 1, ..., n - 1: a sampled table's kernel looks its rows up by node
+index = Grid.trapezoid(0.0, n - 1.0, n)
+unit = Grid.simpson(0.0, 1.0, n) if n % 2 else Grid.trapezoid(0.0, 1.0, n)
+
+
+def absolute():
+    mat = rng.standard_normal((n, n))
+    return np.abs(mat, out=mat)
+
+
+def negative_zero():
+    mat = absolute()
+    mat[rng.random((n, n)) < 0.01] = -0.0
+    mat[n // 2] = -0.0
+    return mat
+
+
 tables = {
-    "exp_product": lambda: KernelTable.from_function(grid, KERNELS["exp_product"]).values,
-    "signed": lambda: rng.standard_normal((n, n)),
-    "absolute": lambda: np.abs(rng.standard_normal((n, n))),
+    "signed": lambda: (index, rng.standard_normal((n, n))),
+    "absolute": lambda: (index, absolute()),
+    "negative_zero": lambda: (index, negative_zero()),
+    "exp_product": lambda: (unit, None),
 }
-lost = []
 for name, make in tables.items():
-    mat = make()
-    assert n >= operators._SPLIT_ROWS, "the table does not split"
-    for _ in range(3):
-        v = grid.weights * rng.standard_normal(n)
-        if not np.array_equal(operators._matvec(mat, v), mat @ v):
-            lost.append(name)
-    del mat
-print(sorted(set(lost)))
+    grid, mat = make()
+    if mat is None:
+        fn = KERNELS[name]
+        stored = KernelTable.from_function(grid, fn)
+    else:
+        # the table holds mat itself, uncopied: n = 4097 is 128 MiB
+        fn = lambda t, s, mat=mat: mat[t[:, 0].astype(int)]
+        stored = KernelTable._adopt(grid, mat)
+    u = grid.weights * rng.standard_normal(n)
+    whole = (np.abs(stored.values) @ grid.weights).tobytes() + (stored.values @ u).tobytes()
+    for source, table in (("stored", stored), ("sampled", KernelTable._unsampled(grid, fn))):
+        sums, image = table._row_pass(u, grid.weights)
+        got = sums.tobytes() + image.tobytes()
+        assert "values" not in table.__dict__ or source == "stored", "sampled whole"
+        assert got == whole or not one_thread, f"{name} {source} lost a bit"
+        print(name, source, hashlib.sha256(got).hexdigest())
+    del grid, mat, fn, stored, table
 """
 
 
-FLOOR = operators._SPLIT_ROWS
+@pytest.mark.parametrize("n", [768, 1001, 1025, 2001, 2049, 4097])
+def test_rows_keep_the_bits_of_the_whole_product(n):
+    one = run_child(BITS, str(n))
+    assert one.returncode == 0, one.stderr
+    assert len(one.stdout.splitlines()) == 8
+    two = run_child(BITS, str(n), threads="2")
+    assert two.returncode == 0, two.stderr
+    assert two.stdout == one.stdout
 
 
-# at floor 0 the worker's block is 3 and 65 rows; a one-row block would go
-# to numpy's dot, which rounds differently, but at the floor or above the
-# worker's block has 256 rows or more
-@pytest.mark.parametrize("n,floor", [
-    *((n, "default") for n in (FLOOR, FLOOR + 1, FLOOR + 2, FLOOR + 3, 1001, 1003, 1023,
-                               1025, 1449, 2001, 2002, 2003, 2004, 4097)),
-    *((n, "0") for n in (515, 577)),
-])
-def test_split_keeps_the_bits_of_the_whole_product(n, floor):
-    result = run_child(BITS, str(n), floor)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+@pytest.mark.parametrize("n", [5, 63, 64, 65, 127, 128, 129])
+def test_blocks_cover_every_row_once(n):
+    grid = Grid.trapezoid(0.0, 1.0, n)
+    seen = []
+
+    def kernel(t, s):
+        seen.append(t.shape[0])
+        return t + s
+
+    sums, image = KernelTable._unsampled(grid, kernel)._row_pass(grid.weights, grid.weights)
+    table = KernelTable.from_function(grid, lambda t, s: t + s)
+    assert np.array_equal(sums, np.abs(table.values) @ grid.weights)
+    assert np.array_equal(image, table.values @ grid.weights)
+    assert sum(seen) == n and (len(seen) == 1 or min(seen) >= 64)
+    unweighted = KernelTable._unsampled(grid, kernel)._row_pass(grid.weights)
+    assert unweighted[0] is None and np.array_equal(unweighted[1], image)
 
 
-BUSY = """
-import os, signal, threading
+def test_non_finite_sample_in_the_last_block_raises():
+    grid = Grid.simpson(0.0, 1.0, 2001)
+    last = grid.nodes[-1]
+
+    def kernel(t, s):
+        return np.where(t == last, np.inf, t * s)
+
+    table = KernelTable._unsampled(grid, kernel)
+    with pytest.raises(ValueError, match="kernel values must be finite"):
+        table._row_pass(grid.weights, grid.weights)
+
+
+def test_kernel_type_error_becomes_a_runtime_error_after_one_call():
+    grid = Grid.simpson(0.0, 1.0, 2001)
+    calls = []
+
+    def kernel(t, s):
+        calls.append(t.shape)
+        raise TypeError("no arrays here")
+
+    with pytest.raises(RuntimeError, match="raised TypeError: no arrays here"):
+        KernelTable._unsampled(grid, kernel)._row_pass(grid.weights, grid.weights)
+    assert len(calls) == 1
+
+
+def square_spec(kernel) -> HammersteinSpec:
+    term = HammersteinTerm(kernel, lambda u: u**2, PowerSumModulus(((2.0, 1.0),)))
+    return HammersteinSpec((term,), 0.1, FORCINGS["identity"])
+
+
+def test_factored_sup_build_keeps_no_table():
+    # the whole n = 2001 table would take 30.5 MiB
+    grid = Grid.simpson(0.0, 1.0, 2001)
+    table = cli._resolve_kernel({"kernel": "product"}, grid)
+    tracemalloc.start()
+    try:
+        handle = build_hammerstein_sup(square_spec(table), grid, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert "values" not in table.__dict__
+    assert handle.profile.center_shift > 0.0
+
+
+# re-imports operators four times, each followed by a dense apply; prints
+# the thread count after each
+IDLE = """
+import importlib, threading
 import numpy as np
-from majorfix import operators
+import majorfix.operators as operators
+from majorfix import Grid, HammersteinSpec, HammersteinTerm, PowerSumModulus
 
-signal.alarm(20)
-operators._split_pays = lambda: True
-rng = np.random.default_rng(1)
-mat, v = rng.standard_normal((1001, 1001)), rng.standard_normal(1001)
-gate = threading.Event()
-blocker = operators._worker(os.getpid()).submit(gate.wait)
-result = operators._matvec(mat, v)
-gate.set()
-blocker.result()
-assert np.array_equal(result, mat @ v)
+grid = Grid.simpson(0.0, 1.0, 1001)
+for _ in range(4):
+    operators = importlib.reload(operators)
+    term = HammersteinTerm(lambda t, s: np.exp(t * s), lambda u: u**2,
+                           PowerSumModulus(((2.0, 1.0),)))
+    spec = HammersteinSpec((term,), 0.1, lambda t: t)
+    handle = operators.build_hammerstein_sup(spec, grid, 1.0)
+    handle.apply(grid.nodes)
+    print(threading.active_count())
 """
 
 
-def test_caller_reads_both_blocks_while_the_worker_is_busy():
-    # the worker is held until _matvec returns, so only the calling thread
-    # can have read the second block
-    result = run_child(BUSY)
+def test_no_thread_is_left_behind():
+    result = run_child(IDLE)
     assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1"] * 4
 
 
-RELEASE = """
-import os, signal, threading, weakref
-import numpy as np
-from majorfix import operators
-
-signal.alarm(20)
-operators._split_pays = lambda: True
-rng = np.random.default_rng(1)
-v = rng.standard_normal(1001)
-gate = threading.Event()
-blocker = operators._worker(os.getpid()).submit(gate.wait)
-for k in range(4):
-    if k == 1:
-        gate.set()
-        blocker.result()
-    mat = rng.standard_normal((1001, 1001))
-    table = weakref.ref(mat)
-    operators._matvec(mat, v)
-    del mat
-    assert table() is None, f"apply {k} left its table alive"
-"""
-
-
-def test_no_table_outlives_its_apply():
-    # the first apply is cancelled into the queue of a held worker, which
-    # keeps the job until the worker is free; the others run on the worker
-    result = run_child(RELEASE)
-    assert result.returncode == 0, result.stderr
-
-
-@pytest.mark.parametrize("n", [FLOOR, 1001, 1449])
-def test_calling_thread_reads_more_than_500_rows(monkeypatch, n):
-    # numpy's matmul keeps the GIL for 500 rows or fewer, which would hold
-    # the worker back until the calling thread's block is done
-    monkeypatch.setattr(operators, "_split_pays", lambda: True)
-    matmul, calls = np.matmul, []
-
-    def recording(a, *args, **kwargs):
-        calls.append((threading.get_ident(), a.shape[0]))
-        return matmul(a, *args, **kwargs)
-
-    monkeypatch.setattr(np, "matmul", recording)
-    rng = np.random.default_rng(n)
-    _matvec(rng.standard_normal((n, n)), rng.standard_normal(n))
-    mine = [rows for thread, rows in calls if thread == threading.get_ident()]
-    assert mine[0] > 500
-    assert sum(rows for _, rows in calls) == n
-
-
-# argv: "pin" to keep the child on one CPU, or "free"; prints whether the
-# pool was made
-GUARD = """
-import os, sys
-import numpy as np
-from majorfix import operators
-
-if sys.argv[1] == "pin":
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-rng = np.random.default_rng(3)
-mat, v = rng.standard_normal((2001, 2001)), rng.standard_normal(2001)
-assert np.array_equal(operators._matvec(mat, v), mat @ v)
-print(operators._worker.cache_info().currsize)
-"""
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-
-
-@pytest.mark.parametrize("threads,cpus,pool", [
-    ("2", "free", "0"),
-    pytest.param("1", "pin", "0", marks=pytest.mark.skipif(
-        not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")),
-    pytest.param("1", "free", "1", marks=pytest.mark.skipif(
-        CPUS < 2, reason="needs two CPUs")),
-])
-def test_split_only_under_one_blas_thread_on_two_cpus(threads, cpus, pool):
-    result = run_child(GUARD, cpus, threads=threads)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == pool
-
-
-def test_matvec_is_the_whole_product_at_the_ambient_thread_count(monkeypatch):
-    # one BLAS thread splits and keeps every row's bits; a threaded BLAS
-    # reads the table whole
-    rng = np.random.default_rng(7)
-    for n, floor in ((2001, operators._SPLIT_ROWS), (577, 0)):
-        monkeypatch.setattr(operators, "_SPLIT_ROWS", floor)
-        mat, v = rng.standard_normal((n, n)), rng.standard_normal(n)
-        assert np.array_equal(_matvec(mat, v), mat @ v)
-
-
-@pytest.mark.parametrize("v", [np.ones(576), np.ones((576, 1))])
-def test_shape_mismatch_raises_as_matmul(monkeypatch, v):
-    monkeypatch.setattr(operators, "_SPLIT_ROWS", 0)
-    monkeypatch.setattr(operators, "_split_pays", lambda: True)
-    mat = np.ones((577, 577))
-    with pytest.raises(ValueError) as whole:
-        mat @ v
-    with pytest.raises(type(whole.value)) as split:
-        _matvec(mat, v)
-    assert str(split.value) == str(whole.value)
-
-
-FORK = """
-import os, signal, threading
-import numpy as np
-from majorfix import operators
-
-operators._split_pays = lambda: True
-rng = np.random.default_rng(0)
-mat, v = rng.standard_normal((1001, 1001)), rng.standard_normal(1001)
-expected = operators._matvec(mat, v)
-assert operators._worker.cache_info().currsize == 1
-pid = os.fork()
-if pid == 0:
-    signal.alarm(5)
-    same = np.array_equal(operators._matvec(mat, v), expected)
-    os._exit(0 if same and threading.active_count() == 2 else 1)
-_, status = os.waitpid(pid, 0)
-print(os.waitstatus_to_exitcode(status))
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_split_apply_in_a_forked_child():
-    # a pool made before fork has no thread in the child: a split apply
-    # there must start a worker of its own, and not hang until the alarm
-    # kills the child
-    result = run_child(FORK)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "0"
-
-
-def test_concurrent_applies_on_one_handle(monkeypatch):
-    monkeypatch.setattr(operators, "_split_pays", lambda: True)
+def test_concurrent_applies_on_one_handle():
     n = 1001
     grid = Grid.simpson(0.0, 1.0, n)
-    term = HammersteinTerm(KERNELS["exp_product"], lambda u: u**2,
-                           PowerSumModulus(((2.0, 1.0),)))
-    op = build_hammerstein_sup(HammersteinSpec((term,), 0.1, FORCINGS["identity"]),
-                               grid, 1.0)
-    assert grid.n >= operators._SPLIT_ROWS
+    op = build_hammerstein_sup(square_spec(KERNELS["exp_product"]), grid, 1.0)
     starts = [np.linspace(0.0, 0.1 * (k + 1), n) for k in range(4)]
     expected = [op.apply(x) for x in starts]
     results = [[] for _ in starts]
@@ -270,35 +216,51 @@ def test_concurrent_applies_on_one_handle(monkeypatch):
         assert all(np.array_equal(want, y) for y in got)
 
 
-# solves once on the split, once with the floor above the table
-SOLVE = """
-import sys
-from majorfix import cli, operators
-
-config, out = sys.argv[1], sys.argv[2]
-operators._split_pays = lambda: True
-assert cli.main(["solve", "--config", config, "--out", out + ".split"]) == 0
-assert operators._worker.cache_info().currsize == 1
-operators._SPLIT_ROWS = 2**62
-assert cli.main(["solve", "--config", config, "--out", out + ".whole"]) == 0
-"""
+# the solve documents in tests/data/gate were written under one BLAS thread
+# by the design that sampled every table whole and read it with one gemv;
+# the two on [0, 1] iterate through their kernels' factors, the one on
+# [0, 2] (where exp_product declines them) on its table
+GATE_CONFIGS = {
+    "n2001": (2001, [0.0, 1.0], 0.07, 1.5, "exp_product", "cube"),
+    "n1001": (1001, [0.0, 1.0], 0.4, 3.0, "product", "square"),
+    "dense-n1025": (1025, [0.0, 2.0], 0.002, 3.0, "exp_product", "square"),
+}
 
 
-@pytest.mark.parametrize("n,lam,radius,kernel,nonlinearity", [
-    (2001, 0.07, 1.5, "exp_product", "cube"),
-    (1001, 0.4, 3.0, "product", "square"),
-], ids=["n2001", "n1001"])
-def test_solve_document_at_a_split_size(tmp_path, n, lam, radius, kernel, nonlinearity):
-    config = {"kind": "hammerstein_c", "interval": [0.0, 1.0], "lambda": lam,
+def gate_config(tmp_path, name: str) -> Path:
+    n, interval, lam, radius, kernel, nonlinearity = GATE_CONFIGS[name]
+    config = {"kind": "hammerstein_c", "interval": interval, "lambda": lam,
               "grid": {"rule": "simpson", "n": n}, "radius": radius,
               "terms": [{"kernel": kernel, "nonlinearity": nonlinearity}],
               "forcing": "identity"}
-    path = tmp_path / "config.json"
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(config))
-    result = run_child(SOLVE, str(path), str(tmp_path / "solve"))
+    return path
+
+
+# argv: command, config path, output path
+CLI = """
+import sys
+from majorfix import cli
+assert cli.main([sys.argv[1], "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
+"""
+
+
+@pytest.mark.parametrize("name", sorted(GATE_CONFIGS))
+def test_solve_document_reproduced(tmp_path, name):
+    out = tmp_path / "solve.json"
+    result = run_child(CLI, "solve", str(gate_config(tmp_path, name)), str(out))
     assert result.returncode == 0, result.stderr
-    split = (tmp_path / "solve.split").read_bytes()
-    assert split == (tmp_path / "solve.whole").read_bytes()
-    doc = json.loads(split)
-    assert doc["status"] == "converged" and len(doc["steps"]) > 30
-    assert math.isfinite(doc["final_bound"])
+    assert out.read_bytes() == (GATE / f"{name}.solve.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["n2001", "n1001"])
+def test_analyze_document_is_the_same_under_two_blas_threads(tmp_path, name):
+    config = str(gate_config(tmp_path, name))
+    documents = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"analyze.{threads}.json"
+        result = run_child(CLI, "analyze", config, str(out), threads=threads)
+        assert result.returncode == 0, result.stderr
+        documents.append(out.read_bytes())
+    assert documents[0] == documents[1]

@@ -104,13 +104,21 @@ class PowerSumModulus(LipschitzModulus):
             cleaned.append((coef, exponent))
         object.__setattr__(self, "terms", tuple(cleaned))
 
+    # the terms add left to right from 0.0: sum() of floats is compensated
+    # from Python 3.12 on, which would change K's bits with the interpreter
     def __call__(self, r: float) -> float:
         r = self._check_radius(r)
-        return sum(c * r**p for c, p in self.terms)
+        total = 0.0
+        for c, p in self.terms:
+            total += c * r**p
+        return total
 
     def primitive(self, r: float) -> float:
         r = self._check_radius(r)
-        return sum(c * r ** (p + 1.0) / (p + 1.0) for c, p in self.terms)
+        total = 0.0
+        for c, p in self.terms:
+            total += c * r ** (p + 1.0) / (p + 1.0)
+        return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +126,9 @@ class TabulatedModulus(LipschitzModulus):
     """Linear interpolant of nonnegative nondecreasing samples on [0, t_M].
 
     The primitive is the exact piecewise-quadratic integral of the
-    interpolant, precomputed segment by segment.
+    interpolant, precomputed segment by segment.  k and K read float tuples
+    of the nodes, ordinates and node primitives: a numpy scalar costs
+    microseconds per call, and every bisection step makes one.
     """
 
     abscissae: np.ndarray
@@ -144,10 +154,12 @@ class TabulatedModulus(LipschitzModulus):
         ys.setflags(write=False)
         # exact primitive of the interpolant at every node
         cumulative = np.concatenate(([0.0], np.cumsum(self._segment_integrals(xs, ys))))
-        cumulative.setflags(write=False)
         object.__setattr__(self, "abscissae", xs)
         object.__setattr__(self, "ordinates", ys)
-        object.__setattr__(self, "_cumulative", cumulative)
+        object.__setattr__(self, "_xs", tuple(xs.tolist()))
+        object.__setattr__(self, "_ys", tuple(ys.tolist()))
+        object.__setattr__(self, "_cumulative", tuple(cumulative.tolist()))
+        object.__setattr__(self, "_end", self._xs[-1])
 
     @staticmethod
     def _segment_integrals(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -165,20 +177,27 @@ class TabulatedModulus(LipschitzModulus):
                              f"its slope overflows")
 
     def domain_end(self) -> float:
-        return float(self.abscissae[-1])
+        return self._end
 
     def __call__(self, r: float) -> float:
+        # np.interp's own arithmetic: a node returns its ordinate, the last
+        # one included (r is clamped to it); r in (x_j, x_{j+1}) reads the
+        # segment's slope
         r = self._check_radius(r)
-        return float(np.interp(r, self.abscissae, self.ordinates))
+        xs, ys = self._xs, self._ys
+        j = bisect.bisect_right(xs, r) - 1
+        if xs[j] == r:
+            return ys[j]
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        return slope * (r - xs[j]) + ys[j]
 
     def primitive(self, r: float) -> float:
         r = self._check_radius(r)
-        xs, ys = self.abscissae, self.ordinates
-        j = int(np.searchsorted(xs, r, side="right")) - 1
-        j = min(max(j, 0), xs.size - 2)
+        xs, ys = self._xs, self._ys
+        j = min(bisect.bisect_right(xs, r) - 1, len(xs) - 2)
         dr = r - xs[j]
         slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-        return float(self._cumulative[j] + ys[j] * dr + 0.5 * slope * dr * dr)
+        return self._cumulative[j] + ys[j] * dr + 0.5 * slope * dr * dr
 
 
 class _StepEnvelope(TabulatedModulus):
@@ -196,13 +215,12 @@ class _StepEnvelope(TabulatedModulus):
 
     def __call__(self, r: float) -> float:
         r = self._check_radius(r)
-        return float(self.ordinates[np.searchsorted(self.abscissae, r)])
+        return self._ys[bisect.bisect_left(self._xs, r)]
 
     def primitive(self, r: float) -> float:
         r = self._check_radius(r)
-        j = max(int(np.searchsorted(self.abscissae, r)), 1)
-        return float(self._cumulative[j - 1]
-                     + self.ordinates[j] * (r - self.abscissae[j - 1]))
+        j = max(bisect.bisect_left(self._xs, r), 1)
+        return self._cumulative[j - 1] + self._ys[j] * (r - self._xs[j - 1])
 
 
 # declared shape of a sampled modulus -> its sound upper envelope, and the
@@ -235,14 +253,20 @@ class _ShiftedSum(LipschitzModulus):
     def domain_end(self) -> float | None:
         return self._end
 
+    # left to right from 0.0, as PowerSumModulus adds its terms
     def __call__(self, r: float) -> float:
         r = self.offset + self._check_radius(r)
-        return sum(w * m(r) for w, m in self.parts)
+        total = 0.0
+        for w, m in self.parts:
+            total += w * m(r)
+        return total
 
     def primitive(self, r: float) -> float:
         r = self.offset + self._check_radius(r)
-        return sum(w * (m.primitive(r) - base)
-                   for (w, m), base in zip(self.parts, self._bases))
+        total = 0.0
+        for (w, m), base in zip(self.parts, self._bases):
+            total += w * (m.primitive(r) - base)
+        return total
 
 
 @dataclass(frozen=True, eq=False)

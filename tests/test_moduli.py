@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import warnings
 from fractions import Fraction
 
@@ -341,3 +343,140 @@ class TestAlgebra:
     def test_combine_rejects_bad_weights(self, weights):
         with pytest.raises(ValueError):
             combine_moduli([ConstantModulus(1.0), ConstantModulus(2.0)], weights)
+
+
+def same_bits(value, reference):
+    """value is a Python float with exactly the bits of reference, sign of
+    zero included."""
+    return type(value) is float and value.hex() == float(reference).hex()
+
+
+# The numpy expressions a tabulated modulus evaluated k and K through before
+# it read float tuples, kept as the references its bits are held to; r is
+# already clamped to the domain end.
+def chord_primitive(xs, ys, r):
+    cumulative = np.concatenate(([0.0], np.cumsum(np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0)))
+    j = int(np.searchsorted(xs, r, side="right")) - 1
+    j = min(max(j, 0), xs.size - 2)
+    dr = r - xs[j]
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    return float(cumulative[j] + ys[j] * dr + 0.5 * slope * dr * dr)
+
+
+def step_value(xs, ys, r):
+    return float(ys[np.searchsorted(xs, r)])
+
+
+def step_primitive(xs, ys, r):
+    cumulative = np.concatenate(([0.0], np.cumsum(np.diff(xs) * ys[1:])))
+    j = max(int(np.searchsorted(xs, r)), 1)
+    return float(cumulative[j - 1] + ys[j] * (r - xs[j - 1]))
+
+
+@st.composite
+def tables(draw):
+    """Valid nodes and ordinates: up to two leading subnormal spacings, then
+    spacings of scale 10**ex; steps of scale 10**ey, some flat.  Both scales
+    run from 1e-300 to 1e300, bounded so that every slope and every
+    integral stays finite."""
+    n = draw(st.integers(2, 7))
+    ex = draw(st.integers(-300, 300))
+    ey = draw(st.integers(-300, min(300, ex + 300, 300 - ex)))
+    tiny = draw(st.integers(0, min(2, n - 1)))
+    mantissa = st.floats(1.0, 10.0)
+    gaps, steps = [], []
+    for i in range(n - 1):
+        if i < tiny:
+            gap = draw(st.integers(1, 2**40)) * 5e-324
+            step = gap * 10.0 ** draw(st.integers(0, 300))   # slope up to 1e300
+        else:
+            gap = draw(mantissa) * 10.0**ex
+            step = draw(mantissa) * 10.0**ey
+        gaps.append(gap)
+        steps.append(step if draw(st.booleans()) else 0.0)
+    xs, ys = [0.0], [draw(st.sampled_from([0.0, -0.0, draw(mantissa) * 10.0**ey]))]
+    for gap, step in zip(gaps, steps):
+        xs.append(xs[-1] + gap)
+        ys.append(ys[-1] + step)
+    return np.array(xs), np.array(ys)
+
+
+@st.composite
+def tables_and_radii(draw):
+    """A table and radii at 0, at every node and its neighbours, inside every
+    segment, at the end and inside the domain slack past it."""
+    xs, ys = draw(tables())
+    nodes, end = xs.tolist(), float(xs[-1])
+    limit = end * (1.0 + 1e-12) + 1e-12
+    radii = [0.0, -0.0, end, limit] + nodes
+    radii += [math.nextafter(x, math.inf) for x in nodes[:-1]]
+    radii += [math.nextafter(x, 0.0) for x in nodes[1:]]
+    for u in draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)):
+        j = draw(st.integers(0, len(nodes) - 2))
+        radii.append(nodes[j] + u * (nodes[j + 1] - nodes[j]))
+        radii.append(min(end + u * (limit - end), limit))
+    return xs, ys, radii
+
+
+class TestFloatEvaluation:
+    @given(tables_and_radii())
+    @settings(max_examples=300, deadline=None)
+    def test_tabulated_k_and_K_keep_the_numpy_bits(self, drawn):
+        xs, ys, radii = drawn
+        chord = TabulatedModulus(xs, ys)
+        step = modulus_from_samples(xs, ys, "monotone")
+        for r in radii:
+            clamped = min(r, float(xs[-1]))
+            assert same_bits(chord(r), np.interp(clamped, xs, ys)), r
+            assert same_bits(chord.primitive(r), chord_primitive(xs, ys, clamped)), r
+            assert same_bits(step(r), step_value(xs, ys, clamped)), r
+            assert same_bits(step.primitive(r), step_primitive(xs, ys, clamped)), r
+
+    def test_nodes_and_ordinates_stay_read_only_arrays(self):
+        k = TabulatedModulus([0.0, 0.5, 1.0], [0.1, 0.2, 0.4])
+        for values in (k.abscissae, k.ordinates):
+            assert isinstance(values, np.ndarray) and not values.flags.writeable
+        assert type(k.domain_end()) is float and k.domain_end() == 1.0
+
+
+def left_to_right(values):
+    """Explicit left-to-right float sum from 0.0."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+class TestLeftToRightSums:
+    """Multi-term k and K add their terms left to right on every Python:
+    sum() of floats is compensated from 3.12 on and would change their bits."""
+
+    def test_compensated_sum_would_differ(self):
+        terms = ((1e16, 0.0), (1.0, 0.0), (1.0, 0.0))
+        assert math.fsum(c for c, _ in terms) == 1e16 + 2.0
+        assert same_bits(PowerSumModulus(terms)(0.5), 1e16)
+        combined = combine_moduli([ConstantModulus(c) for c, _ in terms])
+        assert same_bits(combined(0.5), 1e16)
+
+    @given(terms=st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 4.0)),
+                          min_size=2, max_size=4),
+           weights=st.lists(st.floats(0.0, 1e3), min_size=4, max_size=4),
+           r=st.floats(0.0, 10.0), offset=st.floats(0.0, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_multi_term_sums_add_left_to_right(self, terms, weights, r, offset):
+        k = PowerSumModulus(tuple(terms))
+        assert same_bits(k(r), left_to_right(c * r**p for c, p in terms))
+        assert same_bits(k.primitive(r), left_to_right(
+            c * r ** (p + 1.0) / (p + 1.0) for c, p in terms))
+        s = offset + r
+        shifted = recenter_modulus(k, offset)
+        assert same_bits(shifted(r), left_to_right([1.0 * k(s)]))
+        assert same_bits(shifted.primitive(r),
+                         left_to_right([1.0 * (k.primitive(s) - k.primitive(offset))]))
+
+        parts = list(zip(weights, (PowerSumModulus((term,)) for term in terms)))
+        combined = combine_moduli([m for _, m in parts], [w for w, _ in parts])
+        assert same_bits(combined(r), left_to_right(w * m(r) for w, m in parts))
+        assert same_bits(combined.primitive(r), left_to_right(
+            w * (m.primitive(r) - m.primitive(0.0)) for w, m in parts))
+        shifted = recenter_modulus(combined, offset)
+        assert same_bits(shifted(r), left_to_right(w * m(s) for w, m in parts))
+        assert same_bits(shifted.primitive(r), left_to_right(
+            w * (m.primitive(s) - m.primitive(offset)) for w, m in parts))

@@ -50,15 +50,27 @@ def _scaled_config(tmp_path):
     return ["analyze", "--config", str(path)]
 
 
+def _tabulated_config(tmp_path):
+    config = {"kind": "scalar_profile", "center_shift": 0.1, "radius": 1.0,
+              "modulus": {"type": "tabulated", "abscissae": [0.0, 0.3, 0.7, 1.0],
+                          "ordinates": [0.1, 0.25, 0.5, 0.9]}}
+    path = tmp_path / "tabulated.json"
+    path.write_text(json.dumps(config))
+    return ["solve", "--config", str(path)]
+
+
 # (arguments, combine_moduli spans, tabulated-modulus nodes) of one traced run;
-# the urysohn and composition presets declare convex moduli, sampled at 33 radii
+# the urysohn and composition presets declare convex moduli, sampled at 33
+# radii; a tabulated scalar profile is read from its config, not tabulated,
+# and the traced modulus wraps it directly
 @pytest.mark.parametrize("make_args,combines,table_nodes", [
     (lambda tmp_path: ["solve", "--preset", "hammerstein-separable"], 1, 0),
     (_scaled_config, 1, 0),   # combine_moduli([m], [scale]) of the wrapped modulus
     (lambda tmp_path: ["analyze", "--preset", "urysohn"], 0, 33),
     (lambda tmp_path: ["analyze", "--preset", "composition"], 0, 33),
+    (_tabulated_config, 0, 0),
 ], ids=["solve-preset", "analyze-modulus-scale", "analyze-urysohn",
-        "analyze-composition"])
+        "analyze-composition", "solve-tabulated"])
 def test_traced_run_writes_the_untraced_document(tmp_path, make_args, combines,
                                                  table_nodes):
     tracing = _load_tracing()

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +25,15 @@ __all__ = [
 
 _ZAANEN_SWEEPS = 50
 _BLOCK_ELEMENTS = 2**17  # a sampler's block of float64 values: 1 MiB, cache-sized
+# on a 2-vCPU host, a `product` row pass sampled on two threads took 0.42 ms
+# at n = 513 against 0.36 ms on one, and gained from n ~ 700
+_SPLIT_ROWS = 768
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _uniform_nodes(lower: float, upper: float, n: int) -> tuple[np.ndarray, float]:
@@ -146,7 +157,9 @@ class KernelTable:
     read-only C-contiguous array that the table alone owns: the values given
     are copied, and the sampling constructors fill an array of their own.
     An _unsampled table samples its kernel only when values is first read;
-    until then _row_pass reads it a block of rows at a time."""
+    until then _row_pass reads it a block of rows at a time, on two threads
+    at once from _SPLIT_ROWS rows, so its kernel must be safe to call from
+    two threads (the registry's numpy expressions are)."""
 
     grid: Grid
     values: np.ndarray
@@ -196,25 +209,62 @@ class KernelTable:
         _BLOCK_ELEMENTS values, the last taking the remainder: slices of the
         stored values, else the kernel sampled, C-contiguous and checked
         finite.  One-thread gemv takes rows four at a time, so each row keeps
-        the bits of the whole product (a one-row block would go to dot)."""
+        the bits of the whole product (a one-row block would go to dot).
+
+        An unsampled table of _SPLIT_ROWS rows or more, with two CPUs usable,
+        is sampled on two threads in blocks of half that size: the first
+        block on the calling thread, then the second half of the other rows
+        on one thread of its own while the calling thread reads the first
+        half; the pass joins it before returning, and raises the error of the
+        first failing block in row order.  Stored rows are read on the
+        calling thread alone, since gemv holds the GIL."""
         n = self.grid.n
-        rows = max(64, _BLOCK_ELEMENTS // n // 64 * 64)
-        edges = [*range(0, max(n // rows, 1) * rows, rows), n]
         stored = self.__dict__.get("values")
+        split = stored is None and n >= _SPLIT_ROWS and _usable_cpus() >= 2
+        rows = max(64, _BLOCK_ELEMENTS // (2 if split else 1) // n // 64 * 64)
+        edges = [*range(0, max(n // rows, 1) * rows, rows), n]
         t, s = self.grid.nodes[:, None], self.grid.nodes[None, :]
         sample = None if stored is not None else _mesh_callback(self._kernel)
         sums = None if weights is None else np.empty(n)
         image = np.empty(n)
-        for i, j in zip(edges, edges[1:]):
-            if sample is None:
-                block = stored[i:j]
-            else:
-                block = np.ascontiguousarray(sample(t[i:j], s))
-                if not np.all(np.isfinite(block)):
-                    raise ValueError("kernel values must be finite")
-            if sums is not None:
-                np.matmul(_absolute(block), weights, out=sums[i:j])
-            np.matmul(block, u, out=image[i:j])
+
+        def read(first: int, stop: int) -> None:
+            for i, j in zip(edges[first:stop], edges[first + 1:stop + 1]):
+                if sample is None:
+                    block = stored[i:j]
+                else:
+                    block = np.ascontiguousarray(sample(t[i:j], s))
+                    if not np.all(np.isfinite(block)):
+                        raise ValueError("kernel values must be finite")
+                if sums is not None:
+                    np.matmul(_absolute(block), weights, out=sums[i:j])
+                np.matmul(block, u, out=image[i:j])
+                # dropped before the next block is sampled, whose array can
+                # then reuse its memory
+                del block
+
+        blocks = len(edges) - 1
+        if not split:
+            read(0, blocks)
+            return sums, image
+        read(0, 1)
+        middle = 1 + blocks // 2
+        errors = []
+
+        def read_second_half() -> None:
+            try:
+                read(middle, blocks)
+            except BaseException as exc:  # raised on the calling thread below
+                errors.append(exc)
+
+        worker = threading.Thread(target=read_second_half)
+        worker.start()
+        try:
+            read(1, middle)
+        finally:
+            worker.join()
+        if errors:
+            raise errors.pop()
         return sums, image
 
     def _with_factors(self, phi, psi) -> "KernelTable":

@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,7 @@ from .presets import (
     LP_NONLINEARITIES,
     NONLINEARITIES,
     URYSOHN_KERNELS,
+    _FACTOR_ERRORS,
     _KERNEL_FACTORS,
     get_preset,
     preset_names,
@@ -153,7 +154,10 @@ def _build_grid(config: dict) -> Grid:
     return getattr(Grid, rule)(float(interval[0]), float(interval[1]), n)
 
 
-def _resolve_kernel(term: dict, grid: Grid):
+def _resolve_kernel(term: dict, grid: Grid, sampled: bool = True):
+    """The term's kernel as a table on grid.  A registry kernel with exact
+    factors carries them; unless sampled, it is a table of factors alone,
+    which the sup build reads without calling the kernel."""
     if "kernel_csv" in term:
         path = Path(term["kernel_csv"])
         if not path.exists():
@@ -165,8 +169,11 @@ def _resolve_kernel(term: dict, grid: Grid):
         factors = _KERNEL_FACTORS[kernel](grid.nodes)
         if factors is None:
             return KernelTable.from_function(grid, fn)
-        # builds read it a block of rows at a time, Zaanen sweeps it whole
-        return KernelTable._unsampled(grid, fn)._with_factors(*factors)
+        if not sampled:
+            return KernelTable._from_factors(grid, *factors, *_FACTOR_ERRORS[kernel])
+        # the L_p build's Zaanen estimate and first image read the samples
+        return KernelTable.from_function(grid, fn)._with_factors(
+            *factors, *_FACTOR_ERRORS[kernel])
     if isinstance(kernel, list):
         return KernelTable(grid, _numbers(term, "kernel"))
     _fail("each term needs a 'kernel' (name or matrix) or 'kernel_csv'")
@@ -217,7 +224,7 @@ def _hammerstein_c(config: dict, radius: float):
     def make_term(term: dict) -> HammersteinTerm:
         _check_keys(term, _TERM_KEYS, "term")
         fn, modulus = _lookup(NONLINEARITIES, term.get("nonlinearity"), "nonlinearity")
-        return HammersteinTerm(_resolve_kernel(term, grid), fn, modulus)
+        return HammersteinTerm(_resolve_kernel(term, grid, sampled=False), fn, modulus)
 
     spec = _hammerstein_spec(config, grid, make_term)
     handle = build_hammerstein_sup(spec, grid, radius, center=_center(config))
@@ -303,6 +310,7 @@ def _build_problem(config: dict) -> dict:
             old = handle.profile
             profile = MajorantProfile(old.center_shift,
                                       combine_moduli([old.modulus], [scale]), old.radius)
+            profile = replace(profile, center_shift_low=old.center_shift_low)
             handle = OperatorHandle(handle.apply, handle.center, handle.norm, profile)
     except (TypeError, ValueError, OverflowError) as exc:
         _fail(f"invalid {kind} config: {exc}")

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,15 +23,6 @@ __all__ = [
 
 _ZAANEN_SWEEPS = 50
 _BLOCK_ELEMENTS = 2**17  # a sampler's block of float64 values: 1 MiB, cache-sized
-# on a 2-vCPU host, a `product` row pass sampled on two threads took 0.42 ms
-# at n = 513 against 0.36 ms on one, and gained from n ~ 700
-_SPLIT_ROWS = 768
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _uniform_nodes(lower: float, upper: float, n: int) -> tuple[np.ndarray, float]:
@@ -156,13 +145,12 @@ class KernelTable:
     """Kernel samples z(t_i, s_l) on the square of one grid, held in a
     read-only C-contiguous array that the table alone owns: the values given
     are copied, and the sampling constructors fill an array of their own.
-    An _unsampled table samples its kernel only when values is first read;
-    until then _row_pass reads it a block of rows at a time, on two threads
-    at once from _SPLIT_ROWS rows, so its kernel must be safe to call from
-    two threads (the registry's numpy expressions are)."""
+    A table made by _from_factors holds no samples (values is None): it
+    carries the exact factors of its kernel, which the sup build and the
+    iterates read instead."""
 
     grid: Grid
-    values: np.ndarray
+    values: np.ndarray | None
 
     def __post_init__(self, copy: bool = True):
         values = (np.array if copy else np.asarray)(self.values, dtype=float, order="C")
@@ -183,101 +171,55 @@ class KernelTable:
         table.__post_init__(copy=False)
         return table
 
-    # (phi, psi) of a kernel with exact factors, see _with_factors
+    # (phi, psi) of a kernel with exact factors, and their declared error
+    # (rounding, remainder), see _with_factors
     _factors = None
-    # the kernel function of an _unsampled table
-    _kernel = None
-
-    @classmethod
-    def _unsampled(cls, grid: Grid, fn) -> "KernelTable":
-        """A table of fn on grid, sampled by from_function when read."""
-        table = object.__new__(cls)
-        table.__dict__.update(grid=grid, _kernel=fn)
-        return table
-
-    def __getattr__(self, name):
-        # called only for a missing attribute: the values of an _unsampled table
-        if name != "values" or self._kernel is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__["values"] = type(self).from_function(self.grid, self._kernel).values
-        return self.values
+    _factor_error = (0.0, 0.0)
 
     def _row_pass(self, u: np.ndarray, weights: np.ndarray | None = None
                   ) -> tuple[np.ndarray | None, np.ndarray]:
         """(|Z| weights, Z u) for the samples Z, or (None, Z u) without
-        weights, in one pass over blocks of a multiple of 64 rows and about
-        _BLOCK_ELEMENTS values, the last taking the remainder: slices of the
-        stored values, else the kernel sampled, C-contiguous and checked
-        finite.  One-thread gemv takes rows four at a time, so each row keeps
-        the bits of the whole product (a one-row block would go to dot).
-
-        An unsampled table of _SPLIT_ROWS rows or more, with two CPUs usable,
-        is sampled on two threads in blocks of half that size: the first
-        block on the calling thread, then the second half of the other rows
-        on one thread of its own while the calling thread reads the first
-        half; the pass joins it before returning, and raises the error of the
-        first failing block in row order.  Stored rows are read on the
-        calling thread alone, since gemv holds the GIL."""
-        n = self.grid.n
-        stored = self.__dict__.get("values")
-        split = stored is None and n >= _SPLIT_ROWS and _usable_cpus() >= 2
-        rows = max(64, _BLOCK_ELEMENTS // (2 if split else 1) // n // 64 * 64)
+        weights, in one pass over blocks of the stored rows, each a multiple
+        of 64 rows and about _BLOCK_ELEMENTS values, the last taking the
+        remainder.  One-thread gemv takes rows four at a time, so each row
+        keeps the bits of the whole product (a one-row block would go to
+        dot), and no block makes an n x n temporary."""
+        n, values = self.grid.n, self.values
+        rows = max(64, _BLOCK_ELEMENTS // n // 64 * 64)
         edges = [*range(0, max(n // rows, 1) * rows, rows), n]
-        t, s = self.grid.nodes[:, None], self.grid.nodes[None, :]
-        sample = None if stored is not None else _mesh_callback(self._kernel)
         sums = None if weights is None else np.empty(n)
         image = np.empty(n)
-
-        def read(first: int, stop: int) -> None:
-            for i, j in zip(edges[first:stop], edges[first + 1:stop + 1]):
-                if sample is None:
-                    block = stored[i:j]
-                else:
-                    block = np.ascontiguousarray(sample(t[i:j], s))
-                    if not np.all(np.isfinite(block)):
-                        raise ValueError("kernel values must be finite")
-                if sums is not None:
-                    np.matmul(_absolute(block), weights, out=sums[i:j])
-                np.matmul(block, u, out=image[i:j])
-                # dropped before the next block is sampled, whose array can
-                # then reuse its memory
-                del block
-
-        blocks = len(edges) - 1
-        if not split:
-            read(0, blocks)
-            return sums, image
-        read(0, 1)
-        middle = 1 + blocks // 2
-        errors = []
-
-        def read_second_half() -> None:
-            try:
-                read(middle, blocks)
-            except BaseException as exc:  # raised on the calling thread below
-                errors.append(exc)
-
-        worker = threading.Thread(target=read_second_half)
-        worker.start()
-        try:
-            read(1, middle)
-        finally:
-            worker.join()
-        if errors:
-            raise errors.pop()
+        for i, j in zip(edges, edges[1:]):
+            if sums is not None:
+                np.matmul(_absolute(values[i:j]), weights, out=sums[i:j])
+            np.matmul(values[i:j], u, out=image[i:j])
         return sums, image
 
-    def _with_factors(self, phi, psi) -> "KernelTable":
-        """A table around the same samples (or the same unsampled kernel),
-        uncopied, that carries read-only copies of phi and psi, each (n, r):
-        only for factors whose product phi @ psi.T is the sampled kernel up
-        to rounding, as the registry derives them (presets._KERNEL_FACTORS)."""
-        factors = tuple(np.array(f, dtype=float) for f in (phi, psi))
+    def _with_factors(self, phi, psi, rounding: float = 0.0,
+                      remainder: float = 0.0) -> "KernelTable":
+        """A table around the same samples, uncopied, that carries read-only
+        copies of phi and psi, each (n, r): only for factors of the kernel k
+        as the registry derives them (presets._KERNEL_FACTORS), for which
+        |k(t_i, s_l) - sum_j phi_j(t_i) psi_j(s_l)| <= remainder at every
+        node pair with the exact factors, and each stored factor entry lies
+        within rounding times its magnitude of the exact one."""
+        # one copy where psi is phi (exp_product), which the sup build then
+        # transposes once
+        factors = tuple(np.array(f, dtype=float) for f in (phi, psi)[:1 + (psi is not phi)])
         for f in factors:
             f.setflags(write=False)
         table = object.__new__(type(self))
-        table.__dict__.update(self.__dict__, _factors=factors)
+        table.__dict__.update(self.__dict__, _factors=(factors[0], factors[-1]),
+                              _factor_error=(float(rounding), float(remainder)))
         return table
+
+    @classmethod
+    def _from_factors(cls, grid: Grid, phi, psi, rounding: float = 0.0,
+                      remainder: float = 0.0) -> "KernelTable":
+        """A table of factors alone, with no samples (see _with_factors)."""
+        table = object.__new__(cls)
+        table.__dict__.update(grid=grid, values=None)
+        return table._with_factors(phi, psi, rounding, remainder)
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "KernelTable":

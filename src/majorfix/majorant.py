@@ -55,18 +55,27 @@ class MajorantProfile:
     """Displacement, modulus and ball radius defining the majorant pair.
 
     center_shift is a = ||A x0 - x0||; radius is the R of the ball on which
-    the modulus is valid.  upper/lower always satisfy
+    the modulus is valid.  Where a is only known to lie in an interval,
+    center_shift is its upper end and center_shift_low its lower end, which
+    the lower majorant (and so the inner radius) takes; None means a is
+    center_shift itself, and upper/lower then satisfy
     upper(r) + lower(r) == 2 * center_shift.
     """
 
     center_shift: float
     modulus: LipschitzModulus
     radius: float
+    center_shift_low: float | None = None
 
     def __post_init__(self):
         a, R = float(self.center_shift), float(self.radius)
         if not math.isfinite(a) or a < 0.0:
             raise ValueError(f"center_shift must be finite and >= 0, got {a!r}")
+        if self.center_shift_low is not None:
+            low = float(self.center_shift_low)
+            if not 0.0 <= low <= a:
+                raise ValueError(f"center_shift_low must lie in [0, {a!r}], got {low!r}")
+            object.__setattr__(self, "center_shift_low", low)
         if not math.isfinite(R) or R <= 0.0:
             raise ValueError(f"radius must be finite and > 0, got {R!r}")
         end = self.modulus.domain_end()
@@ -101,9 +110,14 @@ class MajorantProfile:
         """a + K(r)."""
         return self.center_shift + self.modulus_integral(r)
 
+    @property
+    def shift_low(self) -> float:
+        """The lower end of a: center_shift_low, else center_shift."""
+        return self.center_shift if self.center_shift_low is None else self.center_shift_low
+
     def lower(self, r: float) -> float:
-        """a - K(r)."""
-        return self.center_shift - self.modulus_integral(r)
+        """a - K(r), with a at its lower end."""
+        return self.shift_low - self.modulus_integral(r)
 
 
 @dataclass(frozen=True)
@@ -204,7 +218,7 @@ class ZoneReport:
 def eval_majorants(profile: MajorantProfile, r: float) -> tuple[float, float]:
     """Evaluate (upper, lower) at radius r in [0, R]."""
     integral = profile.modulus_integral(r)
-    return profile.center_shift + integral, profile.center_shift - integral
+    return profile.center_shift + integral, profile.shift_low - integral
 
 
 def _resolution(profile: MajorantProfile) -> float:
@@ -293,12 +307,13 @@ def find_inner_radius(profile: MajorantProfile) -> float:
 
     lower(r) - r is strictly decreasing (slope -k(r) - 1 <= -1), so the
     bisection bracket [0, min(a, R)] is certified whenever the profile is
-    in the existence regime (a <= convergence_radius <= R).
+    in the existence regime (a <= convergence_radius <= R).  The bracket
+    takes a's upper end, so its midpoints do not depend on the lower end,
+    which only the predicate reads.
     """
-    a = profile.center_shift
-    if a == 0.0:
+    if profile.shift_low == 0.0:
         return 0.0
-    hi = min(a, profile.radius)
+    hi = min(profile.center_shift, profile.radius)
     if profile.lower(hi) - hi > 0.0:
         raise ValueError(
             "lower majorant has no root on [0, R]; profile outside the "

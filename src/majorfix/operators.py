@@ -15,12 +15,16 @@ one at 33 radii under its second-order chord.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .discretize import _BLOCK_ELEMENTS, Grid, KernelTable, _mesh_callback, lp_norm
+from ._enclose import (TINY, U, add_up, factored_rows, inflate, max_dot, mul_up, row_sums,
+                       two_sum)
+from .discretize import (_BLOCK_ELEMENTS, Grid, KernelTable, _absolute, _mesh_callback,
+                         lp_norm)
 from .iteration import OperatorHandle, make_operator
 from .majorant import MajorantProfile
 from .moduli import (
@@ -220,14 +224,89 @@ def _product(table: KernelTable) -> Callable[[np.ndarray], np.ndarray]:
     return lambda v: phi @ (psi.T @ v)
 
 
+def _factored_pass(table: KernelTable, weights: np.ndarray, v: np.ndarray,
+                   budget) -> tuple[float, np.ndarray, np.ndarray]:
+    """(knorm, y, errors) of a table with factors (phi, psi) and declared
+    error (rounding e, remainder tau), read without its kernel: knorm bounds
+    the row sums max_i sum_l |w_l k(t_i, s_l)| from above, and
+    |sum_l w_l k(t_i, s_l) v_l - y_i| <= errors_i for the float v.
+
+    The exact factors lie within (1 + e) of the stored ones entrywise, so
+    the kernel lies within g sum_j |phi_j psi_j| + tau of phi psi^T, with
+    g = (1 + e)^2 - 1.  The row sums are then at most
+    (1 + g) max_i sum_j |phi_ij| sum_l |psi_lj| |w_l| + tau sum_l |w_l|.
+    The image is summed from z = fl(w v), which lies within u |z| of w v
+    (or loses < TINY where a product underflows), so each term is within
+    g + u (1 + g) of its float; budget maps the float y to the error that
+    may stay a priori (see _enclose.factored_rows)."""
+    # (r, n) arrays, so that each sum over l runs along a contiguous row
+    phi, psi = table._factors
+    phi_t = np.ascontiguousarray(phi.T)
+    psi_t = phi_t if psi is phi else np.ascontiguousarray(psi.T)
+    rounding, remainder = table._factor_error
+    g = float(mul_up(rounding, add_up(2.0, rounding)))
+    w = np.abs(weights)
+    absolute = _absolute(phi_t)
+    scale = np.max(absolute, axis=1)
+    terms = _absolute(psi_t) * w
+    # about an ulp of the largest row sum, which no row exceeds
+    sums, errors, _ = row_sums(terms, scale, U * float(scale @ terms.sum(axis=1)))
+    # the products |psi_jl| w_l err by at most u times themselves, or lose
+    # < TINY where they underflow
+    sums = add_up(sums, errors)
+    top = max_dot(absolute, add_up(sums, mul_up(sums, U)), w.size * TINY)
+    tails = mul_up(remainder, inflate(w.sum(), w.size - 1))
+    knorm = float(add_up(add_up(top, mul_up(top, g)), tails))
+
+    z = weights * v
+    if not np.any(z):
+        return knorm, np.zeros(z.size), np.zeros(z.size)
+    relative = float(add_up(g, mul_up(2.0 * U, add_up(1.0, g))))
+    y, errors = factored_rows(phi_t, psi_t, z, budget, relative)
+    # tau (1 + u) on sum |z|, and an underflowing w_l v_l, scaled by the
+    # largest |k|
+    scales = scale * np.max(np.abs(psi_t), axis=1)
+    kmax = add_up(mul_up(add_up(1.0, g), inflate(scales.sum(), scales.size)), remainder)
+    extra = add_up(mul_up(mul_up(remainder, 1.0 + 2.0 * U), inflate(np.abs(z).sum(), z.size)),
+                   mul_up(np.count_nonzero(v) * TINY, kmax))
+    return knorm, y, add_up(errors, extra)
+
+
+def _center_shift_bounds(fvec, lam: float, x0, images, errors) -> tuple[float, float]:
+    """Upper and lower bounds on a = max_i |f + lam sum_k Y_k - x0|_i, where
+    each exact image Y_k lies within errors[k] of the float images[k]
+    (errors[k] None: the image is taken as exact).  The sums are the apply's
+    own, and TwoSum gives each one's rounding exactly, so exact images give
+    the float a itself, twice."""
+    out, slack = fvec, np.zeros_like(fvec)
+    for y, error in zip(images, errors):
+        p = lam * y
+        # |lam y - p| <= u |p|, or < TINY where the product underflows
+        slack = add_up(slack, np.where(y != 0.0, add_up(mul_up(np.abs(p), U), TINY), 0.0))
+        if error is not None:
+            slack = add_up(slack, mul_up(abs(lam), error))
+        out, low = two_sum(out, p)
+        slack = add_up(slack, np.abs(low))
+    d, low = two_sum(out, -x0)
+    slack = add_up(slack, np.abs(low))
+    # |d| - slack rounded down is -(slack - |d|) rounded up
+    floor = -add_up(slack, -np.abs(d))
+    return float(np.max(add_up(np.abs(d), slack))), max(float(np.max(floor)), 0.0)
+
+
 def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
                     norm, radius: float, center) -> OperatorHandle:
     """x -> f + lambda * sum_j K_j (w * h_j(x)) with modulus
     |lambda| * sum_j knorms_j * h_j(r), h_j the terms' moduli, recentered
     on x0, and knorms None for the row sums max_i sum_l w_l |k_j(t_i, s_l)|.
-    One row pass over each table gives those and K_j (w * h_j(x0)), from
-    which a is measured in the apply's own order; the apply reads each K_j
-    through its factors where its table carries them, else whole."""
+
+    Without knorms, a table with factors is read through them alone
+    (_factored_pass): its row sums are bounded from above, and a from both
+    sides, the lower end for the inner radius.
+    Any other table is read in one row pass over its samples, which gives
+    its row sums rounded to nearest and K_j (w * h_j(x0)); where every table
+    is read so, a is measured in the apply's own order.  The apply reads
+    each K_j through its factors where its table carries them, else whole."""
     x0 = _resolve_center(center, grid)
     if callable(spec.forcing):
         fvec = _mesh_callback(spec.forcing)(grid.nodes)
@@ -237,10 +316,24 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
         raise ValueError("forcing array length does not match the grid")
     hs = [_mesh_callback(term.nonlinearity) for term in spec.terms]
     weights, lam = grid.weights, spec.lam
-    passes = [table._row_pass(weights * h(x0), weights if knorms is None else None)
-              for table, h in zip(tables, hs)]
+
+    def budget(y: np.ndarray) -> float:
+        # what an image may leave a priori: about an ulp of a over |lambda|
+        return U * _sup_norm(fvec + lam * y - x0) / abs(lam) if lam else math.inf
+
+    sums, images, errors = [], [], []
+    for table, h in zip(tables, hs):
+        if knorms is None and table._factors is not None:
+            knorm, image, error = _factored_pass(table, weights, h(x0), budget)
+        else:
+            rows, image = table._row_pass(weights * h(x0),
+                                          weights if knorms is None else None)
+            knorm, error = None if rows is None else float(np.max(rows)), None
+        sums.append(knorm)
+        images.append(image)
+        errors.append(error)
     if knorms is None:
-        knorms = [float(np.max(sums)) for sums, _ in passes]
+        knorms = sums
     modulus = combine_moduli([term.modulus for term in spec.terms],
                              [abs(lam) * kn for kn in knorms])
     shift = norm(x0)
@@ -258,9 +351,12 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
     def apply(x: np.ndarray) -> np.ndarray:
         return combine(product(weights * h(x)) for product, h in zip(products, hs))
 
-    handle = make_operator(lambda x: combine(image for _, image in passes), x0, norm,
-                           modulus, radius)
-    return replace(handle, apply=apply)
+    if all(error is None for error in errors):
+        handle = make_operator(lambda x: combine(images), x0, norm, modulus, radius)
+        return replace(handle, apply=apply)
+    a, a_low = _center_shift_bounds(fvec, lam, x0, images, errors)
+    profile = MajorantProfile(a, modulus, float(radius), center_shift_low=a_low)
+    return OperatorHandle(apply, x0, norm, profile)
 
 
 def build_hammerstein_sup(spec: HammersteinSpec, grid: Grid, radius: float,
@@ -269,8 +365,9 @@ def build_hammerstein_sup(spec: HammersteinSpec, grid: Grid, radius: float,
 
     Kernel norms are row sums max_i sum_l w_l |k_j(t_i, s_l)| and the
     modulus is |lambda| * sum_j ||K_j|| * h_j(r), with h_j each term's
-    scalar modulus.  An unsampled table with factors is never sampled
-    whole: one row pass gives its norm and a, the iterates read the factors.
+    scalar modulus.  A table with factors is read through them alone, and
+    never calls its kernel: its row sums are bounded from above and a from
+    both sides, with h_j(x0) and f taken as given (see _factored_pass).
     """
     tables = [_sample_kernel(term.kernel, grid) for term in spec.terms]
     return _nystrom_handle(spec, grid, tables, None, _sup_norm, radius, center)

@@ -51,6 +51,18 @@ _KERNEL_FACTORS = {
     "exp_product": _exp_product_factors,
 }
 
+# kernel name -> (rounding, remainder) of its factors (see
+# KernelTable._with_factors).  product and one are exact.  An exp_product
+# entry t^j / sqrt(j!) takes four roundings: pow within one ulp (2u, as
+# libm's pow is taken to be), j! (u, halved by sqrt), sqrt and the division
+# (u each), 4.5u in all, to first order; its Taylor remainder is at most
+# e/26! (see _exp_product_factors), which the float e/26! bounds with room.
+_FACTOR_ERRORS = {
+    "product": (0.0, 0.0),
+    "one": (0.0, 0.0),
+    "exp_product": (5.0 * 2.0**-53, math.e / math.factorial(26)),
+}
+
 # nonlinearity name -> (h, scalar modulus of h on |u| <= r)
 NONLINEARITIES = {
     "square": (lambda u: u**2, PowerSumModulus(((2.0, 1.0),))),

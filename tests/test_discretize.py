@@ -346,20 +346,14 @@ class TestKernelSampling:
         held[0][:] = -1.0
         assert np.array_equal(table.values, grid.nodes[:, None] * grid.nodes)
 
-    def test_unsampled_table_samples_once_when_values_are_read(self):
+    def test_table_of_factors_holds_no_samples(self):
         grid = Grid.simpson(0.0, 1.0, 11)
-        calls = []
-
-        def kernel(t, s):
-            calls.append(t.shape)
-            return t * s
-
         column = grid.nodes[:, None]
-        table = KernelTable._unsampled(grid, kernel)._with_factors(column, column)
-        assert calls == [] and table._factors is not None
-        values = table.values
-        assert values is table.values and len(calls) == 1
-        assert np.array_equal(values, column * grid.nodes) and not values.flags.writeable
+        table = KernelTable._from_factors(grid, column, column, 2.0**-52, 1e-20)
+        assert table.values is None and table.grid is grid
+        phi, psi = table._factors
+        assert phi is psi and not phi.flags.writeable
+        assert np.array_equal(phi, column) and table._factor_error == (2.0**-52, 1e-20)
         with pytest.raises(AttributeError, match="'missing'"):
             table.missing
 

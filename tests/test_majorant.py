@@ -149,6 +149,25 @@ class TestInnerRadius:
         expected = (math.sqrt(1.75) - 1.0) / 2.0
         assert find_inner_radius(QUAD) == pytest.approx(expected, abs=1e-10)
 
+    def test_takes_the_lower_end_of_a(self):
+        # a known within [0.15, 0.1875]: the inner radius and the lower
+        # majorant take 0.15, the upper majorant and its radii 0.1875; the
+        # inner radius is bisected on [0, 0.1875], so it lies below the
+        # root for 0.15 within a bracket, not on the same bits
+        wide = MajorantProfile(0.1875, QUAD.modulus, 1.0, center_shift_low=0.15)
+        low = quad_profile(0.15)
+        inner = find_inner_radius(wide)
+        assert low.lower(inner) - inner > 0.0
+        assert abs(inner - find_inner_radius(low)) <= majorant._TOL
+        assert eval_majorants(wide, 0.3) == (QUAD.upper(0.3), low.lower(0.3))
+        assert analyze(wide).convergence_radius == analyze(QUAD).convergence_radius
+        assert analyze(wide).inner_radius == inner
+
+    @pytest.mark.parametrize("low", [-0.1, 0.2, math.nan])
+    def test_lower_end_of_a_within_zero_and_a(self, low):
+        with pytest.raises(ValueError, match="center_shift_low"):
+            MajorantProfile(0.1875, QUAD.modulus, 1.0, center_shift_low=low)
+
 
 class TestUniquenessRadius:
     def test_open_at_second_root(self):

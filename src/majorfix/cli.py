@@ -154,10 +154,10 @@ def _build_grid(config: dict) -> Grid:
     return getattr(Grid, rule)(float(interval[0]), float(interval[1]), n)
 
 
-def _resolve_kernel(term: dict, grid: Grid, sampled: bool = True):
+def _resolve_kernel(term: dict, grid: Grid):
     """The term's kernel as a table on grid.  A registry kernel with exact
-    factors carries them; unless sampled, it is a table of factors alone,
-    which the sup build reads without calling the kernel."""
+    factors is a table of factors alone, which the builds read without
+    calling the kernel."""
     if "kernel_csv" in term:
         path = Path(term["kernel_csv"])
         if not path.exists():
@@ -169,11 +169,7 @@ def _resolve_kernel(term: dict, grid: Grid, sampled: bool = True):
         factors = _KERNEL_FACTORS[kernel](grid.nodes)
         if factors is None:
             return KernelTable.from_function(grid, fn)
-        if not sampled:
-            return KernelTable._from_factors(grid, *factors, *_FACTOR_ERRORS[kernel])
-        # the L_p build's Zaanen estimate and first image read the samples
-        return KernelTable.from_function(grid, fn)._with_factors(
-            *factors, *_FACTOR_ERRORS[kernel])
+        return KernelTable._from_factors(grid, *factors, *_FACTOR_ERRORS[kernel])
     if isinstance(kernel, list):
         return KernelTable(grid, _numbers(term, "kernel"))
     _fail("each term needs a 'kernel' (name or matrix) or 'kernel_csv'")
@@ -224,7 +220,7 @@ def _hammerstein_c(config: dict, radius: float):
     def make_term(term: dict) -> HammersteinTerm:
         _check_keys(term, _TERM_KEYS, "term")
         fn, modulus = _lookup(NONLINEARITIES, term.get("nonlinearity"), "nonlinearity")
-        return HammersteinTerm(_resolve_kernel(term, grid, sampled=False), fn, modulus)
+        return HammersteinTerm(_resolve_kernel(term, grid), fn, modulus)
 
     spec = _hammerstein_spec(config, grid, make_term)
     handle = build_hammerstein_sup(spec, grid, radius, center=_center(config))
@@ -251,8 +247,11 @@ def _hammerstein_lp(config: dict, radius: float):
         elif q <= 1.0:
             _fail("Zaanen estimation needs q > 1; supply 'zaanen_norm' for this term")
         else:
+            # the estimate reads samples, which a table of factors lacks
+            sampled = (kernel if kernel.values is not None
+                       else KernelTable.from_function(grid, KERNELS[term["kernel"]]))
             norms.append(_ZAANEN_INFLATION
-                         * zaanen_norm_estimate(kernel, q, p / (p - 1.0)))
+                         * zaanen_norm_estimate(sampled, q, p / (p - 1.0)))
         return HammersteinTerm(kernel, fn, modulus)
 
     spec = _hammerstein_spec(config, grid, make_term)

@@ -146,7 +146,7 @@ class KernelTable:
     read-only C-contiguous array that the table alone owns: the values given
     are copied, and the sampling constructors fill an array of their own.
     A table made by _from_factors holds no samples (values is None): it
-    carries the exact factors of its kernel, which the sup build and the
+    carries the exact factors of its kernel, which the builds and the
     iterates read instead."""
 
     grid: Grid
@@ -172,32 +172,29 @@ class KernelTable:
         return table
 
     # (phi, psi) of a kernel with exact factors, and their declared error
-    # (rounding, remainder), see _with_factors
+    # (rounding, remainder), see _from_factors
     _factors = None
     _factor_error = (0.0, 0.0)
 
-    def _row_pass(self, u: np.ndarray, weights: np.ndarray | None = None
-                  ) -> tuple[np.ndarray | None, np.ndarray]:
-        """(|Z| weights, Z u) for the samples Z, or (None, Z u) without
-        weights, in one pass over blocks of the stored rows, each a multiple
-        of 64 rows and about _BLOCK_ELEMENTS values, the last taking the
-        remainder.  One-thread gemv takes rows four at a time, so each row
-        keeps the bits of the whole product (a one-row block would go to
-        dot), and no block makes an n x n temporary."""
+    def _row_pass(self, weights: np.ndarray) -> np.ndarray:
+        """The row sums |Z| weights of the samples Z, in one pass over blocks
+        of the stored rows, each a multiple of 64 rows and about
+        _BLOCK_ELEMENTS values, the last taking the remainder.  One-thread
+        gemv takes rows four at a time, so each row keeps the bits of the
+        whole product (a one-row block would go to dot), and no block makes
+        an n x n temporary."""
         n, values = self.grid.n, self.values
         rows = max(64, _BLOCK_ELEMENTS // n // 64 * 64)
         edges = [*range(0, max(n // rows, 1) * rows, rows), n]
-        sums = None if weights is None else np.empty(n)
-        image = np.empty(n)
+        sums = np.empty(n)
         for i, j in zip(edges, edges[1:]):
-            if sums is not None:
-                np.matmul(_absolute(values[i:j]), weights, out=sums[i:j])
-            np.matmul(values[i:j], u, out=image[i:j])
-        return sums, image
+            np.matmul(_absolute(values[i:j]), weights, out=sums[i:j])
+        return sums
 
-    def _with_factors(self, phi, psi, rounding: float = 0.0,
+    @classmethod
+    def _from_factors(cls, grid: Grid, phi, psi, rounding: float = 0.0,
                       remainder: float = 0.0) -> "KernelTable":
-        """A table around the same samples, uncopied, that carries read-only
+        """A table of factors alone, with no samples, that carries read-only
         copies of phi and psi, each (n, r): only for factors of the kernel k
         as the registry derives them (presets._KERNEL_FACTORS), for which
         |k(t_i, s_l) - sum_j phi_j(t_i) psi_j(s_l)| <= remainder at every
@@ -208,18 +205,10 @@ class KernelTable:
         factors = tuple(np.array(f, dtype=float) for f in (phi, psi)[:1 + (psi is not phi)])
         for f in factors:
             f.setflags(write=False)
-        table = object.__new__(type(self))
-        table.__dict__.update(self.__dict__, _factors=(factors[0], factors[-1]),
+        table = object.__new__(cls)
+        table.__dict__.update(grid=grid, values=None, _factors=(factors[0], factors[-1]),
                               _factor_error=(float(rounding), float(remainder)))
         return table
-
-    @classmethod
-    def _from_factors(cls, grid: Grid, phi, psi, rounding: float = 0.0,
-                      remainder: float = 0.0) -> "KernelTable":
-        """A table of factors alone, with no samples (see _with_factors)."""
-        table = object.__new__(cls)
-        table.__dict__.update(grid=grid, values=None)
-        return table._with_factors(phi, psi, rounding, remainder)
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "KernelTable":

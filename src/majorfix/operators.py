@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -299,14 +299,15 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
     """x -> f + lambda * sum_j K_j (w * h_j(x)) with modulus
     |lambda| * sum_j knorms_j * h_j(r), h_j the terms' moduli, recentered
     on x0, and knorms None for the row sums max_i sum_l w_l |k_j(t_i, s_l)|.
+    The apply reads each K_j through its factors where its table carries
+    them, else whole.
 
     Without knorms, a table with factors is read through them alone
     (_factored_pass): its row sums are bounded from above, and a from both
-    sides, the lower end for the inner radius.
-    Any other table is read in one row pass over its samples, which gives
-    its row sums rounded to nearest and K_j (w * h_j(x0)); where every table
-    is read so, a is measured in the apply's own order.  The apply reads
-    each K_j through its factors where its table carries them, else whole."""
+    sides, the lower end for the inner radius, with any other table's image
+    taken as its product K_j (w * h_j(x0)).  Any other table's row sums are
+    read in one row pass over its samples, rounded to nearest.  Where no
+    table bounds a, a is the displacement of one apply (make_operator)."""
     x0 = _resolve_center(center, grid)
     if callable(spec.forcing):
         fvec = _mesh_callback(spec.forcing)(grid.nodes)
@@ -316,23 +317,22 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
         raise ValueError("forcing array length does not match the grid")
     hs = [_mesh_callback(term.nonlinearity) for term in spec.terms]
     weights, lam = grid.weights, spec.lam
+    products = [_product(table) for table in tables]
 
     def budget(y: np.ndarray) -> float:
         # what an image may leave a priori: about an ulp of a over |lambda|
         return U * _sup_norm(fvec + lam * y - x0) / abs(lam) if lam else math.inf
 
     sums, images, errors = [], [], []
-    for table, h in zip(tables, hs):
-        if knorms is None and table._factors is not None:
-            knorm, image, error = _factored_pass(table, weights, h(x0), budget)
-        else:
-            rows, image = table._row_pass(weights * h(x0),
-                                          weights if knorms is None else None)
-            knorm, error = None if rows is None else float(np.max(rows)), None
-        sums.append(knorm)
-        images.append(image)
-        errors.append(error)
     if knorms is None:
+        for table, h in zip(tables, hs):
+            if table._factors is not None:
+                knorm, image, error = _factored_pass(table, weights, h(x0), budget)
+            else:
+                knorm, image, error = float(np.max(table._row_pass(weights))), None, None
+            sums.append(knorm)
+            images.append(image)
+            errors.append(error)
         knorms = sums
     modulus = combine_moduli([term.modulus for term in spec.terms],
                              [abs(lam) * kn for kn in knorms])
@@ -340,20 +340,16 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
     if shift > 0.0:
         modulus = recenter_modulus(modulus, shift)
 
-    def combine(images) -> np.ndarray:
+    def apply(x: np.ndarray) -> np.ndarray:
         out = fvec.copy()
-        for y in images:
-            out += lam * y
+        for product, h in zip(products, hs):
+            out += lam * product(weights * h(x))
         return out
 
-    products = [_product(table) for table in tables]
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        return combine(product(weights * h(x)) for product, h in zip(products, hs))
-
     if all(error is None for error in errors):
-        handle = make_operator(lambda x: combine(images), x0, norm, modulus, radius)
-        return replace(handle, apply=apply)
+        return make_operator(apply, x0, norm, modulus, radius)
+    images = [product(weights * h(x0)) if image is None else image
+              for image, product, h in zip(images, products, hs)]
     a, a_low = _center_shift_bounds(fvec, lam, x0, images, errors)
     profile = MajorantProfile(a, modulus, float(radius), center_shift_low=a_low)
     return OperatorHandle(apply, x0, norm, profile)

@@ -52,7 +52,7 @@ _KERNEL_FACTORS = {
 }
 
 # kernel name -> (rounding, remainder) of its factors (see
-# KernelTable._with_factors).  product and one are exact.  An exp_product
+# KernelTable._from_factors).  product and one are exact.  An exp_product
 # entry t^j / sqrt(j!) takes four roundings: pow within one ulp (2u, as
 # libm's pow is taken to be), j! (u, halved by sqrt), sqrt and the division
 # (u each), 4.5u in all, to first order; its Taylor remainder is at most

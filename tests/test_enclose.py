@@ -142,7 +142,7 @@ def factored_table(name: str, grid: Grid) -> KernelTable:
     if name in SYNTHETIC:
         factors, rounding, remainder, _ = SYNTHETIC[name]
         return KernelTable._from_factors(grid, *factors(grid.nodes), rounding, remainder)
-    table = cli._resolve_kernel({"kernel": name}, grid, sampled=False)
+    table = cli._resolve_kernel({"kernel": name}, grid)
     assert table.values is None and table._factors is not None
     return table
 

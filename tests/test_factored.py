@@ -1,20 +1,22 @@
 """Registry kernels applied through their exact factors, phi @ (psi.T @ v).
 
 A CLI build hands each registry kernel that has factors
-(presets._KERNEL_FACTORS) to the builder with them: the sup build gets the
-factors alone and bounds its kernel norms and a from them
-(tests/test_enclose.py), the L_p build samples the kernel for its Zaanen
-estimate and first image, and the handle's apply reads K v through the
-factors.  The soundness gate: the factored product lies within the dense
+(presets._KERNEL_FACTORS) to the builder as a table of factors alone: the
+sup build bounds its kernel norms and a from them (tests/test_enclose.py),
+the L_p build samples a separate table only to estimate a Zaanen norm, and
+the handle's apply reads K v through the factors.  A build that does not
+bound a measures it with one call of its own apply.  The soundness gate: the factored product lies within the dense
 product's own rounding bound, |phi (psi^T v) - Z v| <= n u |Z| |v|
 elementwise with u = 2^-53, so an iterate is certified no less than a
 dense one.  The twin tests hold every certificate of a registry L_p build
-to its inline-matrix twin bit for bit, and those of a sup build to their
-safe side of the twin's, within a few ulps of the convergence radius.
+to its inline-matrix twin bit for bit where h(x0) = 0, and its a within a
+few ulps elsewhere, and those of a sup build to their safe side of the
+twin's, within a few ulps of the convergence radius.
 """
 
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 from majorfix import Grid, KernelTable, cli, operators
 from majorfix.cli import main
 from majorfix.majorant import _TOL
-from majorfix.presets import _KERNEL_FACTORS, KERNELS
+from majorfix.presets import _KERNEL_FACTORS, KERNELS, get_preset
 
 UNIT = 2.0**-53
 RULES = {"simpson": Grid.simpson, "trapezoid": Grid.trapezoid}
@@ -37,11 +39,14 @@ def registry_table(name: str, grid: Grid) -> KernelTable:
 
 @functools.lru_cache(maxsize=1)
 def gate_case(name, rule, n, interval):
-    """(n, |Z|, dense product, factored product) of one registry table;
-    one case is held at a time, since an n = 2001 table is 32 MiB."""
-    table = registry_table(name, RULES[rule](*interval, n))
+    """(n, |Z|, dense product, factored product) of one registry table and
+    a table sampled beside it; one case is held at a time, since an
+    n = 2001 table is 32 MiB."""
+    grid = RULES[rule](*interval, n)
+    table = registry_table(name, grid)
     assert table._factors is not None, f"{name} carries no factors on {interval}"
-    return (n, np.abs(table.values), functools.partial(np.matmul, table.values),
+    samples = KernelTable.from_function(grid, KERNELS[name]).values
+    return (n, np.abs(samples), functools.partial(np.matmul, samples),
             operators._product(table))
 
 
@@ -83,7 +88,7 @@ class TestSoundnessGate:
         # exp_product's table handed product's factors: t s is not exp(t s)
         grid = Grid.simpson(0.0, 1.0, 101)
         table = KernelTable.from_function(grid, KERNELS["exp_product"])
-        wrong = table._with_factors(*_KERNEL_FACTORS["product"](grid.nodes))
+        wrong = KernelTable._from_factors(grid, *_KERNEL_FACTORS["product"](grid.nodes))
         case = (grid.n, np.abs(table.values),
                 functools.partial(np.matmul, table.values), operators._product(wrong))
         assert len(violations(case, np.ones(grid.n))) == grid.n
@@ -116,10 +121,9 @@ class TestFactors:
 
     def test_factors_are_read_only_copies(self):
         grid = Grid.simpson(0.0, 1.0, 5)
-        table = KernelTable.from_function(grid, KERNELS["product"])
         phi = grid.nodes[:, None].copy()
-        factored = table._with_factors(phi, phi)
-        assert factored.values is table.values and table._factors is None
+        factored = KernelTable._from_factors(grid, phi, phi)
+        assert factored.values is None and factored._factors[0] is not phi
         assert not any(f.flags.writeable for f in factored._factors)
         phi[0, 0] = 7.0
         assert factored._factors[0][0, 0] == 0.0
@@ -156,10 +160,10 @@ def count_dense_applies(monkeypatch) -> list:
 
 
 class TestFactoredPathTaken:
-    # a factored sup build reads its kernel a block of rows at a time and
-    # iterates through the factors, so it never samples an n x n table nor
-    # makes a dense product; the L_p build samples its table once, for the
-    # Zaanen estimate, and iterates through the factors too
+    # a factored build reads its kernel's factors and iterates through
+    # them, so it makes no dense product; the sup build never samples an
+    # n x n table, and the L_p build samples one only for its Zaanen
+    # estimate
     @pytest.mark.parametrize("preset,sampled", [("hammerstein-separable", 0),
                                                 ("hammerstein-lp", 1)])
     @pytest.mark.parametrize("max_steps", ["3", "1000"])
@@ -176,7 +180,8 @@ class TestFactoredPathTaken:
         config = twin_configs("hammerstein_c", "exp_product", (0.0, 2.0))[0]
         tables, calls = count_samplings(monkeypatch), count_dense_applies(monkeypatch)
         doc = solve(tmp_path, config)
-        assert tables == [101] and len(calls) == len(doc["steps"])
+        # one apply measures a, and one makes each step
+        assert tables == [101] and len(calls) == len(doc["steps"]) + 1
 
 
 # kind -> (nonlinearity, lambda on [0, 1], lambda on [0, 2]); the L_p terms
@@ -218,8 +223,14 @@ BOUND_KEYS = ("n", "envelope_center", "envelope_start", "apriori_bound",
 # move to its safe side, by less than its bisection bracket _TOL; an
 # envelope r_n may only rise, by SUP_MOVED u r* at most (11 seen, for
 # exp_product); and a bound r* - r_n may fall by as much, since r* often
-# stays put.  L_p twins keep every bit.
+# stays put.
 SUP_MOVED = 16
+
+# An L_p build with h(x0) != 0 measures a through the factors, its twin
+# through the samples, so their a may part by LP_MOVED ulps (1 seen at
+# n = 101, up to 4 at n = 1001); where a keeps its bits, so does every
+# certificate.
+LP_MOVED = 4
 
 
 def assert_sup_twin(factored: dict, dense: dict) -> None:
@@ -245,23 +256,27 @@ def assert_sup_twin(factored: dict, dense: dict) -> None:
 
 
 class TestInlineTwins:
-    @pytest.mark.parametrize("kind", sorted(TWIN_KINDS))
+    @pytest.mark.parametrize("kind,x0", [("hammerstein_c", None), ("hammerstein_lp", None),
+                                         ("hammerstein_lp", 0.05), ("hammerstein_lp", 0.3)])
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    def test_certificates_keep_their_bits(self, tmp_path, kind, kernel):
+    def test_certificates_keep_their_bits(self, tmp_path, kind, x0, kernel):
         config, twin = twin_configs(kind, kernel, (0.0, 1.0))
+        if x0 is not None:
+            config["x0"] = twin["x0"] = x0
         handles = [cli._build_problem(c)["handle"] for c in (config, twin)]
-        shifts = [handle.profile.center_shift for handle in handles]
-        assert shifts[0] == shifts[1] > 0.0
+        a, twin_a = (handle.profile.center_shift for handle in handles)
+        assert twin_a > 0.0
+        assert abs(a - twin_a) <= (0 if x0 is None else LP_MOVED) * math.ulp(twin_a)
         factored, dense = solve(tmp_path, config, "factored"), solve(tmp_path, twin, "dense")
         assert factored["status"] == dense["status"] == "converged"
         assert len(factored["steps"]) == len(dense["steps"]) > 2
-        if kind == "hammerstein_lp":
+        if kind == "hammerstein_c":
+            assert_sup_twin(factored, dense)
+        elif a == twin_a:
             for key in ("radii", "start_offset", "final_bound"):
                 assert factored[key] == dense[key], key
             for mine, theirs in zip(factored["steps"], dense["steps"]):
                 assert [mine[k] for k in BOUND_KEYS] == [theirs[k] for k in BOUND_KEYS]
-        else:
-            assert_sup_twin(factored, dense)
         gap = np.subtract(factored["solution"], dense["solution"])
         assert handles[0].norm(gap) <= 2.0 * dense["final_bound"]
 
@@ -272,3 +287,27 @@ class TestInlineTwins:
         assert factored["status"] == "converged" and len(factored["steps"]) > 2
         assert ((tmp_path / "factored.out.json").read_bytes()
                 == (tmp_path / "dense.out.json").read_bytes())
+
+
+def unbounded_configs() -> dict:
+    """name -> config of a build that does not bound a, off the origin
+    where its kind takes a center."""
+    lp, inline = twin_configs("hammerstein_lp", "exp_product", (0.0, 1.0))
+    dense = twin_configs("hammerstein_c", "exp_product", (0.0, 2.0))[0]
+    dense["grid"]["n"] = 1001   # where a threaded gemv may round otherwise
+    configs = {"lp-registry": lp, "lp-inline": inline, "sup-dense": dense,
+               "urysohn": dict(get_preset("urysohn")),
+               "composition": dict(get_preset("composition"))}
+    for config in configs.values():
+        config["x0"] = 0.3
+    configs["multilinear"] = get_preset("multilinear-2d")
+    return configs
+
+
+@pytest.mark.parametrize("name", sorted(unbounded_configs()))
+def test_a_is_one_apply_displacement(name):
+    # bit for bit under any BLAS thread count: a and the iterates share
+    # every product
+    handle = cli._build_problem(unbounded_configs()[name])["handle"]
+    center = handle.center
+    assert handle.profile.center_shift == handle.norm(handle.apply(center) - center) > 0.0

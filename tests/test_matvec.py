@@ -1,12 +1,13 @@
 """KernelTable._row_pass: a stored kernel read once, a block of rows at a time.
 
-The pass gives a Hammerstein build of a sampled table its kernel row sums
-|Z| w and its first image Z u.  Bit checks run in subprocesses under a
+The pass gives a sup build of a sampled table its kernel row sums |Z| w;
+its a is one apply's displacement.  Bit checks run in subprocesses under a
 fixed OpenBLAS thread count: under one thread each row of a gemv has one
 accumulation order, so every block's rows must be the rows of the whole
 product; under two threads the blocks must give the one-thread bits too.
-A table of factors alone holds no samples, and its sup build never calls
-its kernel (tests/test_enclose.py).
+A table of factors alone holds no samples, and neither its sup build
+(tests/test_enclose.py) nor its L_p build with a Zaanen norm given calls
+its kernel.
 """
 
 import json
@@ -40,7 +41,7 @@ def run_child(script: str, *args: str, threads: str = "1") -> subprocess.Complet
 
 # argv: n; prints one line per table: its name and the hex digest of the
 # pass's bytes.  Under one BLAS thread each pass must give the bits of the
-# whole products |Z| @ w and Z @ u.
+# whole product |Z| @ w.
 BITS = """
 import hashlib, os, sys
 import numpy as np
@@ -76,10 +77,8 @@ for name, make in tables.items():
     # the table holds its array itself, uncopied: n = 4097 is 128 MiB
     table = make()
     grid = table.grid
-    u = grid.weights * rng.standard_normal(n)
-    whole = (np.abs(table.values) @ grid.weights).tobytes() + (table.values @ u).tobytes()
-    sums, image = table._row_pass(u, grid.weights)
-    got = sums.tobytes() + image.tobytes()
+    whole = (np.abs(table.values) @ grid.weights).tobytes()
+    got = table._row_pass(grid.weights).tobytes()
     assert got == whole or not one_thread, f"{name} lost a bit"
     print(name, hashlib.sha256(got).hexdigest())
     del table
@@ -100,15 +99,12 @@ def test_rows_keep_the_bits_of_the_whole_product(n):
 def test_blocks_cover_every_row_once(n):
     grid = Grid.trapezoid(0.0, 1.0, n)
     table = KernelTable.from_function(grid, lambda t, s: t + s)
-    sums, image = table._row_pass(grid.weights, grid.weights)
+    sums = table._row_pass(grid.weights)
     # a row that no block read would keep np.empty's garbage; under a
     # threaded BLAS a whole n = 2001 gemv may round otherwise
     exact = os.environ.get("OPENBLAS_NUM_THREADS") == "1" or n < 768
     check = np.array_equal if exact else np.allclose
     assert check(sums, np.abs(table.values) @ grid.weights)
-    assert check(image, table.values @ grid.weights)
-    unweighted = table._row_pass(grid.weights)
-    assert unweighted[0] is None and np.array_equal(unweighted[1], image)
 
 
 def test_non_finite_sample_in_the_last_block_raises():
@@ -140,17 +136,36 @@ def square_spec(kernel) -> HammersteinSpec:
     return HammersteinSpec((term,), 0.1, FORCINGS["identity"])
 
 
-def test_factored_sup_build_keeps_no_table():
+# name -> (kind, kernel, nonlinearity, lambda) of a factored CLI build at
+# n = 2001: the sup build, and L_p builds with their Zaanen norm given
+NO_TABLE_BUILDS = {
+    "sup-product": ("hammerstein_c", "product", "square", 0.1),
+    "lp-product": ("hammerstein_lp", "product", "linear", 0.3),
+    "lp-exp_product": ("hammerstein_lp", "exp_product", "linear", 0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_TABLE_BUILDS))
+def test_factored_sup_build_keeps_no_table(monkeypatch, name):
     # the whole n = 2001 table would take 30.5 MiB
-    grid = Grid.simpson(0.0, 1.0, 2001)
-    table = cli._resolve_kernel({"kernel": "product"}, grid, sampled=False)
-    assert table.values is None
+    kind, kernel, nonlinearity, lam = NO_TABLE_BUILDS[name]
+    term = {"kernel": kernel, "nonlinearity": nonlinearity}
+    config = {"kind": kind, "lambda": lam, "radius": 1.0, "forcing": "identity",
+              "grid": {"rule": "simpson", "n": 2001}, "terms": [term]}
+    if kind == "hammerstein_lp":
+        config["p"] = 2.0
+        term["zaanen_norm"] = 1.0
+    calls = []
+    monkeypatch.setitem(KERNELS, kernel, lambda t, s: calls.append("kernel"))
+    monkeypatch.setattr(KernelTable, "from_function",
+                        classmethod(lambda cls, grid, fn: calls.append("from_function")))
     tracemalloc.start()
     try:
-        handle = build_hammerstein_sup(square_spec(table), grid, 1.0)
+        handle = cli._build_problem(config)["handle"]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert calls == []
     assert peak <= 4 * 2**20
     assert handle.profile.center_shift > 0.0
 
@@ -213,18 +228,17 @@ def test_concurrent_row_passes_on_one_table():
     n = 1001
     grid = Grid.simpson(0.0, 1.0, n)
     table = KernelTable.from_function(grid, KERNELS["exp_product"])
-    starts = [grid.weights * np.linspace(0.0, 0.1 * (k + 1), n) for k in range(4)]
-    expected = [table._row_pass(u, grid.weights) for u in starts]
-    results = [[] for _ in starts]
+    expected = table._row_pass(grid.weights)
+    results = [[] for _ in range(4)]
 
     def work(k):
         for _ in range(10):
-            results[k].append(table._row_pass(starts[k], grid.weights))
+            results[k].append(table._row_pass(grid.weights))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(starts))]
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -232,9 +246,9 @@ def test_concurrent_row_passes_on_one_table():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    for (sums, image), got in zip(expected, results):
+    for got in results:
         assert len(got) == 10
-        assert all(np.array_equal(sums, s) and np.array_equal(image, y) for s, y in got)
+        assert all(np.array_equal(expected, sums) for sums in got)
 
 
 # the solve documents in tests/data/gate were written under one BLAS thread
@@ -346,7 +360,7 @@ def test_moved_gate_document_against_the_dense_design(tmp_path, monkeypatch, nam
     documents = []
     for design in ("factored", "dense"):
         if design == "dense":
-            monkeypatch.setattr(cli, "_resolve_kernel", lambda term, grid, sampled=True:
+            monkeypatch.setattr(cli, "_resolve_kernel", lambda term, grid:
                                 KernelTable.from_function(grid, KERNELS[term["kernel"]]))
         out = tmp_path / f"{design}.json"
         assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 0

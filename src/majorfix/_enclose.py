@@ -69,7 +69,8 @@ def inflate(total, roundings: int):
 def _extract(terms: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """(sums, errors) of terms along axis by one extraction step."""
     n = terms.shape[axis]
-    top = np.max(np.abs(terms), axis=axis, keepdims=True)
+    # floored at TINY, so that a row of zeros gets the least sigma, not 2^(n + 1)
+    top = np.maximum(np.max(np.abs(terms), axis=axis, keepdims=True), TINY)
     # top < 2^e, and 2^bit_length(n + 1) >= n + 2
     sigma = np.ldexp(1.0, np.frexp(top)[1] + (n + 1).bit_length())
     high = (sigma + terms) - sigma

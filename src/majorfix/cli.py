@@ -125,7 +125,7 @@ def _center(config: dict):
     return None if config.get("x0") is None else _numbers(config, "x0")
 
 
-def _build_modulus(doc) -> ConstantModulus | PowerSumModulus | TabulatedModulus:
+def _build_modulus(doc) -> PowerSumModulus | TabulatedModulus:
     if not isinstance(doc, dict) or "type" not in doc:
         _fail("modulus must be an object with a 'type' field")
     kind = doc["type"]

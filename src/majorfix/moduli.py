@@ -2,27 +2,28 @@
 
 A modulus is a nonnegative, nondecreasing function k(r) on [0, R] together
 with its primitive K(r) = integral of k from 0 to r.  Every radius the
-library reports is a root of a +- K(r) - r, so K is never approximated:
+library reports is a root of a +- K(r) - r, so K is never approximated.
+Three evaluators cover every modulus:
 
-* constant and power-sum moduli evaluate K in closed form;
-* a tabulated modulus is a linear interpolant and K is its exact
-  piecewise-quadratic integral;
-* a sampled modulus is a sound upper envelope of its samples for a declared
-  shape (the right-endpoint step envelope of a nondecreasing k, the chord of
-  a convex one) and K is the envelope's exact integral;
+* a power sum evaluates K in closed form, piece by piece: a constant is
+  the one-term sum q r**0, and a power envelope
+  k(r) = min_i (a_i + b_i r**e) is the sum a + b r**e of one curve on each
+  piece between crossings;
+* a table holds a level and a slope per segment: a tabulated modulus is a
+  linear interpolant, and a sampled modulus is a sound upper envelope of
+  its samples for a declared shape (the right-endpoint step envelope of a
+  nondecreasing k, the chord of a convex one); K is the exact integral;
 * weighted sums and recentered moduli are one shifted weighted sum
   k(r) = sum_i w_i k_i(offset + r) with
   K(r) = sum_i w_i (K_i(offset + r) - K_i(offset)), built from the inputs'
-  own exact primitives and never resampled;
-* a power envelope k(r) = min_i (a_i + b_i r**e) sums the closed-form
-  integrals of its pieces between crossings.
+  own exact primitives and never resampled.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +46,10 @@ _SAMPLE_NOISE = 1e-9
 class LipschitzModulus:
     """Base class: evaluate k(r) and its exact primitive K(r)."""
 
+    # largest radius the modulus is defined for (None = unbounded): a
+    # subclass with a bounded domain sets it, and _check_radius reads it
+    _end: float | None = None
+
     def __call__(self, r: float) -> float:
         raise NotImplementedError
 
@@ -53,13 +58,13 @@ class LipschitzModulus:
 
     def domain_end(self) -> float | None:
         """Largest radius the modulus is defined for (None = unbounded)."""
-        return None
+        return self._end
 
     def _check_radius(self, r: float) -> float:
         r = float(r)
-        if not math.isfinite(r) or r < 0.0:
+        if not 0.0 <= r < math.inf:
             raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
-        end = self.domain_end()
+        end = self._end
         if end is not None:
             if r > end * (1.0 + _DOMAIN_SLACK) + _DOMAIN_SLACK:
                 raise ValueError(f"radius {r!r} beyond the tabulated range [0, {end!r}]")
@@ -68,28 +73,19 @@ class LipschitzModulus:
 
 
 @dataclass(frozen=True)
-class ConstantModulus(LipschitzModulus):
-    """Classical contraction constant: k(r) = q for all r."""
-
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value) or self.value < 0.0:
-            raise ValueError(f"constant modulus must be finite and >= 0, got {self.value!r}")
-
-    def __call__(self, r: float) -> float:
-        self._check_radius(r)
-        return self.value
-
-    def primitive(self, r: float) -> float:
-        return self.value * self._check_radius(r)
-
-
-@dataclass(frozen=True)
 class PowerSumModulus(LipschitzModulus):
-    """Finite power sum k(r) = sum_i c_i * r**p_i with c_i >= 0, p_i >= 0."""
+    """Finite power sum k(r) = sum_i c_i * r**p_i with c_i >= 0, p_i >= 0.
+
+    It is evaluated piece by piece, a plain sum being one piece from 0: on
+    a piece from s with base K(s), K(r) = K(s) + sum_i c_i (r**(p_i + 1) -
+    s**(p_i + 1)) / (p_i + 1), with p_i + 1 and s**(p_i + 1) precomputed.
+    A superposition envelope (_envelope) has a piece per curve it follows;
+    its terms are those of its first piece.
+    """
 
     terms: tuple[tuple[float, float], ...]
+    # per piece: (base, ((c, p), ...), ((c, p + 1, start**(p + 1)), ...))
+    _pieces: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         cleaned = []
@@ -103,40 +99,119 @@ class PowerSumModulus(LipschitzModulus):
                 raise ValueError(f"power-sum exponent must be >= 0, got {exponent!r}")
             cleaned.append((coef, exponent))
         object.__setattr__(self, "terms", tuple(cleaned))
+        self._set_pieces(((0.0, 0.0, self.terms),))
 
-    # the terms add left to right from 0.0: sum() of floats is compensated
-    # from Python 3.12 on, which would change K's bits with the interpreter
+    def _set_pieces(self, pieces) -> None:
+        """Store (start, base, terms) pieces, sorted by start from 0."""
+        object.__setattr__(self, "_breaks", tuple(start for start, _, _ in pieces[1:]))
+        object.__setattr__(self, "_pieces", tuple(
+            (base, terms, tuple((c, p + 1.0, start ** (p + 1.0)) for c, p in terms))
+            for start, base, terms in pieces))
+
+    @classmethod
+    def _envelope(cls, curves, exponent: float) -> PowerSumModulus:
+        """k(r) = min_i (a_i + b_i r**e) for e > 0, as pieces a r**0 + b r**e.
+
+        In u = r**e the curves are lines, so between consecutive crossings
+        the minimum is one curve (a, b), and each piece's base is the
+        running sum of the pieces' integrals a (r - r_j) + b (r**(e+1) -
+        r_j**(e+1)) / (e+1).  k reads the piece's curve, which is the
+        minimum but within rounding of a crossing.
+        """
+        if not all(math.isfinite(a) and math.isfinite(b) for a, b in curves):
+            raise ValueError("envelope curves must be finite")
+        e1 = exponent + 1.0
+        # walk the lines from u = 0: the lowest intercept starts, and each
+        # piece hands over to the first line to cross it, the flattest on a tie
+        a, b = min(curves)
+        u = start = base = power = 0.0
+        pieces = []
+        while True:
+            pieces.append((start, base, ((a, 0.0), (b, exponent))))
+            later = [((aj - a) / (b - bj), bj, aj) for aj, bj in curves if bj < b]
+            if not later:
+                break
+            crossing, b_next, a_next = min(later)
+            u = max(u, crossing)  # a crossing rounded below u is at u
+            end = u ** (1.0 / exponent)
+            end_power = end**e1
+            base += a * (end - start) + b * (end_power - power) / e1
+            start, power, a, b = end, end_power, a_next, b_next
+        envelope = object.__new__(cls)
+        object.__setattr__(envelope, "terms", pieces[0][2])
+        envelope._set_pieces(pieces)
+        return envelope
+
+    # the terms add left to right from the base: sum() of floats is
+    # compensated from Python 3.12 on, which would change K's bits with the
+    # interpreter
     def __call__(self, r: float) -> float:
         r = self._check_radius(r)
         total = 0.0
-        for c, p in self.terms:
+        for c, p in self._pieces[bisect_right(self._breaks, r)][1]:
             total += c * r**p
         return total
 
     def primitive(self, r: float) -> float:
         r = self._check_radius(r)
-        total = 0.0
-        for c, p in self.terms:
-            total += c * r ** (p + 1.0) / (p + 1.0)
+        total, _, terms = self._pieces[bisect_right(self._breaks, r)]
+        for c, p1, power in terms:
+            total += c * (r**p1 - power) / p1
         return total
+
+
+class ConstantModulus(PowerSumModulus):
+    """Classical contraction constant: k(r) = q for all r, the one-term
+    power sum q r**0, whose k = 0.0 + q * r**0.0 is q and whose
+    K = 0.0 + q * (r**1.0 - 0.0) / 1.0 is q * r, bit for bit."""
+
+    def __init__(self, value: float):
+        if not math.isfinite(value) or value < 0.0:
+            raise ValueError(f"constant modulus must be finite and >= 0, got {value!r}")
+        super().__init__(((value, 0.0),))
 
 
 @dataclass(frozen=True, eq=False)
 class TabulatedModulus(LipschitzModulus):
     """Linear interpolant of nonnegative nondecreasing samples on [0, t_M].
 
-    The primitive is the exact piecewise-quadratic integral of the
-    interpolant, precomputed segment by segment.  k and K read float tuples
-    of the nodes, ordinates and node primitives: a numpy scalar costs
-    microseconds per call, and every bisection step makes one.
+    Each segment holds a level and a slope: off the nodes k = slope (r - x_j)
+    + level, and K = K(x_j) + level dr + 0.5 slope dr dr, the exact integral,
+    with dr = r - x_j.  A chord segment holds (y_j, its slope); a segment of
+    a step envelope (_steps) holds (y_{j+1}, 0).  k and K read float tuples
+    of the nodes, ordinates, segments and node primitives: a numpy scalar
+    costs microseconds per call, and every bisection step makes one.
     """
 
     abscissae: np.ndarray
     ordinates: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.abscissae, dtype=float).copy()
-        ys = np.asarray(self.ordinates, dtype=float).copy()
+        xs, ys = self._checked(self.abscissae, self.ordinates)
+        # primitive reads each segment through its slope dy/dx, which
+        # overflows on a steep enough segment (a subnormal spacing, say)
+        with np.errstate(over="ignore"):
+            slopes = np.diff(ys) / np.diff(xs)
+        if not np.all(np.isfinite(slopes)):
+            lo, hi = xs[np.argmin(np.isfinite(slopes)):][:2].tolist()
+            raise ValueError(f"tabulated segment [{lo!r}, {hi!r}] is too steep: "
+                             f"its slope overflows")
+        self._set_segments(ys[:-1], slopes, np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0)
+
+    @classmethod
+    def _steps(cls, abscissae, ordinates) -> TabulatedModulus:
+        """Right-endpoint step envelope of nondecreasing samples: k(r) = k(r_j)
+        on (r_{j-1}, r_j], above every nondecreasing k through the samples.
+        Its primitive is piecewise linear, the running sum of the steps."""
+        table = object.__new__(cls)
+        xs, ys = table._checked(abscissae, ordinates)
+        table._set_segments(ys[1:], np.zeros(ys.size - 1), np.diff(xs) * ys[1:])
+        return table
+
+    def _checked(self, abscissae, ordinates) -> tuple[np.ndarray, np.ndarray]:
+        """Check the nodes and ordinates and store read-only copies."""
+        xs = np.asarray(abscissae, dtype=float).copy()
+        ys = np.asarray(ordinates, dtype=float).copy()
         if xs.ndim != 1 or ys.ndim != 1 or xs.size != ys.size or xs.size < 2:
             raise ValueError("tabulated modulus needs matching 1-d arrays of length >= 2")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
@@ -149,84 +224,46 @@ class TabulatedModulus(LipschitzModulus):
             raise ValueError("tabulated ordinates must be nonnegative")
         if np.any(np.diff(ys) < 0.0):
             raise ValueError("tabulated ordinates must be nondecreasing")
-        self._check_slopes(xs, ys)
         xs.setflags(write=False)
         ys.setflags(write=False)
-        # exact primitive of the interpolant at every node
-        cumulative = np.concatenate(([0.0], np.cumsum(self._segment_integrals(xs, ys))))
         object.__setattr__(self, "abscissae", xs)
         object.__setattr__(self, "ordinates", ys)
-        object.__setattr__(self, "_xs", tuple(xs.tolist()))
-        object.__setattr__(self, "_ys", tuple(ys.tolist()))
+        return xs, ys
+
+    def _set_segments(self, levels, slopes, integrals) -> None:
+        # exact primitive of the table at every node
+        cumulative = np.concatenate(([0.0], np.cumsum(integrals)))
+        object.__setattr__(self, "_xs", tuple(self.abscissae.tolist()))
+        object.__setattr__(self, "_ys", tuple(self.ordinates.tolist()))
+        object.__setattr__(self, "_segments", tuple(zip(levels.tolist(), slopes.tolist())))
         object.__setattr__(self, "_cumulative", tuple(cumulative.tolist()))
         object.__setattr__(self, "_end", self._xs[-1])
 
-    @staticmethod
-    def _segment_integrals(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0
-
-    @staticmethod
-    def _check_slopes(xs: np.ndarray, ys: np.ndarray) -> None:
-        # primitive reads each segment through its slope dy/dx, which
-        # overflows on a steep enough segment (a subnormal spacing, say)
-        with np.errstate(over="ignore"):
-            slopes = np.diff(ys) / np.diff(xs)
-        if not np.all(np.isfinite(slopes)):
-            lo, hi = xs[np.argmin(np.isfinite(slopes)):][:2].tolist()
-            raise ValueError(f"tabulated segment [{lo!r}, {hi!r}] is too steep: "
-                             f"its slope overflows")
-
-    def domain_end(self) -> float:
-        return self._end
-
     def __call__(self, r: float) -> float:
-        # np.interp's own arithmetic: a node returns its ordinate, the last
-        # one included (r is clamped to it); r in (x_j, x_{j+1}) reads the
-        # segment's slope
+        # np.interp's own arithmetic on a chord: a node returns its ordinate,
+        # the last one included (r is clamped to it); r in (x_j, x_{j+1})
+        # reads the segment
         r = self._check_radius(r)
-        xs, ys = self._xs, self._ys
-        j = bisect.bisect_right(xs, r) - 1
+        xs = self._xs
+        j = bisect_right(xs, r) - 1
         if xs[j] == r:
-            return ys[j]
-        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-        return slope * (r - xs[j]) + ys[j]
+            return self._ys[j]
+        level, slope = self._segments[j]
+        return slope * (r - xs[j]) + level
 
     def primitive(self, r: float) -> float:
         r = self._check_radius(r)
-        xs, ys = self._xs, self._ys
-        j = min(bisect.bisect_right(xs, r) - 1, len(xs) - 2)
+        xs = self._xs
+        j = min(bisect_right(xs, r) - 1, len(xs) - 2)
         dr = r - xs[j]
-        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-        return self._cumulative[j] + ys[j] * dr + 0.5 * slope * dr * dr
-
-
-class _StepEnvelope(TabulatedModulus):
-    """Right-endpoint step envelope of nondecreasing samples: k(r) = k(r_j)
-    on (r_{j-1}, r_j], above every nondecreasing k through the samples.
-    The primitive is piecewise linear, the running sum of the steps."""
-
-    @staticmethod
-    def _segment_integrals(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.diff(xs) * ys[1:]
-
-    @staticmethod
-    def _check_slopes(xs: np.ndarray, ys: np.ndarray) -> None:
-        pass  # a step envelope is read without slopes
-
-    def __call__(self, r: float) -> float:
-        r = self._check_radius(r)
-        return self._ys[bisect.bisect_left(self._xs, r)]
-
-    def primitive(self, r: float) -> float:
-        r = self._check_radius(r)
-        j = max(bisect.bisect_left(self._xs, r), 1)
-        return self._cumulative[j - 1] + self._ys[j] * (r - self._xs[j - 1])
+        level, slope = self._segments[j]
+        return self._cumulative[j] + level * dr + 0.5 * slope * dr * dr
 
 
 # declared shape of a sampled modulus -> its sound upper envelope, and the
 # radii a builder samples it at: the step envelope's error is first order in
 # the spacing, the chord's second order
-_ENVELOPES = {"monotone": _StepEnvelope, "convex": TabulatedModulus}
+_ENVELOPES = {"monotone": TabulatedModulus._steps, "convex": TabulatedModulus}
 _SHAPE_RADII = {"monotone": 257, "convex": 33}
 
 
@@ -250,9 +287,6 @@ class _ShiftedSum(LipschitzModulus):
         object.__setattr__(self, "_bases",
                            tuple(m.primitive(self.offset) for _, m in self.parts))
 
-    def domain_end(self) -> float | None:
-        return self._end
-
     # left to right from 0.0, as PowerSumModulus adds its terms
     def __call__(self, r: float) -> float:
         r = self.offset + self._check_radius(r)
@@ -267,52 +301,6 @@ class _ShiftedSum(LipschitzModulus):
         for (w, m), base in zip(self.parts, self._bases):
             total += w * (m.primitive(r) - base)
         return total
-
-
-@dataclass(frozen=True, eq=False)
-class _PowerEnvelope(LipschitzModulus):
-    """k(r) = min_i (a_i + b_i r**e) for e > 0, with its exact primitive.
-
-    In u = r**e the curves are lines, so between consecutive crossings the
-    minimum is one curve (a, b), and K is the running sum of the pieces'
-    integrals a (r - r_j) + b (r**(e+1) - r_j**(e+1)) / (e+1).
-    """
-
-    curves: tuple[tuple[float, float], ...]
-    exponent: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(a) and math.isfinite(b) for a, b in self.curves):
-            raise ValueError("envelope curves must be finite")
-        e1 = self.exponent + 1.0
-        # walk the lines from u = 0: the lowest intercept starts, and each
-        # piece hands over to the first line to cross it, the flattest on a tie
-        a, b = min(self.curves)
-        u = start = base = power = 0.0
-        pieces = []
-        while True:
-            pieces.append((start, base, power, a, b))
-            later = [((aj - a) / (b - bj), bj, aj) for aj, bj in self.curves if bj < b]
-            if not later:
-                break
-            crossing, b_next, a_next = min(later)
-            u = max(u, crossing)  # a crossing rounded below u is at u
-            end = u ** (1.0 / self.exponent)
-            end_power = end**e1
-            base += a * (end - start) + b * (end_power - power) / e1
-            start, power, a, b = end, end_power, a_next, b_next
-        object.__setattr__(self, "_starts", tuple(piece[0] for piece in pieces))
-        object.__setattr__(self, "_pieces", tuple(pieces))
-
-    def __call__(self, r: float) -> float:
-        r = self._check_radius(r)
-        return min(a + b * r**self.exponent for a, b in self.curves)
-
-    def primitive(self, r: float) -> float:
-        r = self._check_radius(r)
-        start, base, power, a, b = self._pieces[bisect.bisect_right(self._starts, r) - 1]
-        e1 = self.exponent + 1.0
-        return base + a * (r - start) + b * (r**e1 - power) / e1
 
 
 def combine_moduli(moduli, weights=None) -> LipschitzModulus:

@@ -31,7 +31,6 @@ from .moduli import (
     ConstantModulus,
     LipschitzModulus,
     PowerSumModulus,
-    _PowerEnvelope,
     _SHAPE_RADII,
     _check_shape,
     combine_moduli,
@@ -420,7 +419,8 @@ def build_superposition_modulus(pair_set: LipschitzPairSet, p: float, q: float,
     with e0 = (p-q)/(pq) and e = (p-q)/q.
 
     Exact on all of [0, inf): a constant when e vanishes, otherwise the
-    envelope with its piecewise closed-form primitive (see _PowerEnvelope).
+    envelope, a piecewise power sum with its closed-form primitive (see
+    PowerSumModulus._envelope).
     """
     p, q, length = float(p), float(q), float(length)
     if p <= 1.0:
@@ -434,7 +434,7 @@ def build_superposition_modulus(pair_set: LipschitzPairSet, p: float, q: float,
     curves = tuple((first * length**e0, second) for first, second in pair_set.pairs)
     if e == 0.0:
         return ConstantModulus(min(a + b for a, b in curves))
-    return _PowerEnvelope(curves, e)
+    return PowerSumModulus._envelope(curves, e)
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,7 @@ def row_sums(terms: np.ndarray, weights: np.ndarray, budget: float
     order = np.argsort(impact)
     tight = order[np.cumsum(impact[order]) > budget]
     tight = tight[np.max(np.abs(terms[tight]), axis=1, initial=0.0) < _EXTRACT_LIMIT]
-    if tight.size:
-        sums[tight], errors[tight] = _extract(terms[tight], 1)
+    sums[tight], errors[tight] = _extract(terms[tight], 1)
     return sums, errors, magnitudes
 
 

@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 _ZAANEN_SWEEPS = 50
-_BLOCK_ELEMENTS = 2**17  # a sampler's block of float64 values: 1 MiB, cache-sized
+_BLOCK_ELEMENTS = 2**17  # a block of float64 values read or sampled at once: 1 MiB
 
 
 def _uniform_nodes(lower: float, upper: float, n: int) -> tuple[np.ndarray, float]:
@@ -175,21 +175,6 @@ class KernelTable:
     # (rounding, remainder), see _from_factors
     _factors = None
     _factor_error = (0.0, 0.0)
-
-    def _row_pass(self, weights: np.ndarray) -> np.ndarray:
-        """The row sums |Z| weights of the samples Z, in one pass over blocks
-        of the stored rows, each a multiple of 64 rows and about
-        _BLOCK_ELEMENTS values, the last taking the remainder.  One-thread
-        gemv takes rows four at a time, so each row keeps the bits of the
-        whole product (a one-row block would go to dot), and no block makes
-        an n x n temporary."""
-        n, values = self.grid.n, self.values
-        rows = max(64, _BLOCK_ELEMENTS // n // 64 * 64)
-        edges = [*range(0, max(n // rows, 1) * rows, rows), n]
-        sums = np.empty(n)
-        for i, j in zip(edges, edges[1:]):
-            np.matmul(_absolute(values[i:j]), weights, out=sums[i:j])
-        return sums
 
     @classmethod
     def _from_factors(cls, grid: Grid, phi, psi, rounding: float = 0.0,

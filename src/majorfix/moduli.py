@@ -116,7 +116,9 @@ class PowerSumModulus(LipschitzModulus):
         the minimum is one curve (a, b), and each piece's base is the
         running sum of the pieces' integrals a (r - r_j) + b (r**(e+1) -
         r_j**(e+1)) / (e+1).  k reads the piece's curve, which is the
-        minimum but within rounding of a crossing.
+        minimum but within rounding of a crossing.  The walk stops at the
+        first crossing whose end or end**(e+1) is not finite: the current
+        curve then bounds the minimum from above, the safe side for radii.
         """
         if not all(math.isfinite(a) and math.isfinite(b) for a, b in curves):
             raise ValueError("envelope curves must be finite")
@@ -129,12 +131,15 @@ class PowerSumModulus(LipschitzModulus):
         while True:
             pieces.append((start, base, ((a, 0.0), (b, exponent))))
             later = [((aj - a) / (b - bj), bj, aj) for aj, bj in curves if bj < b]
-            if not later:
-                break
-            crossing, b_next, a_next = min(later)
+            crossing, b_next, a_next = min(later, default=(math.inf, b, a))
             u = max(u, crossing)  # a crossing rounded below u is at u
-            end = u ** (1.0 / exponent)
-            end_power = end**e1
+            try:
+                end = u ** (1.0 / exponent)
+                end_power = end**e1
+            except OverflowError:
+                end_power = math.inf
+            if end_power == math.inf:
+                break
             base += a * (end - start) + b * (end_power - power) / e1
             start, power, a, b = end, end_power, a_next, b_next
         envelope = object.__new__(cls)

@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._enclose import (TINY, U, add_up, factored_rows, inflate, max_dot, mul_up, row_sums,
-                       two_sum)
+from ._enclose import (_EXTRACT_LIMIT, TINY, U, _extract, add_up, factored_rows, inflate,
+                       max_dot, mul_up, row_sums, two_sum)
 from .discretize import (_BLOCK_ELEMENTS, Grid, KernelTable, _absolute, _mesh_callback,
                          lp_norm)
 from .iteration import OperatorHandle, make_operator
@@ -271,19 +271,54 @@ def _factored_pass(table: KernelTable, weights: np.ndarray, v: np.ndarray,
     return knorm, y, add_up(errors, extra)
 
 
-def _center_shift_bounds(fvec, lam: float, x0, images, errors) -> tuple[float, float]:
-    """Upper and lower bounds on a = max_i |f + lam sum_k Y_k - x0|_i, where
-    each exact image Y_k lies within errors[k] of the float images[k]
-    (errors[k] None: the image is taken as exact).  The sums are the apply's
-    own, and TwoSum gives each one's rounding exactly, so exact images give
-    the float a itself, twice."""
+def _dense_pass(table: KernelTable, weights: np.ndarray, v: np.ndarray,
+                budget) -> tuple[float, np.ndarray, np.ndarray]:
+    """_factored_pass's (knorm, y, errors) for samples Z, read in blocks of rows of
+    about _BLOCK_ELEMENTS values, an eighth of that where extracted: each row of the
+    float terms |Z_il| |w_l| and Z_il z_l, z = fl(w v), is summed a priori, and by
+    extraction where its upper end reaches the largest lower end or its error exceeds budget(y)."""
+    values, n = table.values, table.grid.n
+    w, z = np.abs(weights), weights * v
+    rows, image = max(1, _BLOCK_ELEMENTS // n), bool(np.any(z))
+    sums, y, buffer = np.empty(n), np.zeros(n), np.empty((rows, n))
+    for i in range(0, n, rows):
+        block = values[i:i + rows]
+        terms = np.abs(block, out=buffer[:len(block)])
+        sums[i:i + rows] = np.multiply(terms, w, out=terms).sum(axis=1)
+        if image:
+            y[i:i + rows] = np.multiply(block, z, out=terms).sum(axis=1)
+    # no row whose upper end stays below max sums / (1 + 2 n u) is the largest
+    ends = inflate(sums, n - 1)
+    tight = np.flatnonzero((mul_up(ends, 1.0 + 2.0 * n * U) >= np.max(sums)) & (ends < _EXTRACT_LIMIT))
+    for part in np.array_split(tight, 1 + 8 * tight.size // rows):
+        ends[part] = add_up(*_extract(np.abs(values[part]) * w, 1))
+    # |Z_il| w_l is within u of its float, or TINY where it underflows
+    bounds = add_up(mul_up(ends, 1.0 + 2.0 * U), n * TINY)
+    knorm = float(np.max(bounds))
+    if not image:
+        return knorm, y, np.zeros(n)
+    # |z_l| <= (1 + u) w_l |v_l|, or TINY more where it underflows, and |Z_il|
+    # <= knorm / w_l (taken twice, for rounding): mags bounds sum_l |Z_il z_l| and
+    # the float terms' sizes, and 2 u mags plus the floor bound their roundings
+    floor = add_up(mul_up(4.0 * np.count_nonzero(v) * TINY, knorm / np.min(w[w > 0.0])), n * TINY)
+    mags = add_up(mul_up(mul_up(bounds, float(np.max(np.abs(v)))), 1.0 + 4.0 * U), floor)
+    errors = mul_up(mags, (n - 1) * U)
+    tight = np.flatnonzero((errors > budget(y)) & (mags < _EXTRACT_LIMIT))
+    for part in np.array_split(tight, 1 + 8 * tight.size // rows):
+        y[part], errors[part] = _extract(values[part] * z, 1)
+    return knorm, y, add_up(add_up(errors, mul_up(mags, 2.0 * U)), floor)
+
+
+def _center_shift_bounds(fvec, lam: float, x0, passes) -> tuple[float, float]:
+    """Upper and lower bounds on a = max_i |f + lam sum_k Y_k - x0|_i, each
+    exact Y_k within the errors of the float y of passes[k], a (knorm, y,
+    errors); TwoSum gives the rounding of each of the apply's sums exactly."""
     out, slack = fvec, np.zeros_like(fvec)
-    for y, error in zip(images, errors):
+    for _, y, error in passes:
         p = lam * y
         # |lam y - p| <= u |p|, or < TINY where the product underflows
         slack = add_up(slack, np.where(y != 0.0, add_up(mul_up(np.abs(p), U), TINY), 0.0))
-        if error is not None:
-            slack = add_up(slack, mul_up(abs(lam), error))
+        slack = add_up(slack, mul_up(abs(lam), error))
         out, low = two_sum(out, p)
         slack = add_up(slack, np.abs(low))
     d, low = two_sum(out, -x0)
@@ -296,17 +331,11 @@ def _center_shift_bounds(fvec, lam: float, x0, images, errors) -> tuple[float, f
 def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
                     norm, radius: float, center) -> OperatorHandle:
     """x -> f + lambda * sum_j K_j (w * h_j(x)) with modulus
-    |lambda| * sum_j knorms_j * h_j(r), h_j the terms' moduli, recentered
-    on x0, and knorms None for the row sums max_i sum_l w_l |k_j(t_i, s_l)|.
-    The apply reads each K_j through its factors where its table carries
-    them, else whole.
-
-    Without knorms, a table with factors is read through them alone
-    (_factored_pass): its row sums are bounded from above, and a from both
-    sides, the lower end for the inner radius, with any other table's image
-    taken as its product K_j (w * h_j(x0)).  Any other table's row sums are
-    read in one row pass over its samples, rounded to nearest.  Where no
-    table bounds a, a is the displacement of one apply (make_operator)."""
+    |lambda| * sum_j knorms_j * h_j(r), h_j the terms' moduli, recentered on
+    x0; the apply reads each K_j through its factors where its table carries
+    them, else whole.  Without knorms, the row sums max_i sum_l w_l |k_j(t_i,
+    s_l)| are bounded from above and a from both sides (_factored_pass,
+    _dense_pass); with knorms, a is one apply's displacement (make_operator)."""
     x0 = _resolve_center(center, grid)
     if callable(spec.forcing):
         fvec = _mesh_callback(spec.forcing)(grid.nodes)
@@ -322,17 +351,12 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
         # what an image may leave a priori: about an ulp of a over |lambda|
         return U * _sup_norm(fvec + lam * y - x0) / abs(lam) if lam else math.inf
 
-    sums, images, errors = [], [], []
+    passes = []
     if knorms is None:
         for table, h in zip(tables, hs):
-            if table._factors is not None:
-                knorm, image, error = _factored_pass(table, weights, h(x0), budget)
-            else:
-                knorm, image, error = float(np.max(table._row_pass(weights))), None, None
-            sums.append(knorm)
-            images.append(image)
-            errors.append(error)
-        knorms = sums
+            read = _dense_pass if table._factors is None else _factored_pass
+            passes.append(read(table, weights, h(x0), budget))
+        knorms = [knorm for knorm, _, _ in passes]
     modulus = combine_moduli([term.modulus for term in spec.terms],
                              [abs(lam) * kn for kn in knorms])
     shift = norm(x0)
@@ -345,11 +369,9 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
             out += lam * product(weights * h(x))
         return out
 
-    if all(error is None for error in errors):
+    if not passes:
         return make_operator(apply, x0, norm, modulus, radius)
-    images = [product(weights * h(x0)) if image is None else image
-              for image, product, h in zip(images, products, hs)]
-    a, a_low = _center_shift_bounds(fvec, lam, x0, images, errors)
+    a, a_low = _center_shift_bounds(fvec, lam, x0, passes)
     profile = MajorantProfile(a, modulus, float(radius), center_shift_low=a_low)
     return OperatorHandle(apply, x0, norm, profile)
 
@@ -360,9 +382,8 @@ def build_hammerstein_sup(spec: HammersteinSpec, grid: Grid, radius: float,
 
     Kernel norms are row sums max_i sum_l w_l |k_j(t_i, s_l)| and the
     modulus is |lambda| * sum_j ||K_j|| * h_j(r), with h_j each term's
-    scalar modulus.  A table with factors is read through them alone, and
-    never calls its kernel: its row sums are bounded from above and a from
-    both sides, with h_j(x0) and f taken as given (see _factored_pass).
+    scalar modulus.  Every table's row sums are bounded from above, and a
+    from both sides, with h_j(x0) and f taken as given (_nystrom_handle).
     """
     tables = [_sample_kernel(term.kernel, grid) for term in spec.terms]
     return _nystrom_handle(spec, grid, tables, None, _sup_norm, radius, center)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from majorfix import MajorantProfile, PowerSumModulus, UrysohnSpec, combine_moduli
+from majorfix import MajorantProfile, PowerSumModulus, UrysohnSpec, combine_moduli, operators
 from majorfix.iteration import BOUND_SLACK_ABS, BOUND_SLACK_REL
 
 
@@ -184,3 +184,15 @@ def plain_zaanen_sweeps(kernel, alpha: float, beta: float,
         y, value = extremal(Z @ (w * x), beta, w)
         objectives.append(value)
     return objectives
+
+
+def old_design(spec, grid, radius, center=None):
+    """The sup build before every kernel table was bounded, as a reference
+    for the bounded one: each kernel sampled whole, its row sums |Z| @ w and
+    a = ||A(x0) - x0|| from one apply, both rounded to nearest (the path the
+    L_p build takes, with the row sums given).  Stands in for
+    cli.build_hammerstein_sup."""
+    tables = [operators._sample_kernel(term.kernel, grid) for term in spec.terms]
+    knorms = [float(np.max(np.abs(table.values) @ grid.weights)) for table in tables]
+    return operators._nystrom_handle(spec, grid, tables, knorms, operators._sup_norm,
+                                     radius, center)

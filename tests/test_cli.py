@@ -656,6 +656,20 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "has no finite length" in capsys.readouterr().err
 
+    # a pair whose crossing with the others lies where r**(e+1) overflows
+    # (at u = 1e156 for e = 1), or at u = inf, is a valid L_p config: the
+    # envelope walk stops there
+    @pytest.mark.parametrize("slope", [1e-156, 5e-324])
+    @pytest.mark.parametrize("command", ["analyze", "solve"])
+    def test_envelope_crossing_past_float_range(self, tmp_path, capsys, slope, command):
+        config = get_preset("hammerstein-lp")
+        config["terms"][0].update(q=1.0, zaanen_norm=0.5, pairs=[[0.0, slope], [1.0, 0.0]])
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(config))
+        code, out = run_cli([command, "--config", str(path)])
+        assert code == 0, capsys.readouterr().err
+        assert "NaN" not in out and "Infinity" not in out
+
     @pytest.mark.parametrize("changes", [
         {"radius": 1e200},                              # K(R) overflows
         {"radius": 10**400},                            # beyond float range

@@ -1,13 +1,16 @@
-"""Rounded-up sums (majorfix._enclose) and the sup build of factored kernels.
+"""Rounded-up sums (majorfix._enclose) and the sup builds of kernel tables.
 
 The helpers are checked against fractions.Fraction on nonnegative and
 signed terms, n up to 2001, magnitudes from subnormal to 1e300.  Then each
-factored sup build's kernel norm and a must lie at or above their exact
-values at the grid's float nodes, with h(x0) and f taken as given:
-Fraction for `product`, `one` and two synthetic kernels whose factors carry
-a declared rounding and a declared remainder, 50-digit decimal for
-`exp_product`.  A copy of the build that drops any one rounding-up term
-must break that, and a factored sup build never calls its kernel.
+sup build's kernel norm and a must lie at or above their exact values at
+the grid's float nodes, with h(x0) and f taken as given, for a table of
+factors and for its dense twin, the same kernel sampled by
+KernelTable.from_function: Fraction for `product`, `one` and two synthetic
+kernels whose factors carry a declared rounding and a declared remainder,
+50-digit decimal for the factored `exp_product`, and the samples
+themselves for every dense twin.  A copy of either build that drops any
+one rounding-up term must break that, and a factored sup build never
+calls its kernel.
 """
 
 import functools
@@ -139,6 +142,14 @@ SYNTHETIC = {
 }
 
 
+# the synthetic kernels on floats, for their dense twins
+SAMPLED = {"shrunk": lambda t, s: t * s, "offset": lambda t, s: t * s + TAU}
+
+
+def dense_table(name: str, grid: Grid) -> KernelTable:
+    return KernelTable.from_function(grid, SAMPLED.get(name) or presets.KERNELS[name])
+
+
 def factored_table(name: str, grid: Grid) -> KernelTable:
     if name in SYNTHETIC:
         factors, rounding, remainder, _ = SYNTHETIC[name]
@@ -149,10 +160,13 @@ def factored_table(name: str, grid: Grid) -> KernelTable:
 
 
 @functools.lru_cache(maxsize=None)
-def exact_kernel(name: str, rule: str, interval: tuple, n: int) -> tuple:
+def exact_kernel(name: str, rule: str, interval: tuple, n: int, form: str) -> tuple:
     """The kernel at the float node pairs as Fractions, row by row;
-    exp_product to 50 digits."""
-    nodes = getattr(Grid, rule)(*interval, n).nodes.tolist()
+    exp_product to 50 digits, and a dense twin's own samples."""
+    grid = getattr(Grid, rule)(*interval, n)
+    if form == "dense":
+        return tuple(tuple(map(Fraction, row)) for row in dense_table(name, grid).values.tolist())
+    nodes = grid.nodes.tolist()
     t = [Fraction(x) for x in nodes]
     if name in SYNTHETIC:
         fn = SYNTHETIC[name][3]
@@ -167,12 +181,15 @@ def exact_kernel(name: str, rule: str, interval: tuple, n: int) -> tuple:
         return tuple(tuple(Fraction((a * b).exp()) for b in d) for a in d)
 
 
+# a dense twin's knorm lies within this many u of its exact value, relative
+DENSE_KNORM = 18
 NONLINEARITIES = {"square": (lambda u: u**2, PowerSumModulus(((2.0, 1.0),))),
                   "sin": (np.sin, ConstantModulus(1.0))}
-# kernel, rule, interval, n, nonlinearity, center, lambda; the centers make
-# h(x0) nonzero, so a sums a real image
+# kernel, rule, interval, n, nonlinearity, center, lambda and the table's
+# form; the centers make h(x0) nonzero, so a sums a real image
 CASES = [
-    (kernel, rule, interval, n, nonlinearity, center, lam)
+    (kernel, rule, interval, n, nonlinearity, center, lam, form)
+    for form in ("factored", "dense")
     for kernel in ("product", "one", "exp_product", "shrunk", "offset")
     for rule, n in (("simpson", 21), ("trapezoid", 21), ("simpson", 101))
     for interval, nonlinearity, center, lam in (
@@ -183,31 +200,31 @@ CASES = [
 
 
 def grid_and_center(case):
-    kernel, rule, interval, n, nonlinearity, center, lam = case
+    kernel, rule, interval, n, nonlinearity, center, lam, form = case
     grid = getattr(Grid, rule)(*interval, n)
     return grid, 0.2 + 0.5 * np.cos(3.0 * grid.nodes) if center == "ramp" else center
 
 
 def build(case):
-    kernel, rule, interval, n, nonlinearity, center, lam = case
+    kernel, rule, interval, n, nonlinearity, center, lam, form = case
     grid, x0 = grid_and_center(case)
     h, modulus = NONLINEARITIES[nonlinearity]
-    table = factored_table(kernel, grid)
+    table = (factored_table if form == "factored" else dense_table)(kernel, grid)
     spec = HammersteinSpec((HammersteinTerm(table, h, modulus),), lam,
                            FORCINGS["sin_pi"])
     handle = build_hammerstein_sup(spec, grid, 1.0, center=x0)
-    knorm = operators._factored_pass(table, grid.weights, np.zeros(n), None)[0]
-    return handle, knorm
+    read = operators._factored_pass if form == "factored" else operators._dense_pass
+    return handle, read(table, grid.weights, np.zeros(n), None)[0]
 
 
 @functools.lru_cache(maxsize=None)
 def exact_bounds(case) -> tuple[Fraction, Fraction]:
     """(max_i sum_l |w_l k_il|, max_i |f_i + lam sum_l w_l k_il v_l - x0_i|)
     at the float nodes, weights, f, v = h(x0) and x0."""
-    kernel, rule, interval, n, nonlinearity, _, lam = case
+    kernel, rule, interval, n, nonlinearity, _, lam, form = case
     grid, x0 = grid_and_center(case)
     x0 = operators._resolve_center(x0, grid)
-    k = exact_kernel(kernel, rule, interval, n)
+    k = exact_kernel(kernel, rule, interval, n, form)
     w = [Fraction(x) for x in grid.weights.tolist()]
     v = _mesh_callback(NONLINEARITIES[nonlinearity][0])(x0)
     wv = [a * Fraction(b) for a, b in zip(w, v.tolist())]
@@ -234,7 +251,7 @@ def violations() -> list:
     return bad
 
 
-class TestFactoredSupBuild:
+class TestSupBuild:
     def test_knorm_and_a_lie_above_their_exact_values(self):
         assert violations() == []
 
@@ -243,15 +260,20 @@ class TestFactoredSupBuild:
         # declared rounding e of each factor 2e; where exp_product's factors
         # change sign (on [-1, 1]) sum_j |phi_j| |psi_j| bounds |k| loosely,
         # so it is left out here, as are the synthetic kernels, whose
-        # declared errors are large
+        # declared errors are large.  A dense twin's row sums are summed by
+        # extraction where they may be the largest, so each of its knorms
+        # lies within DENSE_KNORM u of its exact value.
         for case in CASES[::2]:
-            if case[0] in SYNTHETIC or case[0] == "exp_product" and case[2][0] < 0.0:
-                continue
             handle, knorm = build(case)
             norm, shift = exact_bounds(case)
-            table = factored_table(case[0], grid_and_center(case)[0])
-            rank, rounding = table._factors[0].shape[1], table._factor_error[0]
-            assert knorm - float(norm) <= (2 * rank + 2 * rounding / U + 16) * U * knorm, case
+            if case[-1] == "dense":
+                assert knorm - float(norm) <= DENSE_KNORM * U * float(norm), case
+            elif case[0] in SYNTHETIC or case[0] == "exp_product" and case[2][0] < 0.0:
+                continue
+            else:
+                table = factored_table(case[0], grid_and_center(case)[0])
+                rank, rounding = table._factors[0].shape[1], table._factor_error[0]
+                assert knorm - float(norm) <= (2 * rank + 2 * rounding / U + 16) * U * knorm, case
             profile = handle.profile
             assert profile.center_shift - float(shift) <= 8 * U * float(shift), case
             assert float(shift) - profile.center_shift_low <= 8 * U * float(shift), case
@@ -320,6 +342,114 @@ def test_dropping_the_unit_roundoff_breaks_the_outer_sums(monkeypatch):
                                            lambda y: math.inf)
         assert (Fraction(knorm) >= exact) is not dropped
         assert (abs(exact - Fraction(y[0])) <= Fraction(errors[0])) is not dropped
+
+
+# ---------------------------------------------------------------------------
+# the dense pass against the exact row sums and image of its samples
+# ---------------------------------------------------------------------------
+
+def index_grid(weights) -> Grid:
+    """A grid on the nodes 0, 1, ..., n - 1 with the given weights."""
+    weights = np.asarray(weights, dtype=float)
+    return Grid(0.0, math.fsum(weights.tolist()), np.arange(weights.size, dtype=float),
+                weights, "index")
+
+
+def dense_misses(values: np.ndarray, weights: np.ndarray, v: np.ndarray, budget: float):
+    """The rows whose exact image Z (w v) leaves the dense pass's error
+    bound, and whether its knorm lies below an exact row sum sum_l |Z_il w_l|."""
+    grid = index_grid(weights)
+    knorm, y, errors = operators._dense_pass(KernelTable(grid, values), grid.weights, v,
+                                             lambda y: budget)
+    wv = [Fraction(a) * Fraction(b) for a, b in zip(weights.tolist(), v.tolist())]
+    rows = values.tolist()
+    exact = [sum((Fraction(k) * x for k, x in zip(row, wv)), Fraction(0)) for row in rows]
+    norms = [sum((abs(Fraction(k) * Fraction(w)) for k, w in zip(row, weights.tolist())),
+                 Fraction(0)) for row in rows]
+    misses = [i for i, (x, a, e) in enumerate(zip(exact, y, errors))
+              if abs(x - Fraction(a)) > Fraction(e)]
+    return misses, Fraction(knorm) < max(norms)
+
+
+@st.composite
+def dense_inputs(draw):
+    """(Z, w, v): an (n, n) table, positive weights and a vector, each
+    entry a random mantissa times 2^k with k drawn per array, zeros and
+    signs sprinkled into Z and v, such that no product overflows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+
+    def entries(shape, low):
+        out = np.ldexp(rng.random(shape) + 0.5, draw(st.integers(low, 300)))
+        out[rng.random(shape) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+        return out * rng.choice([-1.0, 1.0], shape)
+
+    # products of all three reach below 2^-1074, where they underflow
+    weights = np.ldexp(rng.random(n) + 0.5, draw(st.integers(-400, 0)))
+    return entries((n, n), -600), weights, entries(n, -600)
+
+
+class TestDensePass:
+    @settings(max_examples=60, deadline=None)
+    @given(dense_inputs(), st.sampled_from([0.0, math.inf]), st.sampled_from([None, 3]))
+    def test_image_and_row_sums_are_enclosed(self, inputs, budget, block_rows):
+        # budget 0 sums every image row by extraction, inf none; a block of
+        # three rows reads the table in several blocks
+        values, weights, v = inputs
+        with pytest.MonkeyPatch.context() as patch:
+            if block_rows:
+                patch.setattr(operators, "_BLOCK_ELEMENTS", block_rows * values.shape[0])
+            assert dense_misses(values, weights, v, budget) == ([], False)
+
+    def test_dropping_the_image_errors_breaks_the_image(self):
+        # the rows of NUDGED, summed a priori: one float sum rounds above
+        # its exact value and one below, so y alone misses both
+        values = np.zeros((41, 41))
+        values[:2] = NUDGED
+        ones = np.ones(41)
+        assert dense_misses(values, ones, ones, math.inf) == ([], False)
+        knorm, y, _ = operators._dense_pass(KernelTable(index_grid(ones), values), ones, ones,
+                                            lambda y: math.inf)
+        exact = [exact_sum(row) for row in NUDGED]
+        assert Fraction(y[0]) > exact[0] and Fraction(y[1]) < exact[1]
+
+    def test_dropping_the_product_rounding_breaks_the_image(self):
+        # z = fl(w v) and each product fl(Z z) round down by almost an ulp
+        # each, 2u in all: more than the extraction error of the float terms
+        # (about u), so the rounding of the products must be counted too
+        n = 64
+        z, w, v = 1.0003918919240609, 1.0000224978025065, 1.0003541916962506
+        values = np.full((n, n), z)
+        assert dense_misses(values, np.full(n, w), np.full(n, v), 0.0) == ([], False)
+        terms = values[:1] * (w * v)
+        s, e = _enclose._extract(terms, 1)
+        exact = n * Fraction(z) * Fraction(w) * Fraction(v)
+        assert exact - Fraction(s[0]) > Fraction(e[0])
+
+    def test_row_sums_count_the_rounding_of_the_products(self):
+        # each product |Z_il| w_l rounds down, and the extracted sum of the
+        # float terms with its error falls short of the exact row sum; the
+        # (1 + 2u) on the float terms' sums covers it (so does the ulp that
+        # adding n TINY rounds up, which keeps a copy without it passing)
+        w = np.full(2, 1.0036492145288018)
+        values = np.array([[1.0021937043066065, 0.5015619328344311], [0.0, 0.0]])
+        assert dense_misses(values, w, np.ones(2), math.inf) == ([], False)
+        s, e = _enclose._extract(values[:1] * w, 1)
+        exact = sum(Fraction(k) * Fraction(x) for k, x in zip(values[0], w))
+        assert Fraction(float(_enclose.add_up(s, e)[0])) < exact
+
+    def test_rows_too_large_to_extract_keep_their_a_priori_bound(self):
+        # the largest row passes _EXTRACT_LIMIT, where extraction's sigma
+        # would overflow, so it is summed a priori: its float sum drops each
+        # term just under half an ulp of the first (numpy's first of eight
+        # partial sums takes every eighth term)
+        n = 128
+        values = np.zeros((n, n))
+        values[0, ::8] = 2.0**1015 * U * (1.0 - 2.0**-20)
+        values[0, 0] = 2.0**1015
+        # budget 0 would sum every image row by extraction, but for this one
+        assert dense_misses(values, np.ones(n), np.ones(n), 0.0) == ([], False)
+        assert values[0].sum() < exact_sum(values[0])
 
 
 def test_modulus_scale_keeps_both_ends_of_a():

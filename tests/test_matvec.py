@@ -1,16 +1,17 @@
-"""KernelTable._row_pass: a stored kernel read once, a block of rows at a time.
+"""The sup build of a table of samples: the dense pass reads it once, a block
+of rows at a time, with no BLAS product.
 
-The pass gives a sup build of a sampled table its kernel row sums |Z| w;
-its a is one apply's displacement.  Bit checks run in subprocesses under a
-fixed OpenBLAS thread count: under one thread each row of a gemv has one
-accumulation order, so every block's rows must be the rows of the whole
-product; under two threads the blocks must give the one-thread bits too.
-A table of factors alone holds no samples, and neither its sup build
-(tests/test_enclose.py) nor its L_p build with a Zaanen norm given calls
-its kernel.
+The pass bounds the table's row sums |Z| w from above and a from both sides
+(tests/test_enclose.py), so a dense certificate does not depend on the BLAS
+thread count: documents made in subprocesses under one and two OpenBLAS
+threads must agree bit for bit, and so must concurrent builds on one table.
+The apply stays one gemv per term.  A table of factors alone holds no
+samples, and neither its sup build (tests/test_enclose.py) nor its L_p build
+with a Zaanen norm given calls its kernel.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,12 +25,15 @@ import numpy as np
 import pytest
 
 from majorfix import (Grid, HammersteinSpec, HammersteinTerm, KernelTable,
-                      PowerSumModulus, build_hammerstein_sup, cli)
+                      PowerSumModulus, build_hammerstein_sup, cli, operators)
 from majorfix.majorant import _TOL
 from majorfix.presets import FORCINGS, KERNELS
 
+from helpers import old_design
+
 ROOT = Path(__file__).resolve().parents[1]
 GATE = ROOT / "tests" / "data" / "gate"
+U = 2.0**-53
 
 
 def run_child(script: str, *args: str, threads: str = "1") -> subprocess.CompletedProcess:
@@ -39,72 +43,19 @@ def run_child(script: str, *args: str, threads: str = "1") -> subprocess.Complet
                           capture_output=True, text=True, timeout=300)
 
 
-# argv: n; prints one line per table: its name and the hex digest of the
-# pass's bytes.  Under one BLAS thread each pass must give the bits of the
-# whole product |Z| @ w.
-BITS = """
-import hashlib, os, sys
-import numpy as np
-from majorfix import Grid, KernelTable
-from majorfix.presets import KERNELS
-
-n = int(sys.argv[1])
-one_thread = os.environ["OPENBLAS_NUM_THREADS"] == "1"
-rng = np.random.default_rng(n)
-index = Grid.trapezoid(0.0, n - 1.0, n)
-unit = Grid.simpson(0.0, 1.0, n) if n % 2 else Grid.trapezoid(0.0, 1.0, n)
-
-
-def absolute():
-    mat = rng.standard_normal((n, n))
-    return np.abs(mat, out=mat)
-
-
-def negative_zero():
-    mat = absolute()
-    mat[rng.random((n, n)) < 0.01] = -0.0
-    mat[n // 2] = -0.0
-    return mat
-
-
-tables = {
-    "signed": lambda: KernelTable._adopt(index, rng.standard_normal((n, n))),
-    "absolute": lambda: KernelTable._adopt(index, absolute()),
-    "negative_zero": lambda: KernelTable._adopt(index, negative_zero()),
-    "exp_product": lambda: KernelTable.from_function(unit, KERNELS["exp_product"]),
-}
-for name, make in tables.items():
-    # the table holds its array itself, uncopied: n = 4097 is 128 MiB
-    table = make()
-    grid = table.grid
-    whole = (np.abs(table.values) @ grid.weights).tobytes()
-    got = table._row_pass(grid.weights).tobytes()
-    assert got == whole or not one_thread, f"{name} lost a bit"
-    print(name, hashlib.sha256(got).hexdigest())
-    del table
-"""
-
-
-@pytest.mark.parametrize("n", [768, 1001, 1025, 2001, 2049, 4097])
-def test_rows_keep_the_bits_of_the_whole_product(n):
-    one = run_child(BITS, str(n))
-    assert one.returncode == 0, one.stderr
-    assert len(one.stdout.splitlines()) == 4
-    two = run_child(BITS, str(n), threads="2")
-    assert two.returncode == 0, two.stderr
-    assert two.stdout == one.stdout
-
-
 @pytest.mark.parametrize("n", [5, 63, 64, 65, 127, 128, 129, 768, 1001, 2001])
 def test_blocks_cover_every_row_once(n):
     grid = Grid.trapezoid(0.0, 1.0, n)
     table = KernelTable.from_function(grid, lambda t, s: t + s)
-    sums = table._row_pass(grid.weights)
-    # a row that no block read would keep np.empty's garbage; under a
-    # threaded BLAS a whole n = 2001 gemv may round otherwise
-    exact = os.environ.get("OPENBLAS_NUM_THREADS") == "1" or n < 768
-    check = np.array_equal if exact else np.allclose
-    assert check(sums, np.abs(table.values) @ grid.weights)
+    weights = grid.weights
+    # budget inf keeps every image row a priori: a row sums along itself,
+    # so each block's rows keep the bits of the whole table's, and a row
+    # that no block read would keep np.empty's garbage
+    knorm, y, _ = operators._dense_pass(table, weights, np.cos(grid.nodes),
+                                        lambda y: math.inf)
+    assert np.array_equal(y, (table.values * (weights * np.cos(grid.nodes))).sum(axis=1))
+    top = float(np.max((np.abs(table.values) * weights).sum(axis=1)))
+    assert top <= knorm <= top * (1.0 + 8.0 * U)
 
 
 def test_non_finite_sample_in_the_last_block_raises():
@@ -170,6 +121,22 @@ def test_factored_sup_build_keeps_no_table(monkeypatch, name):
     assert handle.profile.center_shift > 0.0
 
 
+@pytest.mark.parametrize("x0", [0.0, 0.05])
+def test_dense_sup_build_reads_its_table_in_blocks(x0):
+    # the table takes 30.5 MiB; the pass reads it a block of about 1 MiB at
+    # a time, with and without an image to bound
+    grid = Grid.simpson(0.0, 2.0, 2001)
+    spec = square_spec(KernelTable.from_function(grid, KERNELS["exp_product"]))
+    tracemalloc.start()
+    try:
+        handle = build_hammerstein_sup(spec, grid, 1.0, center=x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+    assert handle.profile.center_shift_low <= handle.profile.center_shift
+
+
 # re-imports operators four times, each followed by a dense apply; prints
 # the thread count after each
 IDLE = """
@@ -224,16 +191,23 @@ def test_concurrent_applies_on_one_handle():
         assert all(np.array_equal(want, y) for y in got)
 
 
-def test_concurrent_row_passes_on_one_table():
+def profile_bits(handle) -> tuple:
+    profile = handle.profile
+    return (profile.center_shift, profile.center_shift_low, profile.slope(0.5),
+            profile.modulus_integral(0.5))
+
+
+def test_concurrent_dense_sup_builds_on_one_table():
+    # x0 = 0.05 makes h(x0) nonzero, so each build also reads the image
     n = 1001
-    grid = Grid.simpson(0.0, 1.0, n)
-    table = KernelTable.from_function(grid, KERNELS["exp_product"])
-    expected = table._row_pass(grid.weights)
+    grid = Grid.simpson(0.0, 2.0, n)
+    spec = square_spec(KernelTable.from_function(grid, KERNELS["exp_product"]))
+    expected = profile_bits(build_hammerstein_sup(spec, grid, 1.0, center=0.05))
     results = [[] for _ in range(4)]
 
     def work(k):
         for _ in range(10):
-            results[k].append(table._row_pass(grid.weights))
+            results[k].append(profile_bits(build_hammerstein_sup(spec, grid, 1.0, center=0.05)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -248,13 +222,12 @@ def test_concurrent_row_passes_on_one_table():
     assert not any(thread.is_alive() for thread in threads)
     for got in results:
         assert len(got) == 10
-        assert all(np.array_equal(expected, sums) for sums in got)
+        assert all(bits == expected for bits in got)
 
 
-# the solve documents in tests/data/gate were written under one BLAS thread
-# by the design that sampled every table whole and read it with one gemv;
-# the two on [0, 1] iterate through their kernels' factors, the one on
-# [0, 2] (where exp_product declines them) on its table
+# the solve documents in tests/data/gate, written under one BLAS thread:
+# the two on [0, 1] are built and iterated through their kernels' factors,
+# the one on [0, 2] (where exp_product declines them) through its table
 GATE_CONFIGS = {
     "n2001": (2001, [0.0, 1.0], 0.07, 1.5, "exp_product", "cube"),
     "n1001": (1001, [0.0, 1.0], 0.4, 3.0, "product", "square"),
@@ -289,7 +262,7 @@ def test_solve_document_reproduced(tmp_path, name):
     assert out.read_bytes() == (GATE / f"{name}.solve.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["n2001", "n1001"])
+@pytest.mark.parametrize("name", sorted(GATE_CONFIGS))
 def test_analyze_document_is_the_same_under_two_blas_threads(tmp_path, name):
     config = str(gate_config(tmp_path, name))
     documents = []
@@ -301,21 +274,22 @@ def test_analyze_document_is_the_same_under_two_blas_threads(tmp_path, name):
     assert documents[0] == documents[1]
 
 
-# The gate documents moved once, when factored sup builds began to bound
-# their row sums from above and a from both sides.  The design before read a
-# dense table's rows (bit for bit the table below, tests above) and measured
-# a to nearest.  Against it each radius must stay on its safe side (the
-# inner radius, bisected on [0, a], only where a is exact, h(x0) = 0) and each
-# envelope r_n may only rise, by MOVED u r* at most (34 u r* seen, at n2001
-# with x0 = 0.05).  The bounds are differences r* - r_n: r* rises by less
-# than its bisection bracket, _TOL, often by nothing, while r_n rises, so a
-# bound may fall by as much as r_n rises: the old document's bounds are no
-# exact values to stay above.  Where the exact fixed point and a are known
-# in closed form (n1001), the radii and the final bound are held against them.
+# The gate documents moved once each, when the sup builds began to bound
+# their row sums from above and a from both sides: n2001 and n1001 with the
+# factored build, dense-n1025 with the dense pass.  The design before
+# (old_design) read each table's row sums |Z| @ w and measured a with one
+# apply, both rounded to nearest.  Against it each radius must stay on its
+# safe side (the inner radius, bisected on [0, a], only where a is exact,
+# h(x0) = 0, and a is a table's own; else within _TOL) and each envelope r_n
+# may only rise, by MOVED u r* at most (34 u r* seen, at n2001 with
+# x0 = 0.05).  The bounds are differences r* - r_n: r* rises by less than its
+# bisection bracket, _TOL, often by nothing, while r_n rises, so a bound may
+# fall by as much as r_n rises: the old document's bounds are no exact values
+# to stay above.  Where the exact fixed point and a are known in closed form
+# (n1001), the radii and the final bound are held against them.
 MOVED = 48
 SAFE_UP = {"convergence_radius"}
 SAFE_DOWN = {"inner_radius", "uniqueness_radius", "contraction_radius"}
-U = 2.0**-53
 
 
 def exact_gate_shift(name: str, x0: float) -> Fraction:
@@ -348,20 +322,21 @@ def exact_gate_fixed_point(name: str) -> list[Decimal]:
 
 
 @pytest.mark.parametrize("x0", [None, 0.05, 0.1])
-@pytest.mark.parametrize("name", ["n2001", "n1001"])
+@pytest.mark.parametrize("name", sorted(GATE_CONFIGS))
 def test_moved_gate_document_against_the_dense_design(tmp_path, monkeypatch, name, x0):
     # x0 > 0 makes h(x0) nonzero, so a sums a real image; without it the
-    # factored document is the gate document (test_solve_document_reproduced)
+    # bounded document is the gate document (test_solve_document_reproduced)
     path = gate_config(tmp_path, name)
     config = json.loads(path.read_text())
     if x0 is not None:
         config["x0"] = x0
         path.write_text(json.dumps(config))
     documents = []
-    for design in ("factored", "dense"):
-        if design == "dense":
+    for design in ("bounded", "old"):
+        if design == "old":
             monkeypatch.setattr(cli, "_resolve_kernel", lambda term, grid:
                                 KernelTable.from_function(grid, KERNELS[term["kernel"]]))
+            monkeypatch.setattr(cli, "build_hammerstein_sup", old_design)
         out = tmp_path / f"{design}.json"
         assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 0
         documents.append(json.loads(out.read_text()))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from majorfix import (
@@ -375,7 +375,8 @@ def envelope_walk(curves, e):
     """(start, base, start**(e+1), a, b) of each piece of min_i (a_i + b_i r**e),
     e > 0: in u = r**e the curves are lines, each piece hands over to the
     first line to cross it (the flattest on a tie), and base is the running
-    sum of the pieces' integrals."""
+    sum of the pieces' integrals.  The walk stops at the first crossing whose
+    end or end**(e+1) overflows, or lies at u = inf."""
     e1 = e + 1.0
     a, b = min(curves)
     u = start = base = power = 0.0
@@ -387,8 +388,13 @@ def envelope_walk(curves, e):
             return pieces
         crossing, b_next, a_next = min(later)
         u = max(u, crossing)
-        end = u ** (1.0 / e)
-        end_power = end**e1
+        try:
+            end = u ** (1.0 / e)
+            end_power = end**e1
+        except OverflowError:
+            return pieces
+        if end_power == math.inf:
+            return pieces
         base += a * (end - start) + b * (end_power - power) / e1
         start, power, a, b = end, end_power, a_next, b_next
 
@@ -496,33 +502,45 @@ class TestSuperpositionModulus:
            length=st.floats(0.5, 2.0),
            spots=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
+    # a slope near 1e-155 crosses where r**(e+1) overflows, and one of
+    # 5e-324 at u = inf: the walk stops there
+    @example(pairs=[(0.0, 1e-156), (1.0, 0.0)], p=2.0, fraction=0.5, length=1.0,
+             spots=[0.5])
+    @example(pairs=[(0.0, 5e-324), (1.0, 0.0)], p=2.0, fraction=0.5, length=1.0,
+             spots=[0.5])
     def test_pieces_keep_the_bits_of_the_crossing_walk(self, pairs, p, fraction,
                                                        length, spots):
         q = p * fraction
         e0, e = (p - q) / (p * q), (p - q) / q
-        try:
-            pieces = envelope_walk([(first * length**e0, second)
-                                    for first, second in pairs], e)
-        except OverflowError:
-            # a crossing whose r**(e+1) overflows (a slope near 1e-155, say)
-            # stops the walk, and the build raises the same error: a known
-            # defect, since such pairs are valid
-            with pytest.raises(OverflowError):
-                build_superposition_modulus(LipschitzPairSet(tuple(pairs)), p, q, length)
-            return
+        pieces = envelope_walk([(first * length**e0, second) for first, second in pairs], e)
         h = build_superposition_modulus(LipschitzPairSet(tuple(pairs)), p, q, length)
+        assert len(h._pieces) == len(pieces)
         starts = [piece[0] for piece in pieces]
-        # a slope of 5e-324 crosses at u = inf, a piece no radius reaches
-        finite = [x for x in starts if x < math.inf]
-        radii = finite + [math.nextafter(x, math.inf) for x in finite]
-        radii += [math.nextafter(x, 0.0) for x in finite[1:]]
-        radii += [u * 2.0 * (finite[-1] + 1.0) for u in spots]
+        radii = starts + [math.nextafter(x, math.inf) for x in starts]
+        radii += [math.nextafter(x, 0.0) for x in starts[1:]]
+        radii += [u * 2.0 * (starts[-1] + 1.0) for u in spots]
         e1 = e + 1.0
         for r in radii:
+            try:
+                r**e1
+            except OverflowError:
+                continue  # K overflows here, past the last piece's start
             start, base, power, a, b = pieces[bisect.bisect_right(starts, r) - 1]
             walked = base + a * (r - start) + b * (r**e1 - power) / e1
             assert h.primitive(r).hex() == walked.hex(), r
             assert h(r).hex() == (a + b * r**e).hex(), r
+
+    @pytest.mark.parametrize("curves", [((0.0, 1e-156), (1.0, 0.0)),
+                                        ((0.0, 5e-324), (1.0, 0.0))])
+    def test_crossing_that_overflows_stops_the_walk(self, curves):
+        # the second crossing lies at u = 1e156, whose end**2 overflows, or
+        # at u = inf: the first curve is kept beyond, above the minimum 1
+        h = PowerSumModulus._envelope(curves, 1.0)
+        assert all(math.isfinite(x) for x in h._breaks)
+        assert all(math.isfinite(base) for base, _, _ in h._pieces)
+        for r in (0.0, 1.0, 1e150):
+            assert h(r) >= min(a + b * r for a, b in curves)
+            assert math.isfinite(h.primitive(r))
 
     def test_pair_validation(self):
         with pytest.raises(ValueError):

@@ -27,8 +27,6 @@ BLAS thread count.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 U = 2.0**-53
@@ -57,6 +55,11 @@ def mul_up(a, b):
     p = np.multiply(a, b)
     return np.where((np.asarray(a) == 0.0) | (np.asarray(b) == 0.0), p,
                     np.nextafter(p, np.inf))
+
+
+def _absolute(values: np.ndarray) -> np.ndarray:
+    """|values|: values itself when no sign bit is set (|v| = v, bit for bit)."""
+    return np.abs(values) if np.any(np.signbit(values)) else values
 
 
 def inflate(total, roundings: int):
@@ -93,57 +96,54 @@ def row_sums(terms: np.ndarray, weights: np.ndarray, budget: float
     which rows cost more."""
     n = terms.shape[1]
     sums = terms.sum(axis=1)
-    magnitudes = inflate(np.abs(terms).sum(axis=1), n - 1)
+    magnitudes = inflate(_absolute(terms).sum(axis=1), n - 1)
     errors = mul_up(magnitudes, (n - 1) * U)
     impact = weights * errors
     order = np.argsort(impact)
     tight = order[np.cumsum(impact[order]) > budget]
     tight = tight[np.max(np.abs(terms[tight]), axis=1, initial=0.0) < _EXTRACT_LIMIT]
-    sums[tight], errors[tight] = _extract(terms[tight], 1)
+    if tight.size:
+        sums[tight], errors[tight] = _extract(terms[tight], 1)
     return sums, errors, magnitudes
 
 
-def max_dot(a: np.ndarray, c: np.ndarray, short: float = 0.0) -> float:
-    """An upper bound on max_i sum_j a_ji x_j, for a (r, n) and c (r,), both
-    >= 0, and any x_j <= c_j + short: each row's float dot, of r roundings a
-    term, bounded a priori."""
-    dots = (a * c[:, None]).sum(axis=0)
-    # each product of nonzero factors may lose < TINY to underflow
-    floor = add_up(mul_up(float(np.count_nonzero(c)), TINY),
-                   mul_up(short, inflate(np.max(a, axis=1).sum(), c.size)))
-    return float(add_up(inflate(np.max(dots), c.size), floor))
-
-
-def factored_rows(phi: np.ndarray, psi: np.ndarray, z: np.ndarray,
-                  budget: Callable[[np.ndarray], float], relative: float = 0.0
+def factored_rows(phi: np.ndarray, psi: np.ndarray, z: np.ndarray, c, s: float,
+                  relative: float = 0.0, extra: float = 0.0
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(y, errors) for y = phi^T (psi z), with phi and psi C-contiguous
     (r, n) arrays, the transposes of a kernel's factors: for each i,
 
-        |sum_j sum_l x_jil - y_i| <= errors_i
+        |sum_j sum_l x_jil - y_i| + extra <= errors_i
 
     for any reals x_jil within relative |phi_ji psi_jl z_l| of
-    phi_ji psi_jl z_l, the products of these floats.  The r sums over l
-    take row_sums, with budget(y) for the float y as their budget; each
-    y_i is a float dot of length r, bounded a priori."""
+    phi_ji psi_jl z_l, the products of these floats.  The caller takes the
+    max of |c + s y|: the r sums over l take row_sums, with about an ulp of
+    that max over |s| as their budget; each y_i is a float dot of length r,
+    bounded a priori."""
     r, n = psi.shape
     terms = psi * z
-    scale = np.max(np.abs(phi), axis=1, initial=0.0)
-    sums, errors, magnitudes = row_sums(terms, scale,
-                                        budget((phi * terms.sum(axis=1)[:, None]).sum(axis=0)))
-    products = phi * sums[:, None]
+    absolute = _absolute(phi)
+    scale = np.max(absolute, axis=1, initial=0.0)
+    first = terms.sum(axis=1)
+    products = phi * first[:, None]
     y = products.sum(axis=0)
+    budget = U * float(np.max(np.abs(c + s * y))) / abs(s) if s else np.inf
+    sums, errors, magnitudes = row_sums(terms, scale, budget)
+    changed = np.flatnonzero(sums != first)
+    if changed.size:
+        products[changed] = phi[changed] * sums[changed, None]
+        y = products.sum(axis=0)
     # |sum_l psi_jl z_l - sums_j| <= errors_j + u magnitudes_j and
-    # |psi_jl z_l| <= (1 + u) |terms_jl|, underflow aside
-    columns = add_up(add_up(errors, mul_up(magnitudes, U)),
-                     mul_up(mul_up(magnitudes, 1.0 + 2.0 * U), relative))
-    # each row's dot of length r errs by at most r u sum_j |products_ji|
-    total = ((np.abs(phi) * columns[:, None]).sum(axis=0)
-             + r * U * np.abs(products).sum(axis=0))
+    # |psi_jl z_l| <= (1 + u) |terms_jl|, underflow aside; and each row's
+    # dot of length r errs by at most r u sum_j |phi_ji sums_j|
+    columns = add_up(add_up(add_up(errors, mul_up(magnitudes, U)),
+                            mul_up(mul_up(magnitudes, 1.0 + 2.0 * U), relative)),
+                     mul_up(np.abs(sums), r * U))
     # the products psi_jl z_l and phi_ji sums_j of nonzero factors, each
     # losing < TINY if it underflows, the first scaled by |phi_ji| after;
-    # and the r products and one scaling by r u of the sum just taken
+    # and the r products |phi_ji| columns_j
     lost = (np.count_nonzero(z) * r * float(np.max(scale, initial=0.0))
-            + np.count_nonzero(sums) + np.count_nonzero(columns) + 1)
-    floor = mul_up(inflate(lost, 2), TINY)
-    return y, add_up(inflate(total, r + 2), floor)
+            + np.count_nonzero(sums) + np.count_nonzero(columns))
+    floor = add_up(mul_up(inflate(lost, 2), TINY), extra)
+    # each term of the r + 1 passed through at most r + 1 roundings
+    return y, inflate((absolute * columns[:, None]).sum(axis=0) + floor, r + 1)

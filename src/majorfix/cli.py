@@ -53,7 +53,7 @@ from .presets import (
     LP_NONLINEARITIES,
     NONLINEARITIES,
     URYSOHN_KERNELS,
-    _FACTOR_ERRORS,
+    _FACTOR_DECLARATIONS,
     _KERNEL_FACTORS,
     get_preset,
     preset_names,
@@ -169,7 +169,7 @@ def _resolve_kernel(term: dict, grid: Grid):
         factors = _KERNEL_FACTORS[kernel](grid.nodes)
         if factors is None:
             return KernelTable.from_function(grid, fn)
-        return KernelTable._from_factors(grid, *factors, *_FACTOR_ERRORS[kernel])
+        return KernelTable._from_factors(grid, *factors, *_FACTOR_DECLARATIONS[kernel])
     if isinstance(kernel, list):
         return KernelTable(grid, _numbers(term, "kernel"))
     _fail("each term needs a 'kernel' (name or matrix) or 'kernel_csv'")

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._enclose import _absolute
+
 __all__ = [
     "Grid",
     "KernelTable",
@@ -123,11 +125,6 @@ def _mesh_callback(fn):
     return evaluate
 
 
-def _absolute(values: np.ndarray) -> np.ndarray:
-    """|values|: values itself when no sign bit is set (|v| = v, bit for bit)."""
-    return np.abs(values) if np.any(np.signbit(values)) else values
-
-
 def _node_indices(coords: np.ndarray, grid: Grid, path: Path) -> np.ndarray:
     """The index of the grid node each coordinate names: the sorted unique
     coordinates must be the nodes, to within 1e-9 of the grid's length."""
@@ -171,20 +168,22 @@ class KernelTable:
         table.__post_init__(copy=False)
         return table
 
-    # (phi, psi) of a kernel with exact factors, and their declared error
-    # (rounding, remainder), see _from_factors
+    # (phi, psi) of a kernel with exact factors, their declared error
+    # (rounding, remainder) and whether k >= 0, see _from_factors
     _factors = None
     _factor_error = (0.0, 0.0)
+    _nonnegative = False
 
     @classmethod
     def _from_factors(cls, grid: Grid, phi, psi, rounding: float = 0.0,
-                      remainder: float = 0.0) -> "KernelTable":
+                      remainder: float = 0.0, nonnegative: bool = False) -> "KernelTable":
         """A table of factors alone, with no samples, that carries read-only
         copies of phi and psi, each (n, r): only for factors of the kernel k
         as the registry derives them (presets._KERNEL_FACTORS), for which
         |k(t_i, s_l) - sum_j phi_j(t_i) psi_j(s_l)| <= remainder at every
-        node pair with the exact factors, and each stored factor entry lies
-        within rounding times its magnitude of the exact one."""
+        node pair with the exact factors, each stored factor entry lies
+        within rounding times its magnitude of the exact one, and, where
+        nonnegative, k >= 0 at every node pair."""
         # one copy where psi is phi (exp_product), which the sup build then
         # transposes once
         factors = tuple(np.array(f, dtype=float) for f in (phi, psi)[:1 + (psi is not phi)])
@@ -192,7 +191,8 @@ class KernelTable:
             f.setflags(write=False)
         table = object.__new__(cls)
         table.__dict__.update(grid=grid, values=None, _factors=(factors[0], factors[-1]),
-                              _factor_error=(float(rounding), float(remainder)))
+                              _factor_error=(float(rounding), float(remainder)),
+                              _nonnegative=bool(nonnegative))
         return table
 
     @classmethod

@@ -15,16 +15,14 @@ one at 33 radii under its second-order chord.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._enclose import (_EXTRACT_LIMIT, TINY, U, _extract, add_up, factored_rows, inflate,
-                       max_dot, mul_up, row_sums, two_sum)
-from .discretize import (_BLOCK_ELEMENTS, Grid, KernelTable, _absolute, _mesh_callback,
-                         lp_norm)
+from ._enclose import (_EXTRACT_LIMIT, TINY, U, _absolute, _extract, add_up, factored_rows,
+                       inflate, mul_up, two_sum)
+from .discretize import _BLOCK_ELEMENTS, Grid, KernelTable, _mesh_callback, lp_norm
 from .iteration import OperatorHandle, make_operator
 from .majorant import MajorantProfile
 from .moduli import (
@@ -223,98 +221,91 @@ def _product(table: KernelTable) -> Callable[[np.ndarray], np.ndarray]:
     return lambda v: phi @ (psi.T @ v)
 
 
-def _factored_pass(table: KernelTable, weights: np.ndarray, v: np.ndarray,
-                   budget) -> tuple[float, np.ndarray, np.ndarray]:
-    """(knorm, y, errors) of a table with factors (phi, psi) and declared
-    error (rounding e, remainder tau), read without its kernel: knorm bounds
-    the row sums max_i sum_l |w_l k(t_i, s_l)| from above, and
-    |sum_l w_l k(t_i, s_l) v_l - y_i| <= errors_i for the float v.
+def _factored_pass(table: KernelTable, weights: np.ndarray, v, c, s: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(y, errors) with |sum_l x_l k(t_i, s_l) - y_i| <= errors_i, read
+    from a table's factors (phi, psi) and declared error (rounding e,
+    remainder tau) without its kernel: x = w v for the float v, or, where v
+    is None, |k| and x = |w|, whose images are the row sums.  The caller
+    takes the max of |c + s y| (see _enclose.factored_rows).
 
     The exact factors lie within (1 + e) of the stored ones entrywise, so
-    the kernel lies within g sum_j |phi_j psi_j| + tau of phi psi^T, with
-    g = (1 + e)^2 - 1.  The row sums are then at most
-    (1 + g) max_i sum_j |phi_ij| sum_l |psi_lj| |w_l| + tau sum_l |w_l|.
-    The image is summed from z = fl(w v), which lies within u |z| of w v
-    (or loses < TINY where a product underflows), so each term is within
-    g + u (1 + g) of its float; budget maps the float y to the error that
-    may stay a priori (see _enclose.factored_rows)."""
-    # (r, n) arrays, so that each sum over l runs along a contiguous row
+    each term phi_ij psi_lj x_l lies within g = (1 + e)^2 - 1 of its float,
+    and the kernel within tau of their sum.  |k| is read through (|phi|,
+    |psi|), which bounds it, or through (phi, psi) where the table declares
+    k >= 0.  x = w v is taken from z = fl(w v), within u |z| of it, which
+    adds u (1 + g) to each term's spread (2u (1 + g) is taken), or < TINY
+    scaled by the largest |k| where w_l v_l underflows."""
+    if v is not None and not np.any(v):
+        return np.zeros(v.size), np.zeros(v.size)
     phi, psi = table._factors
+    if v is None and not table._nonnegative:
+        phi, psi = map(_absolute, (phi, psi))
+    # (r, n) arrays, so that each sum over l runs along a contiguous row
     phi_t = np.ascontiguousarray(phi.T)
     psi_t = phi_t if psi is phi else np.ascontiguousarray(psi.T)
     rounding, remainder = table._factor_error
     g = float(mul_up(rounding, add_up(2.0, rounding)))
-    w = np.abs(weights)
-    absolute = _absolute(phi_t)
-    scale = np.max(absolute, axis=1)
-    terms = _absolute(psi_t) * w
-    # about an ulp of the largest row sum, which no row exceeds
-    sums, errors, _ = row_sums(terms, scale, U * float(scale @ terms.sum(axis=1)))
-    # the products |psi_jl| w_l err by at most u times themselves, or lose
-    # < TINY where they underflow
-    sums = add_up(sums, errors)
-    top = max_dot(absolute, add_up(sums, mul_up(sums, U)), w.size * TINY)
-    tails = mul_up(remainder, inflate(w.sum(), w.size - 1))
-    knorm = float(add_up(add_up(top, mul_up(top, g)), tails))
-
-    z = weights * v
-    if not np.any(z):
-        return knorm, np.zeros(z.size), np.zeros(z.size)
-    relative = float(add_up(g, mul_up(2.0 * U, add_up(1.0, g))))
-    y, errors = factored_rows(phi_t, psi_t, z, budget, relative)
-    # tau (1 + u) on sum |z|, and an underflowing w_l v_l, scaled by the
-    # largest |k|
-    scales = scale * np.max(np.abs(psi_t), axis=1)
-    kmax = add_up(mul_up(add_up(1.0, g), inflate(scales.sum(), scales.size)), remainder)
+    if v is None:
+        z, relative, lost = np.abs(weights), g, 0.0
+    else:
+        z, relative = weights * v, float(add_up(g, mul_up(2.0 * U, add_up(1.0, g))))
+        scales = np.max(np.abs(phi_t), axis=1) * np.max(np.abs(psi_t), axis=1)
+        kmax = add_up(mul_up(add_up(1.0, g), inflate(scales.sum(), scales.size)), remainder)
+        lost = mul_up(np.count_nonzero(v) * TINY, kmax)
+    # tau (1 + u) on sum |z|, and lost where w_l v_l underflows
     extra = add_up(mul_up(mul_up(remainder, 1.0 + 2.0 * U), inflate(np.abs(z).sum(), z.size)),
-                   mul_up(np.count_nonzero(v) * TINY, kmax))
-    return knorm, y, add_up(errors, extra)
+                   lost)
+    return factored_rows(phi_t, psi_t, z, c, s, relative, extra)
 
 
-def _dense_pass(table: KernelTable, weights: np.ndarray, v: np.ndarray,
-                budget) -> tuple[float, np.ndarray, np.ndarray]:
-    """_factored_pass's (knorm, y, errors) for samples Z, read in blocks of rows of
-    about _BLOCK_ELEMENTS values, an eighth of that where extracted: each row of the
-    float terms |Z_il| |w_l| and Z_il z_l, z = fl(w v), is summed a priori, and by
-    extraction where its upper end reaches the largest lower end or its error exceeds budget(y)."""
+def _dense_pass(table: KernelTable, weights: np.ndarray, v, c, s: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """_factored_pass's (y, errors) for samples Z, read in blocks of rows of
+    about _BLOCK_ELEMENTS values, an eighth of that where extracted.  Each
+    row of the float terms fl(Z_il z_l), z = fl(w v), or fl(|Z_il| |w_l|)
+    where v is None, is summed with its a-priori error, and again by
+    extraction where the upper end of |c + s y| can reach the largest lower
+    end.  Each term lies within u of its float, u more where z rounds, or
+    loses < TINY where a product underflows: |Z_il| TINY where w_l v_l
+    does."""
     values, n = table.values, table.grid.n
-    w, z = np.abs(weights), weights * v
-    rows, image = max(1, _BLOCK_ELEMENTS // n), bool(np.any(z))
-    sums, y, buffer = np.empty(n), np.zeros(n), np.empty((rows, n))
+    if v is None:
+        z, spread, under = np.abs(weights), U, np.zeros(0, dtype=int)
+    elif not np.any(v):
+        return np.zeros(n), np.zeros(n)
+    else:
+        z, spread = weights * v, 2.0 * U * (1.0 + 2.0 * U)
+        under = np.flatnonzero((np.abs(z) < 2.0**-1022) & (v != 0.0))
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    y, buffer = np.empty(n), np.empty((rows, n))
+    sizes = y if v is None else np.empty(n)
     for i in range(0, n, rows):
         block = values[i:i + rows]
-        terms = np.abs(block, out=buffer[:len(block)])
-        sums[i:i + rows] = np.multiply(terms, w, out=terms).sum(axis=1)
-        if image:
-            y[i:i + rows] = np.multiply(block, z, out=terms).sum(axis=1)
-    # no row whose upper end stays below max sums / (1 + 2 n u) is the largest
-    ends = inflate(sums, n - 1)
-    tight = np.flatnonzero((mul_up(ends, 1.0 + 2.0 * n * U) >= np.max(sums)) & (ends < _EXTRACT_LIMIT))
+        terms = buffer[:len(block)]
+        np.multiply(block if v is not None else np.abs(block, out=terms), z, out=terms)
+        y[i:i + rows] = terms.sum(axis=1)
+        if sizes is not y:
+            sizes[i:i + rows] = np.abs(terms, out=terms).sum(axis=1)
+    # sizes bounds sum_l |terms_il|, and spread its terms' roundings
+    sizes = inflate(sizes, n - 1)
+    lost = mul_up(inflate(np.abs(values[:, under]).sum(axis=1), under.size), TINY)
+    rounding = add_up(add_up(mul_up(sizes, spread), n * TINY), lost)
+    errors = mul_up(sizes, (n - 1) * U)
+    size, reach = np.abs(c + s * y), abs(s) * (errors + rounding)
+    tight = np.flatnonzero((size + reach >= np.max(size - reach)) & (sizes < _EXTRACT_LIMIT))
     for part in np.array_split(tight, 1 + 8 * tight.size // rows):
-        ends[part] = add_up(*_extract(np.abs(values[part]) * w, 1))
-    # |Z_il| w_l is within u of its float, or TINY where it underflows
-    bounds = add_up(mul_up(ends, 1.0 + 2.0 * U), n * TINY)
-    knorm = float(np.max(bounds))
-    if not image:
-        return knorm, y, np.zeros(n)
-    # |z_l| <= (1 + u) w_l |v_l|, or TINY more where it underflows, and |Z_il|
-    # <= knorm / w_l (taken twice, for rounding): mags bounds sum_l |Z_il z_l| and
-    # the float terms' sizes, and 2 u mags plus the floor bound their roundings
-    floor = add_up(mul_up(4.0 * np.count_nonzero(v) * TINY, knorm / np.min(w[w > 0.0])), n * TINY)
-    mags = add_up(mul_up(mul_up(bounds, float(np.max(np.abs(v)))), 1.0 + 4.0 * U), floor)
-    errors = mul_up(mags, (n - 1) * U)
-    tight = np.flatnonzero((errors > budget(y)) & (mags < _EXTRACT_LIMIT))
-    for part in np.array_split(tight, 1 + 8 * tight.size // rows):
-        y[part], errors[part] = _extract(values[part] * z, 1)
-    return knorm, y, add_up(add_up(errors, mul_up(mags, 2.0 * U)), floor)
+        terms = values[part] * z if v is not None else np.abs(values[part]) * z
+        y[part], errors[part] = _extract(terms, 1)
+    return y, add_up(errors, rounding)
 
 
 def _center_shift_bounds(fvec, lam: float, x0, passes) -> tuple[float, float]:
     """Upper and lower bounds on a = max_i |f + lam sum_k Y_k - x0|_i, each
-    exact Y_k within the errors of the float y of passes[k], a (knorm, y,
-    errors); TwoSum gives the rounding of each of the apply's sums exactly."""
+    exact Y_k within the errors of the float y of passes[k], a (y, errors);
+    TwoSum gives the rounding of each of the apply's sums exactly."""
     out, slack = fvec, np.zeros_like(fvec)
-    for _, y, error in passes:
+    for y, error in passes:
         p = lam * y
         # |lam y - p| <= u |p|, or < TINY where the product underflows
         slack = add_up(slack, np.where(y != 0.0, add_up(mul_up(np.abs(p), U), TINY), 0.0))
@@ -333,9 +324,12 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
     """x -> f + lambda * sum_j K_j (w * h_j(x)) with modulus
     |lambda| * sum_j knorms_j * h_j(r), h_j the terms' moduli, recentered on
     x0; the apply reads each K_j through its factors where its table carries
-    them, else whole.  Without knorms, the row sums max_i sum_l w_l |k_j(t_i,
-    s_l)| are bounded from above and a from both sides (_factored_pass,
-    _dense_pass); with knorms, a is one apply's displacement (make_operator)."""
+    them, else whole.  Without knorms, one bounded pass per table
+    (_factored_pass, _dense_pass) encloses two images: |K_j| |w|, whose
+    largest upper end bounds the row sums max_i sum_l |w_l k_j(t_i, s_l)|,
+    and K_j (w h_j(x0)), from which a is bounded on both sides
+    (_center_shift_bounds); with knorms, a is one apply's displacement
+    (make_operator)."""
     x0 = _resolve_center(center, grid)
     if callable(spec.forcing):
         fvec = _mesh_callback(spec.forcing)(grid.nodes)
@@ -347,16 +341,13 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
     weights, lam = grid.weights, spec.lam
     products = [_product(table) for table in tables]
 
-    def budget(y: np.ndarray) -> float:
-        # what an image may leave a priori: about an ulp of a over |lambda|
-        return U * _sup_norm(fvec + lam * y - x0) / abs(lam) if lam else math.inf
-
     passes = []
     if knorms is None:
+        knorms = []
         for table, h in zip(tables, hs):
-            read = _dense_pass if table._factors is None else _factored_pass
-            passes.append(read(table, weights, h(x0), budget))
-        knorms = [knorm for knorm, _, _ in passes]
+            image = _dense_pass if table._factors is None else _factored_pass
+            knorms.append(float(np.max(add_up(*image(table, weights, None, 0.0, 1.0)))))
+            passes.append(image(table, weights, h(x0), fvec - x0, lam))
     modulus = combine_moduli([term.modulus for term in spec.terms],
                              [abs(lam) * kn for kn in knorms])
     shift = norm(x0)

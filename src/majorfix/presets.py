@@ -51,16 +51,19 @@ _KERNEL_FACTORS = {
     "exp_product": _exp_product_factors,
 }
 
-# kernel name -> (rounding, remainder) of its factors (see
+# kernel name -> (rounding, remainder, nonnegative) of its factors (see
 # KernelTable._from_factors).  product and one are exact.  An exp_product
 # entry t^j / sqrt(j!) takes four roundings: pow within one ulp (2u, as
 # libm's pow is taken to be), j! (u, halved by sqrt), sqrt and the division
 # (u each), 4.5u in all, to first order; its Taylor remainder is at most
 # e/26! (see _exp_product_factors), which the float e/26! bounds with room.
-_FACTOR_ERRORS = {
-    "product": (0.0, 0.0),
-    "one": (0.0, 0.0),
-    "exp_product": (5.0 * 2.0**-53, math.e / math.factorial(26)),
+# 1 and exp(ts) are positive, so their row sums are read through their own
+# factors (exp_product's change sign where t < 0), not through |phi| |psi|^T,
+# which bounds |k| loosely there; ts changes sign, so product's are not.
+_FACTOR_DECLARATIONS = {
+    "product": (0.0, 0.0, False),
+    "one": (0.0, 0.0, True),
+    "exp_product": (5.0 * 2.0**-53, math.e / math.factorial(26), True),
 }
 
 # nonlinearity name -> (h, scalar modulus of h on |u| <= r)

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from majorfix import MajorantProfile, PowerSumModulus, UrysohnSpec, combine_moduli, operators
+from majorfix import (MajorantProfile, PowerSumModulus, UrysohnSpec, _enclose, combine_moduli,
+                      operators)
 from majorfix.iteration import BOUND_SLACK_ABS, BOUND_SLACK_REL
 
 
@@ -196,3 +197,10 @@ def old_design(spec, grid, radius, center=None):
     knorms = [float(np.max(np.abs(table.values) @ grid.weights)) for table in tables]
     return operators._nystrom_handle(spec, grid, tables, knorms, operators._sup_norm,
                                      radius, center)
+
+
+def row_sum_bound(table, weights) -> float:
+    """The sup build's kernel norm of a table: the largest upper end of the
+    enclosed image |K| |w|."""
+    read = operators._dense_pass if table._factors is None else operators._factored_pass
+    return float(np.max(_enclose.add_up(*read(table, weights, None, 0.0, 1.0))))

@@ -30,7 +30,7 @@ from majorfix.cli import main
 from majorfix.majorant import _TOL
 from majorfix.presets import _KERNEL_FACTORS, KERNELS, get_preset
 
-from helpers import old_design
+from helpers import old_design, row_sum_bound
 
 UNIT = 2.0**-53
 RULES = {"simpson": Grid.simpson, "trapezoid": Grid.trapezoid}
@@ -238,6 +238,11 @@ SUP_MOVED = 16
 # certificate.
 LP_MOVED = 4
 
+# A factored exp_product's row sums on [-1, 1] against its dense twin's: the
+# outer dots over its 26 columns and its declared factor rounding cost
+# (26 u + 2 e) sum_j |phi_ij c_j|, 1.5 times the row sum here (40 u seen)
+TWIN_KNORM = 64
+
 
 def assert_sup_twin(new: dict, old: dict, one_sided: bool = True) -> None:
     """new against old: on its safe side where one_sided, else either way."""
@@ -293,6 +298,17 @@ class TestInlineTwins:
                 assert [mine[k] for k in BOUND_KEYS] == [theirs[k] for k in BOUND_KEYS]
         gap = np.subtract(factored["solution"], dense["solution"])
         assert handles[0].norm(gap) <= 2.0 * dense["final_bound"]
+
+    def test_signed_factors_give_the_twins_row_sums(self):
+        # exp_product declares k >= 0, so on [-1, 1], where its factors
+        # change sign, its row sums are read through them, not through
+        # |phi| |psi|^T (3.44 against 2.35): the factored knorm lies within
+        # TWIN_KNORM u of its dense twin's, a priori costs of its 26 columns
+        config, twin = twin_configs("hammerstein_c", "exp_product", (-1.0, 1.0))
+        grid = Grid.simpson(-1.0, 1.0, 101)
+        factored, dense = (row_sum_bound(cli._resolve_kernel(c["terms"][0], grid), grid.weights)
+                           for c in (config, twin))
+        assert abs(factored - dense) <= TWIN_KNORM * UNIT * dense
 
     @pytest.mark.parametrize("kind", sorted(TWIN_KINDS))
     def test_declined_factors_give_the_twins_document(self, tmp_path, kind):

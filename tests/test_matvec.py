@@ -48,14 +48,18 @@ def test_blocks_cover_every_row_once(n):
     grid = Grid.trapezoid(0.0, 1.0, n)
     table = KernelTable.from_function(grid, lambda t, s: t + s)
     weights = grid.weights
-    # budget inf keeps every image row a priori: a row sums along itself,
-    # so each block's rows keep the bits of the whole table's, and a row
-    # that no block read would keep np.empty's garbage
-    knorm, y, _ = operators._dense_pass(table, weights, np.cos(grid.nodes),
-                                        lambda y: math.inf)
-    assert np.array_equal(y, (table.values * (weights * np.cos(grid.nodes))).sum(axis=1))
+    # a c that only the first row reaches keeps every other image row a
+    # priori: a row sums along itself, so each block's rows keep the bits of
+    # the whole table's, and a row that no block read would keep np.empty's
+    # garbage
+    c = np.zeros(n)
+    c[0] = 1e300
+    y, errors = operators._dense_pass(table, weights, np.cos(grid.nodes), c, 1e-300)
+    expected = (table.values * (weights * np.cos(grid.nodes))).sum(axis=1)
+    assert np.array_equal(y[1:], expected[1:]) and abs(y[0] - expected[0]) <= errors[0]
+    sums, errors = operators._dense_pass(table, weights, None, 0.0, 1.0)
     top = float(np.max((np.abs(table.values) * weights).sum(axis=1)))
-    assert top <= knorm <= top * (1.0 + 8.0 * U)
+    assert top <= float(np.max(sums + errors)) <= top * (1.0 + 8.0 * U)
 
 
 def test_non_finite_sample_in_the_last_block_raises():

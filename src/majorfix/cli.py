@@ -247,11 +247,7 @@ def _hammerstein_lp(config: dict, radius: float):
         elif q <= 1.0:
             _fail("Zaanen estimation needs q > 1; supply 'zaanen_norm' for this term")
         else:
-            # the estimate reads samples, which a table of factors lacks
-            sampled = (kernel if kernel.values is not None
-                       else KernelTable.from_function(grid, KERNELS[term["kernel"]]))
-            norms.append(_ZAANEN_INFLATION
-                         * zaanen_norm_estimate(sampled, q, p / (p - 1.0)))
+            norms.append(_ZAANEN_INFLATION * zaanen_norm_estimate(kernel, q, p / (p - 1.0)))
         return HammersteinTerm(kernel, fn, modulus)
 
     spec = _hammerstein_spec(config, grid, make_term)

@@ -195,6 +195,11 @@ class KernelTable:
                               _nonnegative=bool(nonnegative))
         return table
 
+    def _absolute_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P, Q) that |k| is read as, P Q^T: (phi, psi) where the table
+        declares k >= 0, else (|phi|, |psi|), which bounds it."""
+        return self._factors if self._nonnegative else tuple(map(_absolute, self._factors))
+
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "KernelTable":
         """Sample fn into the table's own array, a block of rows per call:
@@ -260,48 +265,39 @@ def zaanen_sweep_objectives(kernel: KernelTable, alpha: float, beta: float,
     """Objective value after each alternating-maximization sweep.
 
     Maximizes the bilinear form of |z| over the product of the L_alpha and
-    L_beta unit balls weighted by the grid's weights w; each half-step is an exact block maximization via
-    the closed-form Hoelder-extremal vector, so the trail is nondecreasing.
-
-    A sweep is a function of its start vector alone, so once that vector
-    recurs bit for bit the trail is periodic: computation stops there and
-    the rest of the iters entries repeat the period, the same values the
-    remaining sweeps would give.
+    L_beta unit balls weighted by the grid's weights w; each half-step is an
+    exact block maximization via the closed-form Hoelder-extremal vector, so
+    in exact arithmetic the trail is nondecreasing.  A table of samples Z is
+    read as |Z|, a table of factors as P Q^T (KernelTable._absolute_factors).
     """
     alpha, beta = float(alpha), float(beta)
     if alpha <= 1.0 or beta <= 1.0:
         raise ValueError("alpha and beta must both be > 1")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    Z, w = _absolute(kernel.values), kernel.grid.weights
+    w = kernel.grid.weights
+    if kernel._factors is None:
+        Z = _absolute(kernel.values)
+        rows, columns = (lambda u: Z @ u), (lambda u: Z.T @ u)
+    else:
+        # numpy reductions, never BLAS, so no bit depends on the thread count
+        P, Q = (np.ascontiguousarray(f.T) for f in kernel._absolute_factors())
+        rows = lambda u: (P * (Q * u).sum(axis=1)[:, None]).sum(axis=0)
+        columns = lambda u: (Q * (P * u).sum(axis=1)[:, None]).sum(axis=0)
     # constant start keeps the iteration inside the nonnegative cone
     y = np.ones(kernel.grid.n)
     y /= float((w @ y**beta) ** (1.0 / beta))
     objectives: list[float] = []
-    seen = {y.tobytes(): 0}  # each state's bytes -> the sweep that produced it
-    for sweep in range(1, iters + 1):
-        phi = Z.T @ (w * y)
-        x, _ = _holder_extremal(phi, alpha, w)
-        psi = Z @ (w * x)
-        y, value = _holder_extremal(psi, beta, w)
+    for _ in range(iters):
+        x, _ = _holder_extremal(columns(w * y), alpha, w)
+        y, value = _holder_extremal(rows(w * x), beta, w)
         objectives.append(value)
-        first = seen.setdefault(y.tobytes(), sweep)
-        if first != sweep:
-            # a sweep depends on y alone, so the trail repeats from here
-            period = sweep - first
-            for _ in range(iters - sweep):
-                objectives.append(objectives[-period])
-            break
     return objectives
 
 
 def zaanen_norm_estimate(kernel: KernelTable, alpha: float, beta: float) -> float:
-    """Estimate the bilinear sup-norm of |z| over the two unit balls.
-
-    _ZAANEN_SWEEPS sweeps of alternating maximization yield a certified lower
-    bound of the discrete norm; it is reported as an estimate.  Sweeps stop
-    being computed once their state recurs (see zaanen_sweep_objectives),
-    which does not change the value.  Consumers needing a safe bound may
-    inflate it (over-estimating a modulus only shrinks certified zones).
-    """
+    """Estimate the bilinear sup-norm of |z| over the two unit balls: the
+    last of _ZAANEN_SWEEPS sweeps (zaanen_sweep_objectives), a float with no
+    bound.  Consumers needing a safe bound may inflate it (over-estimating
+    a modulus only shrinks certified zones)."""
     return zaanen_sweep_objectives(kernel, alpha, beta, _ZAANEN_SWEEPS)[-1]

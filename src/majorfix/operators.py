@@ -5,11 +5,12 @@ norm, a center, and the majorant profile assembled from the family's
 Lipschitz modulus.  The multilinear norm is the smallest mode-unfolding
 spectral norm, a certified upper bound; superposition envelopes carry their
 exact piecewise primitive.  Moduli that need quadrature (Urysohn,
-composition) are sampled on a radius grid and wrapped in the sound upper
-envelope of their declared shape (see modulus_from_samples), so the scalar
-core keeps its exact-primitive contract: a monotone modulus, the default,
-is sampled at 257 radii under its first-order step envelope, and a convex
-one at 33 radii under its second-order chord.
+composition) are sampled on a radius grid, 1 MiB of mesh at a time (see
+_tabulated_sup_handle), under the sound upper envelope of their declared
+shape (see modulus_from_samples), so the scalar core keeps its
+exact-primitive contract: a monotone modulus, the default, is sampled at
+257 radii under its first-order step envelope, and a convex one at 33 under
+its second-order chord.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._enclose import (_EXTRACT_LIMIT, TINY, U, _absolute, _extract, add_up, factored_rows,
+from ._enclose import (_EXTRACT_LIMIT, TINY, U, _extract, add_up, factored_rows,
                        inflate, mul_up, two_sum)
 from .discretize import _BLOCK_ELEMENTS, Grid, KernelTable, _mesh_callback, lp_norm
 from .iteration import OperatorHandle, make_operator
@@ -231,16 +232,14 @@ def _factored_pass(table: KernelTable, weights: np.ndarray, v, c, s: float
 
     The exact factors lie within (1 + e) of the stored ones entrywise, so
     each term phi_ij psi_lj x_l lies within g = (1 + e)^2 - 1 of its float,
-    and the kernel within tau of their sum.  |k| is read through (|phi|,
-    |psi|), which bounds it, or through (phi, psi) where the table declares
-    k >= 0.  x = w v is taken from z = fl(w v), within u |z| of it, which
-    adds u (1 + g) to each term's spread (2u (1 + g) is taken), or < TINY
-    scaled by the largest |k| where w_l v_l underflows."""
+    and the kernel within tau of their sum; |k| is read as
+    KernelTable._absolute_factors gives it.  x = w v is taken from z =
+    fl(w v), within u |z| of it, which adds u (1 + g) to each term's spread
+    (2u (1 + g) is taken), or < TINY scaled by the largest |k| where w_l v_l
+    underflows."""
     if v is not None and not np.any(v):
         return np.zeros(v.size), np.zeros(v.size)
-    phi, psi = table._factors
-    if v is None and not table._nonnegative:
-        phi, psi = map(_absolute, (phi, psi))
+    phi, psi = table._absolute_factors() if v is None else table._factors
     # (r, n) arrays, so that each sum over l runs along a contiguous row
     phi_t = np.ascontiguousarray(phi.T)
     psi_t = phi_t if psi is phi else np.ascontiguousarray(psi.T)
@@ -455,14 +454,22 @@ def build_superposition_modulus(pair_set: LipschitzPairSet, p: float, q: float,
 
 def _tabulated_sup_handle(apply, chunk_modulus, grid: Grid, radius: float,
                           center, shape: str) -> OperatorHandle:
-    """Sup-norm handle whose modulus k(r + |x0|) is sampled on the shape's
-    count of radii r in [0, radius] (_SHAPE_RADII) under the shape's
-    envelope; chunk_modulus maps a (c, 1, 1) chunk of radii to k."""
+    """Sup-norm handle whose modulus k(r + |x0|) is sampled at the shape's
+    radii r in [0, radius] (_SHAPE_RADII) under its envelope: k is the
+    largest chunk_modulus(r, rows) of (c, 1, 1) chunks of radii over blocks
+    of rows of t within _BLOCK_ELEMENTS (r, t, s) points, as few and even as
+    steps of 16 rows allow, with room for a lone last row to join the block
+    before: each row then keeps the bits of one gemv over all rows, which
+    numpy would not give a single row (it sums one by a dot)."""
     x0 = _resolve_center(center, grid)
     rs = np.linspace(0.0, radius, _SHAPE_RADII[shape])
     r = (rs + _sup_norm(x0))[:, None, None]
-    chunk = max(1, _BLOCK_ELEMENTS // grid.n**2)
-    ks = np.concatenate([chunk_modulus(r[i:i + chunk])
+    count = -(-grid.n // max(16, (_BLOCK_ELEMENTS // grid.n - 1) // 16 * 16))
+    rows = min(grid.n, -(-grid.n // (16 * count)) * 16)
+    chunk = max(1, _BLOCK_ELEMENTS // (rows * grid.n))
+    edges = [*range(0, grid.n - 1, rows), grid.n]
+    ks = np.concatenate([np.max([chunk_modulus(r[i:i + chunk], slice(*edge))
+                                 for edge in zip(edges, edges[1:])], axis=0)
                          for i in range(0, rs.size, chunk)])
     return make_operator(apply, x0, _sup_norm, modulus_from_samples(rs, ks, shape),
                          radius)
@@ -478,8 +485,8 @@ class UrysohnSpec:
 
     Callbacks are pointwise on broadcastable open-mesh numpy arrays, as in
     HammersteinSpec: K(t, s, u, v) gets t = nodes[:, None], s = nodes[None, :],
-    u = x[None, :], v = x[:, None]; l and m get t[None], s[None] and a leading
-    radius axis r[:, None, None].
+    u = x[None, :], v = x[:, None]; l and m get a block of rows t[None, i:j],
+    s[None] and a leading radius axis r[:, None, None].
     """
 
     kernel: Callable
@@ -496,10 +503,10 @@ def build_urysohn(spec: UrysohnSpec, grid: Grid, radius: float,
     """Nystrom discretization in the sup norm.
 
     The modulus k(r) = max_t sum_l w_l (l(t, s_l, r) + m(t, s_l, r)) is
-    sampled on a radius grid, a chunk of radii per call of the pointwise
-    moduli (see UrysohnSpec), and wrapped in the upper envelope of the
-    spec's shape; a sample set that breaks the shape is a construction
-    error.
+    sampled on a radius grid, a chunk of radii over a block of rows per
+    call of the pointwise moduli (see UrysohnSpec), and wrapped in the upper
+    envelope of the spec's shape; a sample set that breaks the shape is a
+    construction error.
     """
     t, s, weights = grid.nodes[:, None], grid.nodes[None, :], grid.weights
     kernel = _mesh_callback(spec.kernel)
@@ -509,8 +516,8 @@ def build_urysohn(spec: UrysohnSpec, grid: Grid, radius: float,
     def apply(x: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(kernel(t, s, x[None, :], x[:, None])) @ weights
 
-    def chunk_modulus(r: np.ndarray) -> np.ndarray:
-        block = l_mod(t[None], s[None], r) + m_mod(t[None], s[None], r)
+    def chunk_modulus(r: np.ndarray, rows: slice) -> np.ndarray:
+        block = l_mod(t[None, rows], s[None], r) + m_mod(t[None, rows], s[None], r)
         return np.max(np.ascontiguousarray(block) @ weights, axis=1)
 
     return _tabulated_sup_handle(apply, chunk_modulus, grid, radius, center,
@@ -533,9 +540,9 @@ class CompositionSpec:
 
     Callbacks are pointwise on broadcastable open-mesh numpy arrays, as in
     HammersteinSpec: K gets t = nodes[:, None], s = nodes[None, :], u = x[None, :];
-    F gets nodes, x and the inner integrals; n0 and n get t[None], s[None] and
-    a leading radius axis r[:, None, None]; l and m get nodes[None, :],
-    r[:, None] and rho[r, t].
+    F gets nodes, x and the inner integrals; n0 and n get a block of rows
+    t[None, i:j], s[None] and a leading radius axis r[:, None, None]; l and
+    m get nodes[None, i:j], r[:, None] and rho[r, t].
     """
 
     outer: Callable
@@ -556,9 +563,9 @@ def build_composition(spec: CompositionSpec, grid: Grid, radius: float,
 
     The combined modulus k(r) = max_t [ l(t, r, rho(t,r)) +
     m(t, r, rho(t,r)) * int n(t,s,r) ds ] with rho(t,r) = int n0(t,s,r) ds
-    is sampled over a radius grid, a chunk of radii per call of the pointwise
-    moduli (see CompositionSpec), and wrapped in the upper envelope of the
-    spec's shape.
+    is sampled over a radius grid, a chunk of radii over a block of rows
+    per call of the pointwise moduli (see CompositionSpec), and wrapped in
+    the upper envelope of the spec's shape.
     """
     t, s, weights = grid.nodes[:, None], grid.nodes[None, :], grid.weights
     inner_kernel, outer = _mesh_callback(spec.inner_kernel), _mesh_callback(spec.outer)
@@ -569,10 +576,10 @@ def build_composition(spec: CompositionSpec, grid: Grid, radius: float,
         inner = np.ascontiguousarray(inner_kernel(t, s, x[None, :])) @ weights
         return np.array(outer(grid.nodes, x, inner))
 
-    def chunk_modulus(r: np.ndarray) -> np.ndarray:
-        rho = np.ascontiguousarray(bound(t[None], s[None], r)) @ weights
-        n_int = np.ascontiguousarray(n_mod(t[None], s[None], r)) @ weights
-        tr = (grid.nodes[None, :], r[:, :, 0])
+    def chunk_modulus(r: np.ndarray, rows: slice) -> np.ndarray:
+        rho = np.ascontiguousarray(bound(t[None, rows], s[None], r)) @ weights
+        n_int = np.ascontiguousarray(n_mod(t[None, rows], s[None], r)) @ weights
+        tr = (grid.nodes[None, rows], r[:, :, 0])
         return np.max(l_mod(*tr, rho) + m_mod(*tr, rho) * n_int, axis=1)
 
     return _tabulated_sup_handle(apply, chunk_modulus, grid, radius, center,

@@ -164,9 +164,8 @@ def meshgrid_kernel(fn, grid) -> np.ndarray:
 
 def plain_zaanen_sweeps(kernel, alpha: float, beta: float,
                         iters: int) -> list[float]:
-    """The alternating-maximization trail, every one of its iters sweeps
-    computed: the same float operations, in the same order, as the
-    estimator, with no early stop."""
+    """The alternating-maximization trail of a table of samples, written
+    out: the same float operations, in the same order, as the estimator."""
     Z = np.abs(kernel.values)
     w = kernel.grid.weights
 

@@ -150,8 +150,9 @@ ZAANEN_TABLES = {
 
 
 class TestZaanenRecurrence:
-    """The trail stops being computed once its state recurs, and is still
-    the full trail of the plain loop."""
+    """Every sweep of a trail is computed, none repeated from an earlier
+    state: a table of samples gives the trail of the plain loop bit for
+    bit, and a table of factors the same bits under any BLAS thread count."""
 
     @pytest.mark.parametrize("iters", [1, 2, 3, 50, 200])
     @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (1.2, 4.0), (3.0, 1.5)])
@@ -162,39 +163,29 @@ class TestZaanenRecurrence:
         assert len(trail) == iters
         assert trail == plain_zaanen_sweeps(table, alpha, beta, iters)
 
-    def test_constant_kernel_stops_within_two_sweeps(self, monkeypatch):
-        calls = []
-        extremal = discretize._holder_extremal
-
-        def counted(*args):
-            calls.append(1)
-            return extremal(*args)
-
-        monkeypatch.setattr(discretize, "_holder_extremal", counted)
-        table = ZAANEN_TABLES["constant"](Grid.simpson(0.0, 1.0, 101))
-        assert len(zaanen_sweep_objectives(table, 2.0, 2.0, 50)) == 50
-        assert len(calls) <= 4
-
     def test_trail_independent_of_the_blas_thread_count(self):
-        # the stop assumes a sweep gives the same bits each time within a
-        # process; check it against the plain loop under 1 and 2 threads
+        # the factored sweeps sum with numpy reductions, never BLAS; on
+        # [-1, 1] product is read through |phi| and exp_product through its
+        # signed factors
         script = (
-            "from majorfix import Grid, KernelTable, zaanen_sweep_objectives\n"
-            "from majorfix.presets import KERNELS\n"
-            "from helpers import plain_zaanen_sweeps\n"
-            "grid = Grid.simpson(0.0, 1.0, 1001)\n"
-            "table = KernelTable.from_function(grid, KERNELS['product'])\n"
-            "trail = zaanen_sweep_objectives(table, 2.0, 2.0, 50)\n"
-            "assert len(trail) == 50\n"
-            "assert trail == plain_zaanen_sweeps(table, 2.0, 2.0, 50)\n"
+            "from majorfix import Grid, cli, zaanen_sweep_objectives\n"
+            "grid = Grid.simpson(-1.0, 1.0, 1001)\n"
+            "for name in ('product', 'one', 'exp_product'):\n"
+            "    table = cli._resolve_kernel({'kernel': name}, grid)\n"
+            "    assert table._factors is not None\n"
+            "    for alpha, beta in ((2.0, 2.0), (1.5, 3.0)):\n"
+            "        print(zaanen_sweep_objectives(table, alpha, beta, 50))\n"
         )
         root = Path(__file__).resolve().parents[1]
-        path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+        outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(root / "src"))
             result = subprocess.run([sys.executable, "-c", script], env=env,
                                     capture_output=True, text=True)
             assert result.returncode == 0, (threads, result.stderr)
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 6
 
 
 class TestKernelTable:

@@ -525,14 +525,14 @@ def test_sup_build_of_a_factored_table_never_calls_its_kernel(monkeypatch):
         return t * s
 
     monkeypatch.setitem(presets.KERNELS, "product", counting)
-    config = {"kind": "hammerstein_c", "lambda": 0.2, "radius": 1.0, "x0": 0.1,
-              "grid": {"rule": "simpson", "n": 101}, "forcing": "sin_pi",
-              "terms": [{"kernel": "product", "nonlinearity": "sin"}]}
-    handle = cli._build_problem(config)["handle"]
-    handle.apply(handle.center)
-    assert calls == []
+    sup = {"kind": "hammerstein_c", "lambda": 0.2, "radius": 1.0, "x0": 0.1,
+           "grid": {"rule": "simpson", "n": 101}, "forcing": "sin_pi",
+           "terms": [{"kernel": "product", "nonlinearity": "sin"}]}
+    # the L_p build's Zaanen estimate reads the factors too
     lp = {"kind": "hammerstein_lp", "lambda": 0.2, "radius": 1.0, "p": 2.0,
           "grid": {"rule": "simpson", "n": 101}, "forcing": "sin_pi",
           "terms": [{"kernel": "product", "nonlinearity": "linear"}]}
-    cli._build_problem(lp)
-    assert calls and sum(shape[0] for shape in calls) == 101
+    for config in (sup, lp):
+        handle = cli._build_problem(config)["handle"]
+        handle.apply(handle.center)
+    assert calls == []

@@ -781,9 +781,11 @@ def _build(spec, *args, **kwargs):
 
 
 class TestRadiusTabulation:
-    # The radius axis is evaluated in chunks of 2**17 // n**2 radii: 12 at
-    # n = 101, 3 at n = 201 and 1 at n = 401; 33 and 257 radii leave a
-    # partial last chunk at n = 101 and 201.
+    # Each callback round covers at most 2**17 (r, t, s) points: all rows
+    # for chunks of 12 radii at n = 101 and 3 at n = 201, where 33 and 257
+    # radii leave a partial last chunk; at n = 401 one radius over blocks of
+    # 208 and 193 rows of t, which start at multiples of 16 so that each
+    # row's gemv keeps its bits.
     @pytest.mark.parametrize("n,shape,samples", [
         (101, "convex", 33), (101, "monotone", 257),
         (201, "monotone", 257), (401, "convex", 33)])
@@ -801,11 +803,11 @@ class TestRadiusTabulation:
     @pytest.mark.parametrize("shape,samples", [("convex", 33), ("monotone", 257)])
     @pytest.mark.parametrize("kind", ["urysohn", "composition"])
     def test_radius_count_follows_the_shape(self, kind, shape, samples):
-        radii = []
+        calls = []
 
         def counted(fn):
             def wrapped(t, s, r):
-                radii.extend(np.ravel(r))
+                calls.append((np.ravel(r).tolist(), np.shape(t)[1]))
                 return fn(t, s, r)
             return wrapped
 
@@ -815,9 +817,26 @@ class TestRadiusTabulation:
         else:
             spec = dataclasses.replace(spec, inner_bound=counted(spec.inner_bound))
         op = _build(spec, Grid.simpson(0.0, 1.0, 401), 1.0)
-        # one callback round per radius at n = 401, over the table's nodes
-        assert radii == list(op.profile.modulus.abscissae)
+        # at n = 401 each radius reaches the callback once per row block
+        radii = list(op.profile.modulus.abscissae)
+        assert calls == [([r], rows) for r in radii for rows in (208, 193)]
         assert len(radii) == samples
+
+    @pytest.mark.parametrize("kind", ["urysohn", "composition-rho"])
+    def test_a_last_row_alone_joins_the_block_before_it(self, kind):
+        # at n = 1121 the blocks take 112 rows, and 1121 = 10 * 112 + 1;
+        # numpy sums a block of one row by a dot, which moves modulus bits
+        rows = []
+        spec = _tabulation_spec(kind, "convex")
+        name = "u_modulus" if kind == "urysohn" else "inner_bound"
+        fn = getattr(spec, name)
+        spec = dataclasses.replace(
+            spec, **{name: lambda t, s, r: rows.append(np.shape(t)[1]) or fn(t, s, r)})
+        grid = Grid.simpson(0.3, 1.4, 1121)
+        op = _build(spec, grid, 1.5, center=0.15)
+        assert rows == ([112] * 9 + [113]) * 33
+        _, ks = per_radius_modulus(spec, grid, 1.5, shift=0.15, samples=33)
+        assert np.array_equal(op.profile.modulus.ordinates, ks)
 
     @pytest.mark.parametrize("x0", [None, 0.15])
     def test_scalar_only_callbacks_match_numpy_twins(self, x0):

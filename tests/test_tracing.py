@@ -59,23 +59,24 @@ def _tabulated_config(tmp_path):
     return ["solve", "--config", str(path)]
 
 
-# (arguments, combine_moduli spans, tabulated-modulus nodes, sampled kernel
-# tables) of one traced run;
+# (arguments, combine_moduli spans, tabulated-modulus nodes) of one traced
+# run;
 # the urysohn and composition presets declare convex moduli, sampled at 33
 # radii; a tabulated scalar profile is read from its config, not tabulated,
-# and the traced modulus wraps it directly; the L_p preset samples its
-# kernel through the patched KernelTable for its Zaanen estimate alone
-@pytest.mark.parametrize("make_args,combines,table_nodes,tables", [
-    (lambda tmp_path: ["solve", "--preset", "hammerstein-separable"], 1, 0, 0),
-    (_scaled_config, 1, 0, 0),   # combine_moduli([m], [scale]) of the wrapped modulus
-    (lambda tmp_path: ["analyze", "--preset", "urysohn"], 0, 33, 0),
-    (lambda tmp_path: ["analyze", "--preset", "composition"], 0, 33, 0),
-    (_tabulated_config, 0, 0, 0),
-    (lambda tmp_path: ["solve", "--preset", "hammerstein-lp"], 1, 0, 1),
+# and the traced modulus wraps it directly; no run samples a kernel table:
+# the Hammerstein presets' kernels are read through their factors, the L_p
+# preset's Zaanen estimate included
+@pytest.mark.parametrize("make_args,combines,table_nodes", [
+    (lambda tmp_path: ["solve", "--preset", "hammerstein-separable"], 1, 0),
+    (_scaled_config, 1, 0),   # combine_moduli([m], [scale]) of the wrapped modulus
+    (lambda tmp_path: ["analyze", "--preset", "urysohn"], 0, 33),
+    (lambda tmp_path: ["analyze", "--preset", "composition"], 0, 33),
+    (_tabulated_config, 0, 0),
+    (lambda tmp_path: ["solve", "--preset", "hammerstein-lp"], 1, 0),
 ], ids=["solve-preset", "analyze-modulus-scale", "analyze-urysohn",
         "analyze-composition", "solve-tabulated", "solve-lp"])
 def test_traced_run_writes_the_untraced_document(tmp_path, make_args, combines,
-                                                 table_nodes, tables):
+                                                 table_nodes):
     tracing = _load_tracing()
     plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
     args = make_args(tmp_path) + ["--out"]
@@ -96,7 +97,7 @@ def test_traced_run_writes_the_untraced_document(tmp_path, make_args, combines,
     assert traced.read_bytes() == plain.read_bytes()
     counts = tracer.analyse()["count"]
     assert counts["moduli.tabulate.combine_moduli"] == combines
-    assert counts.get("discretize.kernel_table", 0) == tables
+    assert counts.get("discretize.kernel_table", 0) == 0
     assert tracer.counts["moduli.table_nodes"] == table_nodes
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discretize import Grid, KernelTable, zaanen_norm_estimate
+from .discretize import Grid, KernelTable, _FactoredTable, zaanen_norm_estimate
 from .errors import (
     BoundViolationError,
     ConfigError,
@@ -158,6 +158,8 @@ def _resolve_kernel(term: dict, grid: Grid):
     """The term's kernel as a table on grid.  A registry kernel with exact
     factors is a table of factors alone, which the builds read without
     calling the kernel."""
+    if "kernel_csv" in term and "kernel" in term:
+        _fail("a term takes one of 'kernel' and 'kernel_csv', not both")
     if "kernel_csv" in term:
         path = Path(term["kernel_csv"])
         if not path.exists():
@@ -169,7 +171,7 @@ def _resolve_kernel(term: dict, grid: Grid):
         factors = _KERNEL_FACTORS[kernel](grid.nodes)
         if factors is None:
             return KernelTable.from_function(grid, fn)
-        return KernelTable._from_factors(grid, *factors, *_FACTOR_DECLARATIONS[kernel])
+        return _FactoredTable(grid, *factors, *_FACTOR_DECLARATIONS[kernel])
     if isinstance(kernel, list):
         return KernelTable(grid, _numbers(term, "kernel"))
     _fail("each term needs a 'kernel' (name or matrix) or 'kernel_csv'")

@@ -1,19 +1,24 @@
-"""Grids, quadrature, discrete norms, and kernel-norm estimation.
+"""Grids, quadrature, discrete norms, kernel tables and kernel-norm estimation.
 
 Everything here realizes integrals over [a, b] as weighted sums on a fixed
-node set; the operator builders consume these pieces.
+node set; the operator builders consume these pieces.  A kernel table holds
+samples (KernelTable) or factors (_FactoredTable) and reads itself: _product,
+_absolute_maps and _image serve the apply, the Zaanen sweeps and the sup build.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from ._enclose import _absolute
+from ._enclose import (_EXTRACT_LIMIT, TINY, U, _absolute, _extract, add_up,
+                       factored_rows, inflate, mul_up)
 
 __all__ = [
     "Grid",
@@ -141,13 +146,10 @@ def _node_indices(coords: np.ndarray, grid: Grid, path: Path) -> np.ndarray:
 class KernelTable:
     """Kernel samples z(t_i, s_l) on the square of one grid, held in a
     read-only C-contiguous array that the table alone owns: the values given
-    are copied, and the sampling constructors fill an array of their own.
-    A table made by _from_factors holds no samples (values is None): it
-    carries the exact factors of its kernel, which the builds and the
-    iterates read instead."""
+    are copied, and the sampling constructors fill an array of their own."""
 
     grid: Grid
-    values: np.ndarray | None
+    values: np.ndarray
 
     def __post_init__(self, copy: bool = True):
         values = (np.array if copy else np.asarray)(self.values, dtype=float, order="C")
@@ -167,38 +169,6 @@ class KernelTable:
         table.__dict__.update(grid=grid, values=values)
         table.__post_init__(copy=False)
         return table
-
-    # (phi, psi) of a kernel with exact factors, their declared error
-    # (rounding, remainder) and whether k >= 0, see _from_factors
-    _factors = None
-    _factor_error = (0.0, 0.0)
-    _nonnegative = False
-
-    @classmethod
-    def _from_factors(cls, grid: Grid, phi, psi, rounding: float = 0.0,
-                      remainder: float = 0.0, nonnegative: bool = False) -> "KernelTable":
-        """A table of factors alone, with no samples, that carries read-only
-        copies of phi and psi, each (n, r): only for factors of the kernel k
-        as the registry derives them (presets._KERNEL_FACTORS), for which
-        |k(t_i, s_l) - sum_j phi_j(t_i) psi_j(s_l)| <= remainder at every
-        node pair with the exact factors, each stored factor entry lies
-        within rounding times its magnitude of the exact one, and, where
-        nonnegative, k >= 0 at every node pair."""
-        # one copy where psi is phi (exp_product), which the sup build then
-        # transposes once
-        factors = tuple(np.array(f, dtype=float) for f in (phi, psi)[:1 + (psi is not phi)])
-        for f in factors:
-            f.setflags(write=False)
-        table = object.__new__(cls)
-        table.__dict__.update(grid=grid, values=None, _factors=(factors[0], factors[-1]),
-                              _factor_error=(float(rounding), float(remainder)),
-                              _nonnegative=bool(nonnegative))
-        return table
-
-    def _absolute_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P, Q) that |k| is read as, P Q^T: (phi, psi) where the table
-        declares k >= 0, else (|phi|, |psi|), which bounds it."""
-        return self._factors if self._nonnegative else tuple(map(_absolute, self._factors))
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "KernelTable":
@@ -245,6 +215,130 @@ class KernelTable:
             raise ValueError(f"{path}: triples do not name each (t, s) node pair once")
         return cls._adopt(grid, values)
 
+    def _product(self) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> Z v for the samples Z."""
+        return functools.partial(np.matmul, self.values)
+
+    def _absolute_maps(self) -> tuple[Callable, Callable]:
+        """u -> |Z| u and u -> |Z|^T u for the samples Z."""
+        Z = _absolute(self.values)
+        return (lambda u: Z @ u), (lambda u: Z.T @ u)
+
+    def _image(self, weights: np.ndarray, v, c, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """(y, errors) with |sum_l x_l k(t_i, s_l) - y_i| <= errors_i: x = w v
+        for the float v, or, where v is None, |k| and x = |w|, whose images
+        are the row sums.  The caller takes the max of |c + s y|.  The
+        samples Z are read in blocks of rows of about _BLOCK_ELEMENTS
+        values, an eighth of that where extracted.  Each row of the float
+        terms fl(Z_il z_l), z = fl(w v), or fl(|Z_il| |w_l|) where v is None,
+        is summed with its a-priori error, and again by extraction where the
+        upper end of |c + s y| can reach the largest lower end.  Each term
+        lies within u of its float, u more where z rounds, or loses < TINY
+        where a product underflows: |Z_il| TINY where w_l v_l does."""
+        values, n = self.values, self.grid.n
+        if v is None:
+            z, spread, under = np.abs(weights), U, np.zeros(0, dtype=int)
+        elif not np.any(v):
+            return np.zeros(n), np.zeros(n)
+        else:
+            z, spread = weights * v, 2.0 * U * (1.0 + 2.0 * U)
+            under = np.flatnonzero((np.abs(z) < 2.0**-1022) & (v != 0.0))
+        rows = max(1, _BLOCK_ELEMENTS // n)
+        y, buffer = np.empty(n), np.empty((rows, n))
+        sizes = y if v is None else np.empty(n)
+        for i in range(0, n, rows):
+            block = values[i:i + rows]
+            terms = buffer[:len(block)]
+            np.multiply(block if v is not None else np.abs(block, out=terms), z, out=terms)
+            y[i:i + rows] = terms.sum(axis=1)
+            if sizes is not y:
+                sizes[i:i + rows] = np.abs(terms, out=terms).sum(axis=1)
+        # sizes bounds sum_l |terms_il|, and spread its terms' roundings
+        sizes = inflate(sizes, n - 1)
+        lost = mul_up(inflate(np.abs(values[:, under]).sum(axis=1), under.size), TINY)
+        rounding = add_up(add_up(mul_up(sizes, spread), n * TINY), lost)
+        errors = mul_up(sizes, (n - 1) * U)
+        size, reach = np.abs(c + s * y), abs(s) * (errors + rounding)
+        tight = np.flatnonzero((size + reach >= np.max(size - reach)) & (sizes < _EXTRACT_LIMIT))
+        for part in np.array_split(tight, 1 + 8 * tight.size // rows):
+            terms = values[part] * z if v is not None else np.abs(values[part]) * z
+            y[part], errors[part] = _extract(terms, 1)
+        return y, add_up(errors, rounding)
+
+
+@dataclass(frozen=True, eq=False)
+class _FactoredTable:
+    """A kernel k on the square of one grid held by its factors alone, with
+    no samples: read-only copies of phi and psi, each (n, r), only for
+    factors of k as the registry derives them (presets._KERNEL_FACTORS), for
+    which |k(t_i, s_l) - sum_j phi_j(t_i) psi_j(s_l)| <= remainder at every
+    node pair with the exact factors, each stored factor entry lies within
+    rounding times its magnitude of the exact one, and, where nonnegative,
+    k >= 0 at every node pair."""
+
+    grid: Grid
+    phi: np.ndarray
+    psi: np.ndarray
+    rounding: float = 0.0
+    remainder: float = 0.0
+    nonnegative: bool = False
+
+    def __post_init__(self):
+        # one copy where psi is phi (exp_product), which the sup build then transposes once
+        phi = np.array(self.phi, dtype=float)
+        psi = phi if self.psi is self.phi else np.array(self.psi, dtype=float)
+        for name, f in (("phi", phi), ("psi", psi)):
+            f.setflags(write=False)
+            object.__setattr__(self, name, f)
+
+    def _absolute_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P, Q) that |k| is read as, P Q^T: (phi, psi) where k >= 0 is
+        declared, else (|phi|, |psi|), which bounds it."""
+        factors = self.phi, self.psi
+        return factors if self.nonnegative else tuple(map(_absolute, factors))
+
+    def _product(self) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> phi @ (psi.T @ v)."""
+        return lambda v: self.phi @ (self.psi.T @ v)
+
+    def _absolute_maps(self) -> tuple[Callable, Callable]:
+        """u -> P Q^T u and u -> Q P^T u for (P, Q) = _absolute_factors()."""
+        # numpy reductions, never BLAS, so no bit depends on the thread count
+        P, Q = (np.ascontiguousarray(f.T) for f in self._absolute_factors())
+        rows = lambda u: (P * (Q * u).sum(axis=1)[:, None]).sum(axis=0)
+        columns = lambda u: (Q * (P * u).sum(axis=1)[:, None]).sum(axis=0)
+        return rows, columns
+
+    def _image(self, weights: np.ndarray, v, c, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """KernelTable._image's (y, errors), read from the factors and their
+        declared error (rounding e, remainder tau) without the kernel (see
+        _enclose.factored_rows).  The exact factors lie within (1 + e) of the
+        stored ones entrywise, so each term phi_ij psi_lj x_l lies within
+        g = (1 + e)^2 - 1 of its float, and the kernel within tau of their
+        sum; |k| is read as _absolute_factors gives it.  x = w v is taken from
+        z = fl(w v), within u |z| of it, which adds u (1 + g) to each term's
+        spread (2u (1 + g) is taken), or < TINY scaled by the largest |k|
+        where w_l v_l underflows."""
+        if v is not None and not np.any(v):
+            return np.zeros(v.size), np.zeros(v.size)
+        phi, psi = self._absolute_factors() if v is None else (self.phi, self.psi)
+        # (r, n) arrays, so that each sum over l runs along a contiguous row
+        phi_t = np.ascontiguousarray(phi.T)
+        psi_t = phi_t if psi is phi else np.ascontiguousarray(psi.T)
+        remainder = self.remainder
+        g = float(mul_up(self.rounding, add_up(2.0, self.rounding)))
+        if v is None:
+            z, relative, lost = np.abs(weights), g, 0.0
+        else:
+            z, relative = weights * v, float(add_up(g, mul_up(2.0 * U, add_up(1.0, g))))
+            scales = np.max(np.abs(phi_t), axis=1) * np.max(np.abs(psi_t), axis=1)
+            kmax = add_up(mul_up(add_up(1.0, g), inflate(scales.sum(), scales.size)), remainder)
+            lost = mul_up(np.count_nonzero(v) * TINY, kmax)
+        # tau (1 + u) on sum |z|, and lost where w_l v_l underflows
+        extra = add_up(mul_up(mul_up(remainder, 1.0 + 2.0 * U), inflate(np.abs(z).sum(), z.size)),
+                       lost)
+        return factored_rows(phi_t, psi_t, z, c, s, relative, extra)
+
 
 def _holder_extremal(v: np.ndarray, p: float, w: np.ndarray
                      ) -> tuple[np.ndarray, float]:
@@ -267,8 +361,8 @@ def zaanen_sweep_objectives(kernel: KernelTable, alpha: float, beta: float,
     Maximizes the bilinear form of |z| over the product of the L_alpha and
     L_beta unit balls weighted by the grid's weights w; each half-step is an
     exact block maximization via the closed-form Hoelder-extremal vector, so
-    in exact arithmetic the trail is nondecreasing.  A table of samples Z is
-    read as |Z|, a table of factors as P Q^T (KernelTable._absolute_factors).
+    in exact arithmetic the trail is nondecreasing.  The table reads |z|
+    (_absolute_maps).
     """
     alpha, beta = float(alpha), float(beta)
     if alpha <= 1.0 or beta <= 1.0:
@@ -276,14 +370,7 @@ def zaanen_sweep_objectives(kernel: KernelTable, alpha: float, beta: float,
     if iters < 1:
         raise ValueError("iters must be >= 1")
     w = kernel.grid.weights
-    if kernel._factors is None:
-        Z = _absolute(kernel.values)
-        rows, columns = (lambda u: Z @ u), (lambda u: Z.T @ u)
-    else:
-        # numpy reductions, never BLAS, so no bit depends on the thread count
-        P, Q = (np.ascontiguousarray(f.T) for f in kernel._absolute_factors())
-        rows = lambda u: (P * (Q * u).sum(axis=1)[:, None]).sum(axis=0)
-        columns = lambda u: (Q * (P * u).sum(axis=1)[:, None]).sum(axis=0)
+    rows, columns = kernel._absolute_maps()
     # constant start keeps the iteration inside the nonnegative cone
     y = np.ones(kernel.grid.n)
     y /= float((w @ y**beta) ** (1.0 / beta))

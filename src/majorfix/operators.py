@@ -10,20 +10,18 @@ _tabulated_sup_handle), under the sound upper envelope of their declared
 shape (see modulus_from_samples), so the scalar core keeps its
 exact-primitive contract: a monotone modulus, the default, is sampled at
 257 radii under its first-order step envelope, and a convex one at 33 under
-its second-order chord.
+its second-order chord.  Kernel tables read themselves (see discretize).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._enclose import (_EXTRACT_LIMIT, TINY, U, _extract, add_up, factored_rows,
-                       inflate, mul_up, two_sum)
-from .discretize import _BLOCK_ELEMENTS, Grid, KernelTable, _mesh_callback, lp_norm
+from ._enclose import TINY, U, add_up, mul_up, two_sum
+from .discretize import _BLOCK_ELEMENTS, Grid, KernelTable, _FactoredTable, _mesh_callback, lp_norm
 from .iteration import OperatorHandle, make_operator
 from .majorant import MajorantProfile
 from .moduli import (
@@ -156,12 +154,12 @@ def multilinear_critical_shift(norm_c: float, degree: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class HammersteinTerm:
-    """One summand: kernel k_j (a callable, an (n, n) sample array or a
-    KernelTable), nonlinearity h_j, and the modulus of u -> h_j(u) in the
-    build's norms: the scalar modulus for the sup build, the superposition
-    modulus (see build_superposition_modulus) for the L_p build."""
+    """One summand: kernel k_j (a callable, an (n, n) sample array or a table
+    of samples or factors), nonlinearity h_j, and the modulus of u -> h_j(u)
+    in the build's norms: the scalar modulus for the sup build, the
+    superposition modulus (see build_superposition_modulus) for the L_p build."""
 
-    kernel: Callable[[float, float], float] | np.ndarray | KernelTable
+    kernel: Callable[[float, float], float] | np.ndarray | KernelTable | _FactoredTable
     nonlinearity: Callable
     modulus: LipschitzModulus
 
@@ -187,15 +185,15 @@ class HammersteinSpec:
             raise ValueError("need at least one Hammerstein term")
 
 
-def _sample_kernel(kernel, grid: Grid) -> KernelTable:
-    """The kernel as a table on the build grid, with read-only samples: a
-    callable is sampled and an array copied, so the caller cannot change
-    the operator after its modulus was built."""
+def _sample_kernel(kernel, grid: Grid) -> KernelTable | _FactoredTable:
+    """The kernel as a read-only table on the build grid: a callable is
+    sampled and an array copied, so the caller cannot change the operator
+    after its modulus was built."""
     if callable(kernel):
         return KernelTable.from_function(grid, kernel)
     if not hasattr(kernel, "grid"):
         return KernelTable(grid, kernel)
-    # a table must be sampled on the build grid (or an equal one)
+    # a table must lie on the build grid (or an equal one)
     if not (kernel.grid is grid or (np.array_equal(kernel.grid.nodes, grid.nodes)
                                     and np.array_equal(kernel.grid.weights, grid.weights))):
         raise ValueError("kernel table is not sampled on the build grid")
@@ -211,92 +209,6 @@ def _resolve_center(center, grid: Grid) -> np.ndarray:
     if arr.shape != (grid.n,):
         raise ValueError("center length does not match the grid")
     return arr
-
-
-def _product(table: KernelTable) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> K v for the table's kernel K: phi @ (psi.T @ v) where the table
-    carries factors (phi, psi), else its samples @ v."""
-    if table._factors is None:
-        return functools.partial(np.matmul, table.values)
-    phi, psi = table._factors
-    return lambda v: phi @ (psi.T @ v)
-
-
-def _factored_pass(table: KernelTable, weights: np.ndarray, v, c, s: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(y, errors) with |sum_l x_l k(t_i, s_l) - y_i| <= errors_i, read
-    from a table's factors (phi, psi) and declared error (rounding e,
-    remainder tau) without its kernel: x = w v for the float v, or, where v
-    is None, |k| and x = |w|, whose images are the row sums.  The caller
-    takes the max of |c + s y| (see _enclose.factored_rows).
-
-    The exact factors lie within (1 + e) of the stored ones entrywise, so
-    each term phi_ij psi_lj x_l lies within g = (1 + e)^2 - 1 of its float,
-    and the kernel within tau of their sum; |k| is read as
-    KernelTable._absolute_factors gives it.  x = w v is taken from z =
-    fl(w v), within u |z| of it, which adds u (1 + g) to each term's spread
-    (2u (1 + g) is taken), or < TINY scaled by the largest |k| where w_l v_l
-    underflows."""
-    if v is not None and not np.any(v):
-        return np.zeros(v.size), np.zeros(v.size)
-    phi, psi = table._absolute_factors() if v is None else table._factors
-    # (r, n) arrays, so that each sum over l runs along a contiguous row
-    phi_t = np.ascontiguousarray(phi.T)
-    psi_t = phi_t if psi is phi else np.ascontiguousarray(psi.T)
-    rounding, remainder = table._factor_error
-    g = float(mul_up(rounding, add_up(2.0, rounding)))
-    if v is None:
-        z, relative, lost = np.abs(weights), g, 0.0
-    else:
-        z, relative = weights * v, float(add_up(g, mul_up(2.0 * U, add_up(1.0, g))))
-        scales = np.max(np.abs(phi_t), axis=1) * np.max(np.abs(psi_t), axis=1)
-        kmax = add_up(mul_up(add_up(1.0, g), inflate(scales.sum(), scales.size)), remainder)
-        lost = mul_up(np.count_nonzero(v) * TINY, kmax)
-    # tau (1 + u) on sum |z|, and lost where w_l v_l underflows
-    extra = add_up(mul_up(mul_up(remainder, 1.0 + 2.0 * U), inflate(np.abs(z).sum(), z.size)),
-                   lost)
-    return factored_rows(phi_t, psi_t, z, c, s, relative, extra)
-
-
-def _dense_pass(table: KernelTable, weights: np.ndarray, v, c, s: float
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """_factored_pass's (y, errors) for samples Z, read in blocks of rows of
-    about _BLOCK_ELEMENTS values, an eighth of that where extracted.  Each
-    row of the float terms fl(Z_il z_l), z = fl(w v), or fl(|Z_il| |w_l|)
-    where v is None, is summed with its a-priori error, and again by
-    extraction where the upper end of |c + s y| can reach the largest lower
-    end.  Each term lies within u of its float, u more where z rounds, or
-    loses < TINY where a product underflows: |Z_il| TINY where w_l v_l
-    does."""
-    values, n = table.values, table.grid.n
-    if v is None:
-        z, spread, under = np.abs(weights), U, np.zeros(0, dtype=int)
-    elif not np.any(v):
-        return np.zeros(n), np.zeros(n)
-    else:
-        z, spread = weights * v, 2.0 * U * (1.0 + 2.0 * U)
-        under = np.flatnonzero((np.abs(z) < 2.0**-1022) & (v != 0.0))
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    y, buffer = np.empty(n), np.empty((rows, n))
-    sizes = y if v is None else np.empty(n)
-    for i in range(0, n, rows):
-        block = values[i:i + rows]
-        terms = buffer[:len(block)]
-        np.multiply(block if v is not None else np.abs(block, out=terms), z, out=terms)
-        y[i:i + rows] = terms.sum(axis=1)
-        if sizes is not y:
-            sizes[i:i + rows] = np.abs(terms, out=terms).sum(axis=1)
-    # sizes bounds sum_l |terms_il|, and spread its terms' roundings
-    sizes = inflate(sizes, n - 1)
-    lost = mul_up(inflate(np.abs(values[:, under]).sum(axis=1), under.size), TINY)
-    rounding = add_up(add_up(mul_up(sizes, spread), n * TINY), lost)
-    errors = mul_up(sizes, (n - 1) * U)
-    size, reach = np.abs(c + s * y), abs(s) * (errors + rounding)
-    tight = np.flatnonzero((size + reach >= np.max(size - reach)) & (sizes < _EXTRACT_LIMIT))
-    for part in np.array_split(tight, 1 + 8 * tight.size // rows):
-        terms = values[part] * z if v is not None else np.abs(values[part]) * z
-        y[part], errors[part] = _extract(terms, 1)
-    return y, add_up(errors, rounding)
 
 
 def _center_shift_bounds(fvec, lam: float, x0, passes) -> tuple[float, float]:
@@ -322,13 +234,12 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
                     norm, radius: float, center) -> OperatorHandle:
     """x -> f + lambda * sum_j K_j (w * h_j(x)) with modulus
     |lambda| * sum_j knorms_j * h_j(r), h_j the terms' moduli, recentered on
-    x0; the apply reads each K_j through its factors where its table carries
-    them, else whole.  Without knorms, one bounded pass per table
-    (_factored_pass, _dense_pass) encloses two images: |K_j| |w|, whose
-    largest upper end bounds the row sums max_i sum_l |w_l k_j(t_i, s_l)|,
-    and K_j (w h_j(x0)), from which a is bounded on both sides
-    (_center_shift_bounds); with knorms, a is one apply's displacement
-    (make_operator)."""
+    x0; the apply reads each K_j as its table does (_product).  Without
+    knorms, each table's bounded image (_image) encloses two images:
+    |K_j| |w|, whose largest upper end bounds the row sums
+    max_i sum_l |w_l k_j(t_i, s_l)|, and K_j (w h_j(x0)), from which a is
+    bounded on both sides (_center_shift_bounds); with knorms, a is one
+    apply's displacement (make_operator)."""
     x0 = _resolve_center(center, grid)
     if callable(spec.forcing):
         fvec = _mesh_callback(spec.forcing)(grid.nodes)
@@ -338,15 +249,14 @@ def _nystrom_handle(spec: HammersteinSpec, grid: Grid, tables, knorms,
         raise ValueError("forcing array length does not match the grid")
     hs = [_mesh_callback(term.nonlinearity) for term in spec.terms]
     weights, lam = grid.weights, spec.lam
-    products = [_product(table) for table in tables]
+    products = [table._product() for table in tables]
 
     passes = []
     if knorms is None:
         knorms = []
         for table, h in zip(tables, hs):
-            image = _dense_pass if table._factors is None else _factored_pass
-            knorms.append(float(np.max(add_up(*image(table, weights, None, 0.0, 1.0)))))
-            passes.append(image(table, weights, h(x0), fvec - x0, lam))
+            knorms.append(float(np.max(add_up(*table._image(weights, None, 0.0, 1.0)))))
+            passes.append(table._image(weights, h(x0), fvec - x0, lam))
     modulus = combine_moduli([term.modulus for term in spec.terms],
                              [abs(lam) * kn for kn in knorms])
     shift = norm(x0)

@@ -201,5 +201,4 @@ def old_design(spec, grid, radius, center=None):
 def row_sum_bound(table, weights) -> float:
     """The sup build's kernel norm of a table: the largest upper end of the
     enclosed image |K| |w|."""
-    read = operators._dense_pass if table._factors is None else operators._factored_pass
-    return float(np.max(_enclose.add_up(*read(table, weights, None, 0.0, 1.0))))
+    return float(np.max(_enclose.add_up(*table._image(weights, None, 0.0, 1.0))))

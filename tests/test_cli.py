@@ -498,6 +498,18 @@ class TestExitCodes:
                            "--config", str(path)])
         assert code == 2
 
+    def test_config_error_kernel_and_kernel_csv(self, tmp_path, capsys):
+        # a term with both kernel sources is refused, not read from the CSV
+        table = tmp_path / "ones.csv"
+        table.write_text("\n".join([",".join(["1.0"] * 201)] * 201))
+        config = get_preset("hammerstein-separable")
+        config["terms"][0]["kernel_csv"] = str(table)
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["analyze", "--config", str(path)]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'kernel'" in err and "'kernel_csv'" in err
+
     def test_config_error_unknown_preset(self):
         code, _ = run_cli(["analyze", "--preset", "does-not-exist"])
         assert code == 2

@@ -149,7 +149,7 @@ ZAANEN_TABLES = {
 }
 
 
-class TestZaanenRecurrence:
+class TestZaanenTrail:
     """Every sweep of a trail is computed, none repeated from an earlier
     state: a table of samples gives the trail of the plain loop bit for
     bit, and a table of factors the same bits under any BLAS thread count."""
@@ -172,7 +172,7 @@ class TestZaanenRecurrence:
             "grid = Grid.simpson(-1.0, 1.0, 1001)\n"
             "for name in ('product', 'one', 'exp_product'):\n"
             "    table = cli._resolve_kernel({'kernel': name}, grid)\n"
-            "    assert table._factors is not None\n"
+            "    assert type(table).__name__ == '_FactoredTable'\n"
             "    for alpha, beta in ((2.0, 2.0), (1.5, 3.0)):\n"
             "        print(zaanen_sweep_objectives(table, alpha, beta, 50))\n"
         )
@@ -340,11 +340,12 @@ class TestKernelSampling:
     def test_table_of_factors_holds_no_samples(self):
         grid = Grid.simpson(0.0, 1.0, 11)
         column = grid.nodes[:, None]
-        table = KernelTable._from_factors(grid, column, column, 2.0**-52, 1e-20)
-        assert table.values is None and table.grid is grid
-        phi, psi = table._factors
+        table = discretize._FactoredTable(grid, column, column, 2.0**-52, 1e-20)
+        assert not hasattr(table, "values") and table.grid is grid
+        phi, psi = table.phi, table.psi
         assert phi is psi and not phi.flags.writeable
-        assert np.array_equal(phi, column) and table._factor_error == (2.0**-52, 1e-20)
+        assert np.array_equal(phi, column)
+        assert (table.rounding, table.remainder) == (2.0**-52, 1e-20)
         with pytest.raises(AttributeError, match="'missing'"):
             table.missing
 

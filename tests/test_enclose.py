@@ -24,9 +24,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from majorfix import (ConstantModulus, Grid, HammersteinSpec, HammersteinTerm, KernelTable,
-                      PowerSumModulus, _enclose, build_hammerstein_sup, cli, operators,
-                      presets)
-from majorfix.discretize import _mesh_callback
+                      PowerSumModulus, _enclose, build_hammerstein_sup, cli, discretize,
+                      operators, presets)
+from majorfix.discretize import _FactoredTable, _mesh_callback
 from majorfix.presets import FORCINGS
 
 from helpers import row_sum_bound
@@ -136,12 +136,12 @@ def dense_table(name: str, grid: Grid) -> KernelTable:
     return KernelTable.from_function(grid, SAMPLED.get(name) or presets.KERNELS[name])
 
 
-def factored_table(name: str, grid: Grid) -> KernelTable:
+def factored_table(name: str, grid: Grid) -> _FactoredTable:
     if name in SYNTHETIC:
         factors, rounding, remainder, _ = SYNTHETIC[name]
-        return KernelTable._from_factors(grid, *factors(grid.nodes), rounding, remainder)
+        return _FactoredTable(grid, *factors(grid.nodes), rounding, remainder)
     table = cli._resolve_kernel({"kernel": name}, grid)
-    assert table.values is None and table._factors is not None
+    assert isinstance(table, _FactoredTable)
     return table
 
 
@@ -260,7 +260,7 @@ class TestSupBuild:
                 continue
             else:
                 table = factored_table(case[0], grid_and_center(case)[0])
-                rank, rounding = table._factors[0].shape[1], table._factor_error[0]
+                rank, rounding = table.phi.shape[1], table.rounding
                 width = 1.5 * (rank + 2 * rounding / U) + 8
                 assert knorm - float(norm) <= width * U * knorm, case
             profile = handle.profile
@@ -286,7 +286,7 @@ class TestSupBuild:
                 monkeypatch.setitem(SYNTHETIC, name, (factors, *declared, fn))
         elif term == "image errors":
             rows = _enclose.factored_rows
-            monkeypatch.setattr(operators, "factored_rows",
+            monkeypatch.setattr(discretize, "factored_rows",
                                 lambda *args: (rows(*args)[0], 0.0))
         elif term == "sum roundings":
             # the roundings of f + lam y - x0
@@ -294,11 +294,12 @@ class TestSupBuild:
         else:
             # all of it, so that a's lower end is the float a: it must fail too
             rows = _enclose.factored_rows
-            monkeypatch.setattr(operators, "factored_rows",
+            monkeypatch.setattr(discretize, "factored_rows",
                                 lambda *args: (rows(*args)[0], 0.0))
             monkeypatch.setattr(operators, "two_sum", lambda a, b: (a + b, 0.0))
-            monkeypatch.setattr(operators, "U", 0.0)
-            monkeypatch.setattr(operators, "TINY", 0.0)
+            for module in (operators, discretize):
+                monkeypatch.setattr(module, "U", 0.0)
+                monkeypatch.setattr(module, "TINY", 0.0)
             assert any(bound == "a_low" for _, bound in violations())
         assert violations() != []
 
@@ -342,11 +343,30 @@ def test_dropping_the_unit_roundoff_breaks_the_outer_sums(monkeypatch):
 def test_an_underflowing_w_v_counts_in_the_factored_image():
     # w_0 v_0 = TINY / 2 rounds to 0, which loses 2^99 TINY of the image
     w, v = np.array([0.5, 0.5]), np.array([2.0**-1074, 0.0])
-    table = KernelTable._from_factors(index_grid(w), np.ones((2, 1)),
-                                      np.array([[2.0**100], [0.0]]))
-    y, errors = operators._factored_pass(table, w, v, 0.0, 1.0)
+    table = _FactoredTable(index_grid(w), np.ones((2, 1)), np.array([[2.0**100], [0.0]]))
+    y, errors = table._image(w, v, 0.0, 1.0)
     exact = Fraction(2.0**100) * Fraction(0.5) * Fraction(2.0**-1074)
     assert y[0] == 0.0 and exact <= Fraction(errors[0])
+
+
+def test_the_rounding_of_w_v_counts_in_the_factored_image(monkeypatch):
+    # z = fl(w v), each psi_l z_l, their sum and phi_0 times it all round
+    # down by most of an ulp (found by a random search), which only the
+    # 2u (1 + g) cover of z's rounding makes up: a copy without it misses
+    # the exact image by half an ulp
+    w = np.array([1.0001873480723127, 1.000887974141563])
+    v = np.array([1.00016005744788, 1.0002043571240662])
+    psi = np.array([[1.0004782415696118], [1.0002202132182032]])
+    table = _FactoredTable(index_grid(w), np.array([[1.0008824810265537], [0.0]]), psi)
+    exact = Fraction(table.phi[0, 0]) * sum(
+        Fraction(a) * Fraction(b) * Fraction(c) for a, b, c in zip(psi[:, 0], w, v))
+    rows = _enclose.factored_rows
+    for dropped in (False, True):
+        if dropped:
+            monkeypatch.setattr(discretize, "factored_rows",
+                                lambda *args: rows(*args[:5], 0.0, args[6]))
+        y, errors = table._image(w, v, 0.0, 0.0)
+        assert (abs(exact - Fraction(y[0])) <= Fraction(errors[0])) is not dropped
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +387,7 @@ def dense_misses(values: np.ndarray, weights: np.ndarray, v: np.ndarray, c=0.0, 
     of them at s = 0."""
     grid = index_grid(weights)
     table = KernelTable(grid, values)
-    y, errors = operators._dense_pass(table, grid.weights, v, c, s)
+    y, errors = table._image(grid.weights, v, c, s)
     wv = [Fraction(a) * Fraction(b) for a, b in zip(weights.tolist(), v.tolist())]
     rows = values.tolist()
     exact = [sum((Fraction(k) * x for k, x in zip(row, wv)), Fraction(0)) for row in rows]
@@ -376,6 +396,25 @@ def dense_misses(values: np.ndarray, weights: np.ndarray, v: np.ndarray, c=0.0, 
     misses = [i for i, (x, a, e) in enumerate(zip(exact, y, errors))
               if abs(x - Fraction(a)) > Fraction(e)]
     return misses, Fraction(row_sum_bound(table, grid.weights)) < max(norms)
+
+
+class CountingRows(np.ndarray):
+    """A table's samples that count the blocks of rows read from them."""
+
+    def __getitem__(self, key):
+        self.blocks += isinstance(key, slice)
+        return super().__getitem__(key).view(np.ndarray)
+
+
+def blocks_read(values: np.ndarray, weights: np.ndarray) -> int:
+    """The blocks of rows in which the dense pass reads values for the row
+    sums."""
+    table = KernelTable(index_grid(weights), values)
+    counted = table.values.view(CountingRows)
+    counted.blocks = 0
+    object.__setattr__(table, "values", counted)
+    table._image(table.grid.weights, None, 0.0, 1.0)
+    return counted.blocks
 
 
 @st.composite
@@ -420,13 +459,16 @@ class TestDensePass:
     @settings(max_examples=60, deadline=None)
     @given(dense_inputs(), st.sampled_from(sorted(TARGETS)), st.sampled_from([None, 3]))
     def test_image_and_row_sums_are_enclosed(self, inputs, target, block_rows):
-        # a block of three rows reads the table in several blocks
+        # a block of three rows reads the table in several blocks, one per
+        # three rows begun
         values, weights, v = inputs
+        n = values.shape[0]
         c, s = TARGETS[target]
-        c = c if np.ndim(c) == 0 else c[:values.shape[0]]
+        c = c if np.ndim(c) == 0 else c[:n]
         with pytest.MonkeyPatch.context() as patch:
             if block_rows:
-                patch.setattr(operators, "_BLOCK_ELEMENTS", block_rows * values.shape[0])
+                patch.setattr(discretize, "_BLOCK_ELEMENTS", block_rows * n)
+            assert blocks_read(values, weights) == -(-n // (block_rows or n))
             assert dense_misses(values, weights, v, c, s) == ([], False)
 
     def test_dropping_the_image_errors_breaks_the_image(self):
@@ -438,7 +480,7 @@ class TestDensePass:
         ones, c = np.ones(41), np.zeros(41)
         c[2] = 10.0
         assert dense_misses(values, ones, ones, c) == ([], False)
-        y, _ = operators._dense_pass(KernelTable(index_grid(ones), values), ones, ones, c, 1.0)
+        y, _ = KernelTable(index_grid(ones), values)._image(ones, ones, c, 1.0)
         exact = [exact_sum(row) for row in NUDGED]
         assert Fraction(y[0]) > exact[0] and Fraction(y[1]) < exact[1]
 
@@ -465,7 +507,7 @@ class TestDensePass:
         table = KernelTable(index_grid(w), values)
         exact = sum(Fraction(k) * Fraction(x) for k, x in zip(values[0], w))
         assert Fraction(row_sum_bound(table, w)) >= exact
-        monkeypatch.setattr(operators, "U", 0.0)
+        monkeypatch.setattr(discretize, "U", 0.0)
         assert Fraction(row_sum_bound(table, w)) < exact
 
     def test_rows_too_large_to_extract_keep_their_a_priori_bound(self):
@@ -495,8 +537,8 @@ def test_dense_sup_build_extracts_only_rows_that_may_be_the_largest(monkeypatch)
     # so each of the two images extracts that row alone, at every lambda
     grid = Grid.simpson(0.0, 2.0, 2001)
     table = KernelTable.from_function(grid, presets.KERNELS["exp_product"])
-    rows, extract = [], operators._extract
-    monkeypatch.setattr(operators, "_extract",
+    rows, extract = [], discretize._extract
+    monkeypatch.setattr(discretize, "_extract",
                         lambda terms, axis: rows.append(len(terms)) or extract(terms, axis))
     h, modulus = NONLINEARITIES["square"]
     for lam in (0.002, 0.1, 1.0):

@@ -27,8 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from majorfix import Grid, KernelTable, cli, operators, zaanen_norm_estimate
+from majorfix import Grid, KernelTable, cli, zaanen_norm_estimate
 from majorfix.cli import main
+from majorfix.discretize import _FactoredTable
 from majorfix.majorant import _TOL
 from majorfix.presets import _KERNEL_FACTORS, KERNELS, get_preset
 
@@ -39,7 +40,7 @@ RULES = {"simpson": Grid.simpson, "trapezoid": Grid.trapezoid}
 INTERVALS = [(0.0, 1.0), (-1.0, 1.0), (-1.0, 0.0), (0.5, 1.0)]
 
 
-def registry_table(name: str, grid: Grid) -> KernelTable:
+def registry_table(name: str, grid: Grid) -> KernelTable | _FactoredTable:
     return cli._resolve_kernel({"kernel": name}, grid)
 
 
@@ -50,10 +51,9 @@ def gate_case(name, rule, n, interval):
     n = 2001 table is 32 MiB."""
     grid = RULES[rule](*interval, n)
     table = registry_table(name, grid)
-    assert table._factors is not None, f"{name} carries no factors on {interval}"
+    assert isinstance(table, _FactoredTable), f"{name} carries no factors on {interval}"
     samples = KernelTable.from_function(grid, KERNELS[name]).values
-    return (n, np.abs(samples), functools.partial(np.matmul, samples),
-            operators._product(table))
+    return (n, np.abs(samples), functools.partial(np.matmul, samples), table._product())
 
 
 def violations(case, v: np.ndarray) -> np.ndarray:
@@ -94,9 +94,9 @@ class TestSoundnessGate:
         # exp_product's table handed product's factors: t s is not exp(t s)
         grid = Grid.simpson(0.0, 1.0, 101)
         table = KernelTable.from_function(grid, KERNELS["exp_product"])
-        wrong = KernelTable._from_factors(grid, *_KERNEL_FACTORS["product"](grid.nodes))
+        wrong = _FactoredTable(grid, *_KERNEL_FACTORS["product"](grid.nodes))
         case = (grid.n, np.abs(table.values),
-                functools.partial(np.matmul, table.values), operators._product(wrong))
+                functools.partial(np.matmul, table.values), wrong._product())
         assert len(violations(case, np.ones(grid.n))) == grid.n
 
 
@@ -112,9 +112,9 @@ class TestFactors:
     def test_exp_product_declines_beyond_the_unit_interval(self, interval):
         grid = Grid.simpson(*interval, 21)
         assert _KERNEL_FACTORS["exp_product"](grid.nodes) is None
-        assert registry_table("exp_product", grid)._factors is None
+        assert isinstance(registry_table("exp_product", grid), KernelTable)
         for name in ("product", "one"):
-            assert registry_table(name, grid)._factors is not None
+            assert isinstance(registry_table(name, grid), _FactoredTable)
 
     def test_inline_and_csv_kernels_stay_dense(self, tmp_path):
         grid = Grid.simpson(0.0, 1.0, 5)
@@ -123,16 +123,16 @@ class TestFactors:
         path.write_text("\n".join(",".join(map(repr, row)) for row in matrix.tolist()))
         for term in ({"kernel": matrix.tolist()}, {"kernel_csv": str(path)}):
             table = cli._resolve_kernel(term, grid)
-            assert table._factors is None and np.array_equal(table.values, matrix)
+            assert isinstance(table, KernelTable) and np.array_equal(table.values, matrix)
 
     def test_factors_are_read_only_copies(self):
         grid = Grid.simpson(0.0, 1.0, 5)
         phi = grid.nodes[:, None].copy()
-        factored = KernelTable._from_factors(grid, phi, phi)
-        assert factored.values is None and factored._factors[0] is not phi
-        assert not any(f.flags.writeable for f in factored._factors)
+        factored = _FactoredTable(grid, phi, phi)
+        assert not hasattr(factored, "values") and factored.phi is not phi
+        assert not any(f.flags.writeable for f in (factored.phi, factored.psi))
         phi[0, 0] = 7.0
-        assert factored._factors[0][0, 0] == 0.0
+        assert factored.phi[0, 0] == 0.0
 
 
 def count_samplings(monkeypatch) -> list:
@@ -149,19 +149,17 @@ def count_samplings(monkeypatch) -> list:
 
 def count_dense_applies(monkeypatch) -> list:
     """The shapes of the vectors each dense apply of a table reads."""
-    calls, product = [], operators._product
+    calls, product = [], KernelTable._product
 
     def counting(table):
         apply = product(table)
-        if table._factors is not None:
-            return apply
 
         def dense(v):
             calls.append(v.shape)
             return apply(v)
         return dense
 
-    monkeypatch.setattr(operators, "_product", counting)
+    monkeypatch.setattr(KernelTable, "_product", counting)
     return calls
 
 
@@ -346,14 +344,14 @@ class TestZaanenEstimate:
                 for table, width in twins:
                     estimate = zaanen_norm_estimate(table, p, conjugate)
                     ulps = abs(Decimal(estimate) - exact) / Decimal(math.ulp(float(exact)))
-                    assert ulps <= width, (p, table._factors is None, float(ulps))
+                    assert ulps <= width, (p, type(table).__name__, float(ulps))
 
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 1.0)], ids=str)
     @pytest.mark.parametrize("n", [21, 101, 1001])
     def test_exp_product_lies_near_its_dense_twin(self, n, interval):
         grid = Grid.simpson(*interval, n)
         factored = registry_table("exp_product", grid)
-        assert factored._factors is not None
+        assert isinstance(factored, _FactoredTable)
         dense = KernelTable.from_function(grid, KERNELS["exp_product"])
         for p in EXPONENTS:
             mine, theirs = (zaanen_norm_estimate(table, p, p / (p - 1.0))

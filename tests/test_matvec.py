@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from majorfix import (Grid, HammersteinSpec, HammersteinTerm, KernelTable,
-                      PowerSumModulus, build_hammerstein_sup, cli, operators)
+                      PowerSumModulus, build_hammerstein_sup, cli)
 from majorfix.majorant import _TOL
 from majorfix.presets import FORCINGS, KERNELS
 
@@ -54,10 +54,10 @@ def test_blocks_cover_every_row_once(n):
     # garbage
     c = np.zeros(n)
     c[0] = 1e300
-    y, errors = operators._dense_pass(table, weights, np.cos(grid.nodes), c, 1e-300)
+    y, errors = table._image(weights, np.cos(grid.nodes), c, 1e-300)
     expected = (table.values * (weights * np.cos(grid.nodes))).sum(axis=1)
     assert np.array_equal(y[1:], expected[1:]) and abs(y[0] - expected[0]) <= errors[0]
-    sums, errors = operators._dense_pass(table, weights, None, 0.0, 1.0)
+    sums, errors = table._image(weights, None, 0.0, 1.0)
     top = float(np.max((np.abs(table.values) * weights).sum(axis=1)))
     assert top <= float(np.max(sums + errors)) <= top * (1.0 + 8.0 * U)
 

@@ -4,13 +4,18 @@ Each builder returns an OperatorHandle: grid-discretized apply, the ambient
 norm, a center, and the majorant profile assembled from the family's
 Lipschitz modulus.  The multilinear norm is the smallest mode-unfolding
 spectral norm, a certified upper bound; superposition envelopes carry their
-exact piecewise primitive.  Moduli that need quadrature (Urysohn,
-composition) are sampled on a radius grid, 1 MiB of mesh at a time (see
-_tabulated_sup_handle), under the sound upper envelope of their declared
-shape (see modulus_from_samples), so the scalar core keeps its
-exact-primitive contract: a monotone modulus, the default, is sampled at
-257 radii under its first-order step envelope, and a convex one at 33 under
-its second-order chord.  Kernel tables read themselves (see discretize).
+exact piecewise primitive.  Urysohn and composition moduli need
+quadrature.  Declared as power sums in r with coefficient functions of
+(t, s), the registry's form, they cost one weighted row sum per power,
+bounded from above within a few ulps (_row_sum_bounds), and the modulus is
+that power sum.  Callable moduli are sampled on a radius grid, 1 MiB of
+mesh at a time (see _tabulated_sup_handle), under the sound upper envelope
+of their declared shape (see modulus_from_samples), so the scalar core
+keeps its exact-primitive contract: a monotone modulus, the default, is
+sampled at 257 radii under its first-order step envelope, and a convex one
+at 33 under its second-order chord.  Both families apply their kernels a
+block of rows at a time (_row_blocks).  Kernel tables read themselves (see
+discretize).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._enclose import TINY, U, add_up, mul_up, two_sum
+from ._enclose import TINY, U, add_up, mul_up, row_sums, two_sum
 from .discretize import _BLOCK_ELEMENTS, Grid, KernelTable, _FactoredTable, _mesh_callback, lp_norm
 from .iteration import OperatorHandle, make_operator
 from .majorant import MajorantProfile
@@ -362,22 +367,88 @@ def build_superposition_modulus(pair_set: LipschitzPairSet, p: float, q: float,
 # Urysohn equations x(t) = int K(t, s, x(s), x(t)) ds
 # ---------------------------------------------------------------------------
 
+def _row_blocks(n: int) -> tuple[int, list[int]]:
+    """(rows, edges) of the blocks of rows an (n, n) mesh is read in: the
+    fewest within _BLOCK_ELEMENTS values, as even as steps of 16 rows
+    allow, with room for a lone last row to join the block before.  On a
+    C-contiguous block, @ then gives each row the bits of one gemv over all
+    rows, which numpy would not give a single row (it sums one by a dot)."""
+    count = -(-n // max(16, (_BLOCK_ELEMENTS // n - 1) // 16 * 16))
+    rows = min(n, -(-n // (16 * count)) * 16)
+    return rows, [*range(0, n - 1, rows), n]
+
+
+def _row_integrals(block, grid: Grid) -> np.ndarray:
+    """block(rows) @ w over the row blocks (_row_blocks) of the mesh, each
+    block of rows made C-contiguous: the bits of one gemv over all rows."""
+    _, edges = _row_blocks(grid.n)
+    return np.concatenate([np.ascontiguousarray(block(slice(i, j))) @ grid.weights
+                           for i, j in zip(edges, edges[1:])])
+
+
+def _row_sum_bounds(coefficients, grid: Grid) -> np.ndarray:
+    """Upper bounds on the exact row sums sum_l |w_l| sum_j |a_j(t_i, s_l)|
+    of the coefficient callbacks a_j, whose values are taken as given.
+    Each a_j gets a block of rows per call, t = nodes[i:j, None] and
+    s = nodes[None, :], within _BLOCK_ELEMENTS values in all; a block
+    whose values are one row broadcast along t has one row sum, taken once.
+    The float terms fl(|w_l| |a_j|) are summed by _enclose.row_sums with
+    about an ulp of the block's largest sum as its budget, so each bound
+    lies within a few ulps of its exact sum.  Each exact product lies
+    within u |term| of its term, or within TINY where it underflows: u
+    times the row's magnitude and TINY per nonzero value cover both."""
+    t, s = grid.nodes[:, None], grid.nodes[None, :]
+    weights = np.tile(np.abs(grid.weights), len(coefficients))
+    rows = max(1, _BLOCK_ELEMENTS // weights.size)
+    bounds = np.empty(grid.n)
+    for i in range(0, grid.n, rows):
+        parts = [a(t[i:i + rows], s) for a in coefficients]
+        if all(part.strides[0] == 0 for part in parts):
+            parts = [part[:1] for part in parts]
+        values = np.abs(np.concatenate(parts, axis=1))
+        terms = values * weights
+        top = float(np.max(terms.sum(axis=1)))
+        if not np.isfinite(top):
+            raise ValueError("declared coefficient row sums must be finite")
+        sums, errors, magnitudes = row_sums(terms, np.ones(len(terms)), U * top)
+        lost = np.count_nonzero(values, axis=1) * TINY
+        bounds[i:i + rows] = add_up(sums, add_up(add_up(errors, mul_up(magnitudes, U)), lost))
+    return bounds
+
+
+def _declared(*moduli) -> bool:
+    """Whether the moduli are declared as power sums {e: coefficient}: all
+    of them (True) or none, each a callable (False); a mix is rejected."""
+    declared = [isinstance(m, dict) for m in moduli]
+    if any(declared) and not all(declared):
+        raise ValueError("declare every modulus as a power sum {exponent: "
+                         "coefficient function}, or none")
+    return all(declared)
+
+
+def _declared_sup_handle(apply, coefficients: dict, grid: Grid, radius: float,
+                         center) -> OperatorHandle:
+    """Sup-norm handle whose modulus is the power sum
+    sum_e coefficients[e] r**e recentered on x0 (recenter_modulus)."""
+    x0 = _resolve_center(center, grid)
+    modulus = PowerSumModulus(tuple((c, e) for e, c in sorted(coefficients.items())))
+    shift = _sup_norm(x0)
+    if shift > 0.0:
+        modulus = recenter_modulus(modulus, shift)
+    return make_operator(apply, x0, _sup_norm, modulus, radius)
+
+
 def _tabulated_sup_handle(apply, chunk_modulus, grid: Grid, radius: float,
                           center, shape: str) -> OperatorHandle:
     """Sup-norm handle whose modulus k(r + |x0|) is sampled at the shape's
     radii r in [0, radius] (_SHAPE_RADII) under its envelope: k is the
-    largest chunk_modulus(r, rows) of (c, 1, 1) chunks of radii over blocks
-    of rows of t within _BLOCK_ELEMENTS (r, t, s) points, as few and even as
-    steps of 16 rows allow, with room for a lone last row to join the block
-    before: each row then keeps the bits of one gemv over all rows, which
-    numpy would not give a single row (it sums one by a dot)."""
+    largest chunk_modulus(r, rows) of (c, 1, 1) chunks of radii over the row
+    blocks of t (_row_blocks), within _BLOCK_ELEMENTS (r, t, s) points."""
     x0 = _resolve_center(center, grid)
     rs = np.linspace(0.0, radius, _SHAPE_RADII[shape])
     r = (rs + _sup_norm(x0))[:, None, None]
-    count = -(-grid.n // max(16, (_BLOCK_ELEMENTS // grid.n - 1) // 16 * 16))
-    rows = min(grid.n, -(-grid.n // (16 * count)) * 16)
+    rows, edges = _row_blocks(grid.n)
     chunk = max(1, _BLOCK_ELEMENTS // (rows * grid.n))
-    edges = [*range(0, grid.n - 1, rows), grid.n]
     ks = np.concatenate([np.max([chunk_modulus(r[i:i + chunk], slice(*edge))
                                  for edge in zip(edges, edges[1:])], axis=0)
                          for i in range(0, rs.size, chunk)])
@@ -389,42 +460,62 @@ def _tabulated_sup_handle(apply, chunk_modulus, grid: Grid, radius: float,
 class UrysohnSpec:
     """Kernel K(t,s,u,v) with its partial moduli l(t,s,r) (in u) and
     m(t,s,r) (in v), both nonnegative and nondecreasing in r; the interval
-    is the build grid's.  shape declares what more l and m are in r:
-    "monotone" claims nothing more, "convex" that both are convex in r, so
-    the build samples the combined modulus at 33 radii instead of 257.
+    is the build grid's.
+
+    The moduli are both declared or both callables.  A declared modulus is
+    a power sum in r, {e: a_e} for l(t,s,r) = sum_e a_e(t,s) r**e with
+    nonnegative coefficient functions a_e(t, s) (the registry's form): the
+    build reads |a_e| at the nodes, its float values taken as given, and
+    shape is unused.  Callables are sampled in r, and shape declares what
+    more l and m are in r: "monotone" claims nothing more, "convex" that
+    both are convex in r, so the build samples the combined modulus at 33
+    radii instead of 257.
 
     Callbacks are pointwise on broadcastable open-mesh numpy arrays, as in
-    HammersteinSpec: K(t, s, u, v) gets t = nodes[:, None], s = nodes[None, :],
-    u = x[None, :], v = x[:, None]; l and m get a block of rows t[None, i:j],
+    HammersteinSpec: K(t, s, u, v) and each a_e get a block of rows
+    t = nodes[i:j, None] with s = nodes[None, :] (and u = x[None, :],
+    v = x[i:j, None]); callable l and m get a block of rows t[None, i:j],
     s[None] and a leading radius axis r[:, None, None].
     """
 
     kernel: Callable
-    u_modulus: Callable
-    v_modulus: Callable
+    u_modulus: Callable | dict
+    v_modulus: Callable | dict
     shape: str = "monotone"
 
     def __post_init__(self):
         _check_shape(self.shape)
+        _declared(self.u_modulus, self.v_modulus)
 
 
 def build_urysohn(spec: UrysohnSpec, grid: Grid, radius: float,
                   center=None) -> OperatorHandle:
-    """Nystrom discretization in the sup norm.
+    """Nystrom discretization in the sup norm, applied a block of rows at a
+    time (_row_integrals).
 
-    The modulus k(r) = max_t sum_l w_l (l(t, s_l, r) + m(t, s_l, r)) is
-    sampled on a radius grid, a chunk of radii over a block of rows per
-    call of the pointwise moduli (see UrysohnSpec), and wrapped in the upper
-    envelope of the spec's shape; a sample set that breaks the shape is a
-    construction error.
+    The modulus is k(r) = max_t sum_l w_l (l(t, s_l, r) + m(t, s_l, r)),
+    recentered on x0.  Declared moduli give the power sum
+    sum_e max_t A_e(t) r**e, with A_e(t) the weighted row sum of l's and
+    m's coefficients of r**e, each bounded from above (_row_sum_bounds).
+    Callables are sampled on a radius grid, a chunk of radii over a block
+    of rows per call, and wrapped in the upper envelope of the spec's
+    shape; a sample set that breaks the shape is a construction error.
     """
     t, s, weights = grid.nodes[:, None], grid.nodes[None, :], grid.weights
     kernel = _mesh_callback(spec.kernel)
-    l_mod, m_mod = _mesh_callback(spec.u_modulus), _mesh_callback(spec.v_modulus)
 
-    # on C-contiguous blocks, @ gives each row the bits of a 2-d gemv
     def apply(x: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(kernel(t, s, x[None, :], x[:, None])) @ weights
+        return _row_integrals(lambda rows: kernel(t[rows], s, x[None, :], x[rows, None]),
+                              grid)
+
+    if _declared(spec.u_modulus, spec.v_modulus):
+        coefficients = {}
+        for e in sorted({*spec.u_modulus, *spec.v_modulus}):
+            parts = [_mesh_callback(d[e]) for d in (spec.u_modulus, spec.v_modulus) if e in d]
+            coefficients[e] = float(np.max(_row_sum_bounds(parts, grid)))
+        return _declared_sup_handle(apply, coefficients, grid, radius, center)
+
+    l_mod, m_mod = _mesh_callback(spec.u_modulus), _mesh_callback(spec.v_modulus)
 
     def chunk_modulus(r: np.ndarray, rows: slice) -> np.ndarray:
         block = l_mod(t[None, rows], s[None], r) + m_mod(t[None, rows], s[None], r)
@@ -442,49 +533,80 @@ def build_urysohn(spec: UrysohnSpec, grid: Grid, radius: float,
 class CompositionSpec:
     """Outer map F(t,u,v) with moduli l(t,r,rho), m(t,r,rho); inner kernel
     K(t,s,u) with envelope n0(t,s,r) and modulus n(t,s,r); the interval is
-    the build grid's.  shape declares what the moduli are in their radius
-    arguments: "monotone" that all are nondecreasing, "convex" that all
-    are convex and nondecreasing (l and m in r and rho jointly), which makes
-    the combined modulus convex, so the build samples it at 33 radii
-    instead of 257.
+    the build grid's.
+
+    The moduli l, m and n are all declared or all callables.  Declared,
+    each is a power sum in r with nonnegative coefficient functions:
+    {e: c_e} for l(t,r) = sum_e c_e(t) r**e, which must hold for every rho
+    (and likewise m), and {f: n_f} for n(t,s,r) = sum_f n_f(t,s) r**f (the
+    registry's form); the build reads their magnitudes at the nodes, the
+    float values taken as given, and inner_bound (None) and shape are
+    unused.  Callables are sampled, and shape declares what
+    the moduli are in their radius arguments: "monotone" that all are
+    nondecreasing, "convex" that all are convex and nondecreasing (l and m
+    in r and rho jointly), which makes the combined modulus convex, so the
+    build samples it at 33 radii instead of 257.
 
     Callbacks are pointwise on broadcastable open-mesh numpy arrays, as in
-    HammersteinSpec: K gets t = nodes[:, None], s = nodes[None, :], u = x[None, :];
-    F gets nodes, x and the inner integrals; n0 and n get a block of rows
-    t[None, i:j], s[None] and a leading radius axis r[:, None, None]; l and
-    m get nodes[None, i:j], r[:, None] and rho[r, t].
+    HammersteinSpec: K and each n_f get a block of rows t = nodes[i:j, None]
+    with s = nodes[None, :] (and u = x[None, :]); F gets nodes, x and the
+    inner integrals, and each c_e the nodes; callable n0 and n get a block
+    of rows t[None, i:j], s[None] and a leading radius axis r[:, None, None],
+    and callable l and m get nodes[None, i:j], r[:, None] and rho[r, t].
     """
 
     outer: Callable
-    outer_u_modulus: Callable
-    outer_v_modulus: Callable
+    outer_u_modulus: Callable | dict
+    outer_v_modulus: Callable | dict
     inner_kernel: Callable
-    inner_bound: Callable
-    inner_modulus: Callable
+    inner_bound: Callable | None
+    inner_modulus: Callable | dict
     shape: str = "monotone"
 
     def __post_init__(self):
         _check_shape(self.shape)
+        _declared(self.outer_u_modulus, self.outer_v_modulus, self.inner_modulus)
 
 
 def build_composition(spec: CompositionSpec, grid: Grid, radius: float,
                       center=None) -> OperatorHandle:
-    """Nystrom discretization of the outer/inner split in the sup norm.
+    """Nystrom discretization of the outer/inner split in the sup norm, its
+    inner integrals taken a block of rows at a time (_row_integrals).
 
-    The combined modulus k(r) = max_t [ l(t, r, rho(t,r)) +
-    m(t, r, rho(t,r)) * int n(t,s,r) ds ] with rho(t,r) = int n0(t,s,r) ds
-    is sampled over a radius grid, a chunk of radii over a block of rows
-    per call of the pointwise moduli (see CompositionSpec), and wrapped in
-    the upper envelope of the spec's shape.
+    The combined modulus is k(r) = max_t [ l(t, r, rho(t,r)) +
+    m(t, r, rho(t,r)) * int n(t,s,r) ds ] with rho(t,r) = int n0(t,s,r) ds,
+    recentered on x0.  Declared moduli give the power sum
+    sum_e max_t |c_e| r**e + sum_{e,f} max_t |m_e| N_f r**(e+f), with N_f(t)
+    the weighted row sum of n_f, bounded from above (_row_sum_bounds), and
+    each product rounded up.  Callables are sampled over a radius grid, a
+    chunk of radii over a block of rows per call, and wrapped in the upper
+    envelope of the spec's shape.
     """
     t, s, weights = grid.nodes[:, None], grid.nodes[None, :], grid.weights
     inner_kernel, outer = _mesh_callback(spec.inner_kernel), _mesh_callback(spec.outer)
-    bound, n_mod = _mesh_callback(spec.inner_bound), _mesh_callback(spec.inner_modulus)
-    l_mod, m_mod = map(_mesh_callback, (spec.outer_u_modulus, spec.outer_v_modulus))
 
     def apply(x: np.ndarray) -> np.ndarray:
-        inner = np.ascontiguousarray(inner_kernel(t, s, x[None, :])) @ weights
+        inner = _row_integrals(lambda rows: inner_kernel(t[rows], s, x[None, :]), grid)
         return np.array(outer(grid.nodes, x, inner))
+
+    if _declared(spec.outer_u_modulus, spec.outer_v_modulus, spec.inner_modulus):
+        sums = {f: _row_sum_bounds([_mesh_callback(n)], grid)
+                for f, n in spec.inner_modulus.items()}
+        coefficients: dict = {}
+
+        def add(e, bounds: np.ndarray) -> None:
+            coefficients[e] = float(add_up(coefficients.get(e, 0.0), np.max(bounds)))
+
+        for e, c in spec.outer_u_modulus.items():
+            add(e, np.abs(_mesh_callback(c)(grid.nodes)))
+        for e, c in spec.outer_v_modulus.items():
+            m = np.abs(_mesh_callback(c)(grid.nodes))
+            for f, n_sum in sums.items():
+                add(e + f, mul_up(m, n_sum))
+        return _declared_sup_handle(apply, coefficients, grid, radius, center)
+
+    bound, n_mod = _mesh_callback(spec.inner_bound), _mesh_callback(spec.inner_modulus)
+    l_mod, m_mod = map(_mesh_callback, (spec.outer_u_modulus, spec.outer_v_modulus))
 
     def chunk_modulus(r: np.ndarray, rows: slice) -> np.ndarray:
         rho = np.ascontiguousarray(bound(t[None, rows], s[None], r)) @ weights

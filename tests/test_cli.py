@@ -771,6 +771,14 @@ class TestExitCodes:
         assert doc["radii"]["convergence_radius"] == pytest.approx(
             (1.0 - math.sqrt(1.0 - 0.12)) / 0.6, abs=1e-11)
 
+    @staticmethod
+    def sampled_urysohn(monkeypatch, u_modulus):
+        """The urysohn preset with callable moduli, which the build samples:
+        u_modulus and the registry's v-modulus as a callable."""
+        entry = URYSOHN_KERNELS["mixed_quadratic"]
+        monkeypatch.setitem(entry, "u_modulus", u_modulus)
+        monkeypatch.setitem(entry, "v_modulus", lambda t, s, r: 0.05 + 0.0 * (t + s))
+
     def test_callback_fault_after_first_call_propagates(self, monkeypatch):
         calls = []
 
@@ -780,7 +788,7 @@ class TestExitCodes:
                 raise ValueError("bug on the second chunk")
             return 0.2 * s * r + 0.0 * t
 
-        monkeypatch.setitem(URYSOHN_KERNELS["mixed_quadratic"], "u_modulus", u_modulus)
+        self.sampled_urysohn(monkeypatch, u_modulus)
         with pytest.raises(RuntimeError, match="u_modulus raised ValueError") as info:
             main(["analyze", "--preset", "urysohn"])
         assert isinstance(info.value.__cause__, ValueError)
@@ -790,11 +798,23 @@ class TestExitCodes:
         def u_modulus(t, s, r):
             raise TypeError("bug on every call")
 
-        monkeypatch.setitem(URYSOHN_KERNELS["mixed_quadratic"], "u_modulus", u_modulus)
+        self.sampled_urysohn(monkeypatch, u_modulus)
         # the first call, on arrays, fails; it is not retried on scalars
         with pytest.raises(RuntimeError, match="u_modulus raised TypeError") as info:
             main(["analyze", "--preset", "urysohn"])
         assert isinstance(info.value.__cause__, TypeError)
+
+    @pytest.mark.parametrize("error", [ValueError, TypeError])
+    def test_declared_coefficient_fault_propagates(self, monkeypatch, error):
+        def coefficient(t, s):
+            raise error("bug in the coefficient")
+
+        monkeypatch.setitem(URYSOHN_KERNELS["mixed_quadratic"], "u_modulus",
+                            {1: coefficient})
+        with pytest.raises(RuntimeError,
+                           match=f"coefficient raised {error.__name__}") as info:
+            main(["analyze", "--preset", "urysohn"])
+        assert isinstance(info.value.__cause__, error)
 
     def test_bound_violation(self, tmp_path):
         config = {"kind": "scalar_profile", "center_shift": 0.1875,

@@ -32,7 +32,8 @@ from majorfix import (
     iterate,
     multilinear_critical_shift,
 )
-from majorfix.discretize import _absolute
+from majorfix import operators
+from majorfix.discretize import _absolute, _mesh_callback
 from majorfix.presets import (COMPOSITION_INNER, COMPOSITION_OUTER, FORCINGS,
                               KERNELS, URYSOHN_KERNELS)
 from helpers import lipschitz_increment_holds, per_radius_modulus, quadratic_radii
@@ -752,25 +753,34 @@ class TestComposition:
 
 
 def _tabulation_spec(kind: str, shape: str = "monotone"):
-    # every modulus here is convex and nondecreasing in its radius arguments
+    # the registry demos with callable moduli, which the builds sample; every
+    # modulus here is convex and nondecreasing in its radius arguments
     if kind == "urysohn":
-        demo = URYSOHN_KERNELS["mixed_quadratic"]
-        return UrysohnSpec(demo["kernel"], demo["u_modulus"], demo["v_modulus"],
-                           shape)
-    outer = COMPOSITION_OUTER["affine_mix"]
-    inner = COMPOSITION_INNER["weighted_square"]
+        return UrysohnSpec(
+            lambda t, s, u, v: 0.2 * t + 0.1 * s * u**2 + 0.05 * v,
+            lambda t, s, r: 0.2 * s * r + 0.0 * t,
+            lambda t, s, r: 0.05 + 0.0 * (t + s),
+            shape)
+    outer = lambda t, u, v: 0.1 * t + 0.5 * u + 0.25 * v
+    inner_kernel = lambda t, s, u: s * u**2 + 0.0 * t
+    inner_modulus = lambda t, s, r: 2.0 * s * r + 0.0 * t
     if kind == "composition":
-        return CompositionSpec(outer["outer"], outer["u_modulus"],
-                               outer["v_modulus"], inner["kernel"],
-                               inner["bound"], inner["modulus"], shape)
+        return CompositionSpec(
+            outer,
+            lambda t, r, rho: 0.5 + 0.0 * np.asarray(t, dtype=float),
+            lambda t, r, rho: 0.25 + 0.0 * np.asarray(t, dtype=float),
+            inner_kernel,
+            lambda t, s, r: s * r**2 + 0.0 * t,
+            inner_modulus,
+            shape)
     # outer moduli that read rho, so the inner envelope reaches the samples
     return CompositionSpec(
-        outer["outer"],
+        outer,
         lambda t, r, rho: 0.3 + 0.1 * rho + 0.0 * t,
         lambda t, r, rho: 0.2 + 0.05 * (r + rho) ** 2,
-        inner["kernel"],
+        inner_kernel,
         lambda t, s, r: s * r * r + 0.0 * t,
-        inner["modulus"],
+        inner_modulus,
         shape,
     )
 
@@ -966,3 +976,155 @@ class TestRadiusTabulation:
             build_urysohn(spec, Grid.simpson(0.0, 1.0, 11), 1.0)
         assert calls == [2]
 
+
+
+def _registry_spec(kind: str):
+    """The spec the CLI builds for the urysohn or composition preset."""
+    if kind == "urysohn":
+        demo = URYSOHN_KERNELS["mixed_quadratic"]
+        return UrysohnSpec(demo["kernel"], demo["u_modulus"], demo["v_modulus"])
+    outer, inner = COMPOSITION_OUTER["affine_mix"], COMPOSITION_INNER["weighted_square"]
+    return CompositionSpec(outer["outer"], outer["u_modulus"], outer["v_modulus"],
+                           inner["kernel"], None, inner["modulus"])
+
+
+def _power_terms(op, x0) -> dict:
+    """{exponent: coefficient} of a declared build's power sum, read through
+    its recentering on |x0|."""
+    modulus = op.profile.modulus
+    if x0 is not None:
+        ((weight, modulus),) = modulus.parts
+        assert weight == 1.0 and op.profile.modulus.offset == abs(x0)
+    assert isinstance(modulus, PowerSumModulus)
+    return {p: c for c, p in modulus.terms}
+
+
+def _exact_row_sum_max(coefficient, grid) -> Fraction:
+    """max_i sum_l |w_l| |a(t_i, s_l)| in exact arithmetic, for the floats
+    a(t_i, s_l) of one call on the whole (t, s) meshgrid."""
+    tt, ss = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+    values = np.broadcast_to(np.asarray(coefficient(tt, ss), dtype=float), tt.shape)
+    weights = [Fraction(w) for w in np.abs(grid.weights).tolist()]
+    sums = {}
+    for row in np.abs(values):
+        key = row.tobytes()
+        if key not in sums:  # equal rows have equal sums
+            sums[key] = sum(w * Fraction(v) for w, v in zip(weights, row.tolist()))
+    return max(sums.values())
+
+
+def _ulps_above(bound: float, exact: Fraction) -> Fraction:
+    return (Fraction(bound) - exact) / Fraction(math.ulp(float(exact)))
+
+
+class TestDeclaredModuli:
+    # The registry's moduli are power sums with coefficient functions of
+    # (t, s): each coefficient of r**e is a weighted row sum bounded within
+    # a few ulps of its exact value; (0.3, 1.4) at n = 401 is a grid where
+    # the float gemv of 0.2 s lands below the exact row sum
+    @pytest.mark.parametrize("n", [101, 401])
+    @pytest.mark.parametrize("x0", [None, 0.15])
+    def test_urysohn_coefficients_bound_the_exact_row_sums(self, n, x0):
+        grid = Grid.simpson(0.3, 1.4, n)
+        op = build_urysohn(_registry_spec("urysohn"), grid, 1.5, center=x0)
+        demo = URYSOHN_KERNELS["mixed_quadratic"]
+        terms = _power_terms(op, x0)
+        assert sorted(terms) == [0.0, 1.0]
+        for power, declaration in ((1.0, demo["u_modulus"][1]), (0.0, demo["v_modulus"][0])):
+            exact = _exact_row_sum_max(declaration, grid)
+            assert 0 <= _ulps_above(terms[power], exact) <= 3
+
+    @pytest.mark.parametrize("n", [101, 401])
+    @pytest.mark.parametrize("x0", [None, 0.15])
+    def test_composition_coefficients_bound_the_exact_products(self, n, x0):
+        grid = Grid.simpson(0.3, 1.4, n)
+        op = build_composition(_registry_spec("composition"), grid, 1.5, center=x0)
+        # l = 0.5 and m = 0.25 r**0, n = 2 s r: k(r) = 0.5 + 0.25 N_1 r
+        terms = _power_terms(op, x0)
+        assert sorted(terms) == [0.0, 1.0] and terms[0.0] == 0.5
+        inner = COMPOSITION_INNER["weighted_square"]["modulus"][1]
+        exact = Fraction(0.25) * _exact_row_sum_max(inner, grid)
+        assert 0 <= _ulps_above(terms[1.0], exact) <= 4
+
+    @pytest.mark.parametrize("kind", ["urysohn", "composition"])
+    @pytest.mark.parametrize("x0", [None, 0.15])
+    @settings(max_examples=60, deadline=None)
+    @given(radius=st.floats(0.0, 1.5), ends=st.tuples(st.floats(-1.0, 1.0),
+                                                       st.floats(-1.0, 1.0)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(radius=1.5, ends=(1.0, 0.9), seed=0)
+    def test_declared_modulus_bounds_the_operator(self, kind, x0, radius, ends, seed):
+        # ||A(x) - A(y)|| <= k(r) ||x - y|| for x, y in B(x0, r): each is x0
+        # plus r times a level c in [-1, 1] and noise within 1 - |c|
+        grid = Grid.simpson(0.3, 1.4, 101)
+        op = _build(_registry_spec(kind), grid, 1.5, center=x0)
+        rng = np.random.default_rng(seed)
+        x, y = (op.center + radius * (c + (1.0 - abs(c)) * rng.uniform(-1.0, 1.0, grid.n))
+                for c in ends)
+        distance = float(np.max(np.abs(x - y)))
+        change = float(np.max(np.abs(op.apply(x) - op.apply(y))))
+        assert change <= op.profile.slope(radius) * distance + 1e-14
+
+    def test_a_coefficient_constant_in_t_is_summed_once(self):
+        # a coefficient whose value broadcasts along t gets one row sum per
+        # block, with the bits of summing every row
+        grid = Grid.simpson(0.3, 1.4, 401)
+        once = operators._row_sum_bounds([_mesh_callback(lambda t, s: 0.2 * s)], grid)
+        every = operators._row_sum_bounds(
+            [_mesh_callback(lambda t, s: 0.2 * s + 0.0 * t)], grid)
+        assert np.array_equal(once, every)
+
+    def test_two_coefficients_of_one_power_are_summed_together(self):
+        grid = Grid.simpson(0.0, 1.0, 101)
+        spec = UrysohnSpec(lambda t, s, u, v: 0.0 * (t + s + u + v),
+                           {1: lambda t, s: 0.2 * s}, {1: lambda t, s: np.exp(t * s)})
+        op = build_urysohn(spec, grid, 1.0)
+        ((coefficient, power),) = op.profile.modulus.terms
+        tt, ss = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+        weights = [Fraction(w) for w in grid.weights.tolist()]
+        exact = max(sum(w * (Fraction(a) + Fraction(b)) for w, a, b in zip(weights, *rows))
+                    for rows in zip((0.2 * ss).tolist(), np.exp(tt * ss).tolist()))
+        assert power == 1.0 and 0 <= _ulps_above(coefficient, exact) <= 3
+
+    def test_mixed_declarations_rejected(self):
+        with pytest.raises(ValueError, match="declare every modulus"):
+            UrysohnSpec(lambda t, s, u, v: 0.0 * u, {1: lambda t, s: s},
+                        lambda t, s, r: 0.05 + 0.0 * (t + s))
+        with pytest.raises(ValueError, match="declare every modulus"):
+            CompositionSpec(lambda t, u, v: u, {0: lambda t: 0.5}, {0: lambda t: 0.25},
+                            lambda t, s, u: s * u, None, lambda t, s, r: s + 0.0 * r)
+
+    def test_non_finite_coefficient_rejected(self):
+        spec = UrysohnSpec(lambda t, s, u, v: 0.0 * u,
+                           {1: lambda t, s: np.where(s > 0.5, np.nan, s)},
+                           {0: lambda t, s: 0.05})
+        with pytest.raises(ValueError, match="finite"):
+            build_urysohn(spec, Grid.simpson(0.0, 1.0, 11), 1.0)
+
+
+class TestRowBlockedApply:
+    # the applies evaluate the kernel a block of rows at a time, at
+    # multiples of 16 rows (two blocks at n = 401, ten at n = 1121, the last
+    # holding 113 rows), with the bits of one gemv over the whole mesh
+    @pytest.mark.parametrize("n,blocks", [(101, [101]), (401, [208, 193]),
+                                          (1121, [112] * 9 + [113])])
+    @pytest.mark.parametrize("kind", ["urysohn", "composition"])
+    def test_blocked_apply_keeps_the_whole_mesh_bits(self, kind, n, blocks):
+        spec = _registry_spec(kind)
+        rows = []
+        kernel = spec.kernel if kind == "urysohn" else spec.inner_kernel
+        counted = lambda t, *args: rows.append(np.shape(t)[0]) or kernel(t, *args)
+        spec = dataclasses.replace(
+            spec, **{"kernel" if kind == "urysohn" else "inner_kernel": counted})
+        grid = Grid.simpson(0.3, 1.4, n)
+        op = _build(spec, grid, 1.5)
+        t, s, w = grid.nodes[:, None], grid.nodes[None, :], grid.weights
+        x = 0.2 + 0.1 * np.cos(3.0 * grid.nodes)
+        if kind == "urysohn":
+            whole = np.ascontiguousarray(kernel(t, s, x[None, :], x[:, None])) @ w
+        else:
+            whole = spec.outer(grid.nodes, x,
+                               np.ascontiguousarray(kernel(t, s, x[None, :])) @ w)
+        rows.clear()
+        assert np.array_equal(op.apply(x), whole)
+        assert rows == blocks

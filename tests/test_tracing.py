@@ -61,16 +61,16 @@ def _tabulated_config(tmp_path):
 
 # (arguments, combine_moduli spans, tabulated-modulus nodes) of one traced
 # run;
-# the urysohn and composition presets declare convex moduli, sampled at 33
-# radii; a tabulated scalar profile is read from its config, not tabulated,
+# the urysohn and composition presets declare power-sum moduli, read
+# without sampling; a tabulated scalar profile is read from its config, not tabulated,
 # and the traced modulus wraps it directly; no run samples a kernel table:
 # the Hammerstein presets' kernels are read through their factors, the L_p
 # preset's Zaanen estimate included
 @pytest.mark.parametrize("make_args,combines,table_nodes", [
     (lambda tmp_path: ["solve", "--preset", "hammerstein-separable"], 1, 0),
     (_scaled_config, 1, 0),   # combine_moduli([m], [scale]) of the wrapped modulus
-    (lambda tmp_path: ["analyze", "--preset", "urysohn"], 0, 33),
-    (lambda tmp_path: ["analyze", "--preset", "composition"], 0, 33),
+    (lambda tmp_path: ["analyze", "--preset", "urysohn"], 0, 0),
+    (lambda tmp_path: ["analyze", "--preset", "composition"], 0, 0),
     (_tabulated_config, 0, 0),
     (lambda tmp_path: ["solve", "--preset", "hammerstein-lp"], 1, 0),
 ], ids=["solve-preset", "analyze-modulus-scale", "analyze-urysohn",
